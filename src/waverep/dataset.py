@@ -1,4 +1,5 @@
-"""Audio ingestion, segmentation, activity gating and training-pair synthesis.
+"""Audio ingestion, framing and overlap-add, segmentation, activity gating and
+training-pair synthesis.
 
 Signals are plain 1-D float64 arrays at a fixed 44100 Hz sample rate; files at
 any other rate are rejected rather than resampled, because every model
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 from .wavio import read_wav
@@ -27,14 +29,11 @@ class CorruptionConfig:
 
     gaussian_std: float = 1e-4
     segment_len: int = SAMPLE_RATE
-    train_hop: int = SAMPLE_RATE // 2
     seed: int = 0
 
     def __post_init__(self):
         if self.gaussian_std < 0:
             raise ValueError("gaussian_std must be >= 0")
-        if not 0 < self.train_hop <= self.segment_len:
-            raise ValueError("need 0 < train_hop <= segment_len")
 
 
 class TrainingPair(NamedTuple):
@@ -66,6 +65,36 @@ def load_and_downmix(path) -> np.ndarray:
     return mono
 
 
+def frame(x: np.ndarray, length: int, hop: int, n_frames: int) -> np.ndarray:
+    """Read-only (n_frames, length) view whose row t is ``x[t*hop : t*hop+length]``,
+    zero-padded on the right where it runs past the end of ``x``.
+
+    The adjoint of :func:`overlap_add`.
+    """
+    needed = (n_frames - 1) * hop + length
+    if needed > x.size:
+        x = np.concatenate([x, np.zeros(needed - x.size)])
+    return sliding_window_view(x, length)[::hop][:n_frames]
+
+
+def overlap_add(frames: np.ndarray, hop: int, out_len: int) -> np.ndarray:
+    """Sum row t of the (T, L) ``frames`` into the output at sample ``t*hop``;
+    the natural (T-1)*hop + L samples are truncated (or zero-extended) to
+    ``out_len``.
+
+    The adjoint of :func:`frame`.  Rows are added one hop-wide column chunk
+    at a time; the chunks go last to first so that every sample sums its
+    frames in increasing t, exactly as a per-frame loop would.
+    """
+    n_frames, length = frames.shape
+    chunks = -(-length // hop)
+    y = np.zeros(max((n_frames + chunks - 1) * hop, out_len))
+    for k in reversed(range(chunks)):
+        cols = frames[:, k * hop : (k + 1) * hop]
+        y[k * hop : (k + n_frames) * hop].reshape(n_frames, hop)[:, : cols.shape[1]] += cols
+    return y[:out_len]
+
+
 def segment(x: np.ndarray, length: int, hop: int) -> list[np.ndarray]:
     """Split ``x`` into segments starting at 0, hop, 2*hop, ...
 
@@ -77,13 +106,7 @@ def segment(x: np.ndarray, length: int, hop: int) -> list[np.ndarray]:
         raise ValueError("cannot segment an empty signal")
     if length <= 0 or hop <= 0:
         raise ValueError("segment length and hop must be positive")
-    out = []
-    for start in range(0, x.size, hop):
-        piece = x[start : start + length]
-        if piece.size < length:
-            piece = np.concatenate([piece, np.zeros(length - piece.size)])
-        out.append(piece)
-    return out
+    return list(frame(x, length, hop, -(-x.size // hop)))
 
 
 def is_active(x: np.ndarray, threshold_db: float = -10.0, eps: float = ACTIVITY_EPS) -> bool:

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .autodiff import Node, Tape, as_node
-from .dataset import SAMPLE_RATE
+from .dataset import SAMPLE_RATE, frame, overlap_add
 
 
 @dataclass
@@ -116,29 +116,15 @@ def synthesize(
     av, wv = a.value, kernels.value
     if av.shape[0] != wv.shape[0]:
         raise ValueError(f"representation has {av.shape[0]} rows but there are {wv.shape[0]} kernels")
-    n_frames = av.shape[1]
-    frame_len = wv.shape[1]
-    full = (n_frames - 1) * stride + frame_len
-    frames = wv.T @ av  # (L, T) modulated components
-    y = np.zeros(full)
-    for t in range(n_frames):
-        y[t * stride : t * stride + frame_len] += frames[:, t]
-    if out_len <= full:
-        y = y[:out_len]
-    else:
-        y = np.concatenate([y, np.zeros(out_len - full)])
-    out = Node(y)
+    # frames as (wv.T @ av).T: av.T @ wv would round differently
+    out = Node(overlap_add((wv.T @ av).T, stride, out_len))
 
     if tape is not None:
         def backward():
             if out.grad is None:
                 return
-            g = np.zeros(full)
-            upto = min(out_len, full)
-            g[:upto] = out.grad[:upto]
-            dframes = np.empty_like(frames)
-            for t in range(n_frames):
-                dframes[:, t] = g[t * stride : t * stride + frame_len]
+            # (L, T) in C order: the GEMMs below round by operand layout
+            dframes = np.ascontiguousarray(frame(out.grad, wv.shape[1], stride, av.shape[1]).T)
             kernels.add_grad(av @ dframes.T)
             a.add_grad(wv @ dframes)
         tape.record(backward)

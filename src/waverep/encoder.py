@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Node, Tape, as_node
+from .dataset import frame
 
 
 @dataclass
@@ -66,21 +66,13 @@ def num_frames(n_samples: int, stride: int) -> int:
     return -(-n_samples // stride)
 
 
-def _windows(x: np.ndarray, length: int, stride: int, frames: int) -> np.ndarray:
-    """(frames, length) view of x with right zero-padding as needed."""
-    needed = (frames - 1) * stride + length
-    if needed > x.size:
-        x = np.concatenate([x, np.zeros(needed - x.size)])
-    return sliding_window_view(x, length)[:: stride][:frames]
-
-
 def conv1(x: np.ndarray, kernels: Node, stride: int, tape: Tape | None = None) -> Node:
     """First layer: cross-correlation of ``x`` with each kernel at ``stride``."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("conv1 expects a non-empty 1-D signal")
     frames = num_frames(x.size, stride)
-    win = _windows(x, kernels.value.shape[1], stride, frames)  # (T, L)
+    win = frame(x, kernels.value.shape[1], stride, frames)  # (T, L)
     out = Node(kernels.value @ win.T)
 
     if tape is not None:

@@ -11,7 +11,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import ACTIVITY_EPS, is_active, segment
+from .dataset import ACTIVITY_EPS, frame, is_active, overlap_add, segment
 from .decoder import DecoderParameters, decode_values
 from .encoder import EncoderParameters, encode_values
 from .errors import DataError
@@ -24,8 +24,10 @@ def si_sdr(ref: np.ndarray, est: np.ndarray, cap_db: float = 120.0) -> float:
     """Scale-invariant signal-to-distortion ratio in dB.
 
     The estimate is compared against its own projection onto the reference,
-    so the measure is invariant to (nonzero) rescaling of the estimate; a
-    vanishing residual is capped at ``cap_db``.
+    so the measure is invariant to (nonzero) rescaling of the estimate.  The
+    result is clamped to [-cap_db, cap_db]: a vanishing residual scores
+    ``cap_db``, and a silent or orthogonal estimate (zero projection) scores
+    ``-cap_db``.
     """
     ref = np.asarray(ref, dtype=np.float64)
     est = np.asarray(est, dtype=np.float64)
@@ -39,9 +41,11 @@ def si_sdr(ref: np.ndarray, est: np.ndarray, cap_db: float = 120.0) -> float:
     resid = target - est
     num = float(target @ target)
     den = float(resid @ resid)
+    if num == 0.0:
+        return -cap_db
     if den == 0.0:
         return cap_db
-    return min(cap_db, 10.0 * math.log10(num / den))
+    return max(-cap_db, min(cap_db, 10.0 * math.log10(num / den)))
 
 
 def binary_mask(a_target: np.ndarray, a_interf: np.ndarray) -> np.ndarray:
@@ -85,11 +89,12 @@ def additivity(
 
     Equals 1 exactly for a linear encoder on an additive mixture; <= 1 always.
     """
-    a_m = encode_values(x_m, enc, linear=linear)
-    a_v = encode_values(x_v, enc, linear=linear)
-    a_ac = encode_values(x_ac, enc, linear=linear)
-    mismatch = np.abs(a_m - a_v - a_ac).sum()
-    return float(1.0 - mismatch / (np.abs(a_m).sum() + eps))
+    return _additivity(*(encode_values(x, enc, linear=linear) for x in (x_m, x_v, x_ac)), eps)
+
+
+def _additivity(a_m: np.ndarray, a_v: np.ndarray, a_ac: np.ndarray, eps: float = ACTIVITY_EPS) -> float:
+    """:func:`additivity` on representations that are already computed."""
+    return float(1.0 - np.abs(a_m - a_v - a_ac).sum() / (np.abs(a_m).sum() + eps))
 
 
 def w_do(y_target: np.ndarray, y_interf: np.ndarray) -> tuple[float, float, float]:
@@ -121,15 +126,10 @@ def w_do(y_target: np.ndarray, y_interf: np.ndarray) -> tuple[float, float, floa
 def stft(x: np.ndarray, window: int = STFT_WINDOW, hop: int = STFT_HOP) -> np.ndarray:
     """One-sided complex spectrogram, hamming analysis window, right padding."""
     x = np.asarray(x, dtype=np.float64)
-    win = np.hamming(window)
     n_frames = 1 + max(0, -(-(x.size - window) // hop)) if x.size > window else 1
-    needed = (n_frames - 1) * hop + window
-    if needed > x.size:
-        x = np.concatenate([x, np.zeros(needed - x.size)])
-    spec = np.empty((window // 2 + 1, n_frames), dtype=np.complex128)
-    for t in range(n_frames):
-        spec[:, t] = np.fft.rfft(x[t * hop : t * hop + window] * win)
-    return spec
+    spec = np.fft.rfft(frame(x, window, hop, n_frames) * np.hamming(window), axis=1)
+    # (F, T) in C order: sums over the spectrogram round by memory layout
+    return np.ascontiguousarray(spec.T)
 
 
 def istft(
@@ -141,18 +141,12 @@ def istft(
     """Weighted overlap-add inverse with squared-window normalization, so
     ``istft(stft(x), len(x))`` reconstructs ``x``."""
     win = np.hamming(window)
-    n_frames = spec.shape[1]
-    full = (n_frames - 1) * hop + window
-    y = np.zeros(full)
-    norm = np.zeros(full)
-    for t in range(n_frames):
-        frame = np.fft.irfft(spec[:, t], n=window)
-        y[t * hop : t * hop + window] += frame * win
-        norm[t * hop : t * hop + window] += win * win
-    y /= np.maximum(norm, 1e-12)
-    if length is not None:
-        y = y[:length] if length <= full else np.concatenate([y, np.zeros(length - full)])
-    return y
+    frames = np.fft.irfft(spec.T, n=window, axis=1) * win
+    if length is None:
+        length = (frames.shape[0] - 1) * hop + window
+    y = overlap_add(frames, hop, length)
+    norm = overlap_add(np.broadcast_to(win * win, frames.shape), hop, length)
+    return y / np.maximum(norm, 1e-12)
 
 
 class SegmentMetrics(NamedTuple):
@@ -237,8 +231,7 @@ def evaluate(
                 recon = istft(spec_v, len(x_v))
                 mask = binary_mask(mag_v, mag_ac)
                 sep = istft(mask * spec_m, len(x_m))  # mixture phase kept
-                mag_m = np.abs(spec_m)
-                add = float(1.0 - np.abs(mag_m - mag_v - mag_ac).sum() / (mag_m.sum() + ACTIVITY_EPS))
+                add = _additivity(np.abs(spec_m), mag_v, mag_ac)
                 rep_v, rep_ac = mag_v, mag_ac
             else:
                 a_v = encode_values(x_v, enc)

@@ -44,9 +44,6 @@ class LossConfig:
 @dataclass
 class TransportPlan:
     plan: np.ndarray      # (T, T) non-negative coupling
-    u: np.ndarray         # row scaling vector
-    v: np.ndarray         # column scaling vector
-    gibbs: np.ndarray     # exp(-lam * M)
     iterations: int
     converged: bool
     saturation: float     # fraction of Gibbs-kernel entries that underflowed to 0
@@ -209,7 +206,7 @@ def sinkhorn_plan(
         if err < tau:
             converged = True
             break
-    return TransportPlan(plan, u, v, gibbs, iterations, converged, saturation)
+    return TransportPlan(plan, iterations, converged, saturation)
 
 
 def _plan_cost_inner(ao: Node, m: np.ndarray, plan: np.ndarray, p: int, tape: Tape | None) -> Node:

@@ -145,7 +145,6 @@ def train(
         cc = CorruptionConfig(
             gaussian_std=cfg.gaussian_std,
             segment_len=seg_len,
-            train_hop=seg_len,  # hop is segmentation metadata, unused here
             seed=_epoch_seed(cfg.seed, epoch),
         )
         return make_training_pairs(voice_segments, accomp_segments, cc)
@@ -176,12 +175,9 @@ def train(
                 for pair in items:
                     tape = Tape()
                     bd = forward(pair, tape, nodes)
-                    tape.backward(bd.total, seed=1.0 / len(items))
+                    # the shared nodes accumulate, so the last return is the batch gradient
+                    grads = backward(bd.total, tape, nodes, seed=1.0 / len(items))
                     breakdowns.append(bd)
-                grads = {
-                    name: (node.grad if node.grad is not None else np.zeros_like(node.value))
-                    for name, node in nodes.items()
-                }
                 adam_step(params, grads, adam)
                 step += 1
                 record = {

@@ -62,7 +62,7 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         # the real codec tag is the first two bytes of the SubFormat GUID
         tag = struct.unpack_from("<H", fmt, 24)[0]
 
-    if channels < 1 or block_align != channels * (bits // 8):
+    if channels < 1 or bits < 8 or block_align != channels * (bits // 8):
         raise DataError(f"{path}: inconsistent fmt chunk")
     if len(data) % block_align:
         raise DataError(f"{path}: data chunk is not a whole number of frames")

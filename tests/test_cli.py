@@ -10,7 +10,7 @@ from waverep.export import read_representation_csv
 from waverep.synth import synth_data
 from waverep.wavio import write_wav
 
-from conftest import write_pcm16
+from conftest import _wav_bytes, write_pcm16
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,14 @@ class TestExitCodes:
         write_pcm16(wav, np.zeros((100, 1), dtype=np.int16), rate=48000)
         assert run(["encode", "--checkpoint", str(trained / "checkpoint.bin"),
                     "--out", str(tmp_path / "o"), str(wav)]) == 2
+
+    def test_zero_block_align_stem_is_data_error(self, tmp_path):
+        stems = tmp_path / "stems"
+        stems.mkdir()
+        (stems / "track00_voice.wav").write_bytes(_wav_bytes(1, 1, 44100, 4, b"\x00\x01"))
+        write_wav(stems / "track00_accomp.wav", np.zeros(4))
+        assert run(["evaluate", "--stems", str(stems), "--baseline", "stft",
+                    "--out", str(tmp_path / "o")]) == 2
 
     def test_evaluate_needs_exactly_one_frontend(self, stems_dir, tmp_path):
         assert run(["evaluate", "--stems", str(stems_dir), "--out", str(tmp_path / "o")]) == 1

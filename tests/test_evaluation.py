@@ -42,6 +42,13 @@ class TestSiSdr:
         for a in (0.1, 3.0, 117.0):
             assert abs(si_sdr(ref, a * est) - base) < 1e-9
 
+    def test_silent_estimate_scores_floor(self, rng):
+        # a mask that silences everything must not score as perfect separation
+        assert si_sdr(rng.uniform(-1, 1, 100), np.zeros(100)) == -120.0
+
+    def test_orthogonal_estimate_scores_floor(self):
+        assert si_sdr(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == -120.0
+
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError):
             si_sdr(np.zeros(5), np.ones(5))

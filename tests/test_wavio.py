@@ -108,6 +108,15 @@ def test_unsupported_encoding(tmp_path):
         read_wav(path)
 
 
+def test_sub_byte_samples_with_zero_block_align(tmp_path):
+    # 4-bit samples give block_align = 1 * 4 // 8 = 0, which must not reach
+    # the frame-count division
+    path = tmp_path / "pcm4.wav"
+    path.write_bytes(_wav_bytes(1, 1, 44100, 4, b"\x00\x01"))
+    with pytest.raises(DataError, match="inconsistent fmt"):
+        read_wav(path)
+
+
 def test_truncated_data_chunk(tmp_path):
     blob = _wav_bytes(1, 1, 44100, 16, np.zeros(4, dtype="<i2").tobytes())
     path = tmp_path / "trunc.wav"
