@@ -101,22 +101,26 @@ def save_model(path, enc: EncoderParameters, dec: DecoderParameters) -> None:
 
 
 def load_model(path) -> tuple[EncoderParameters, DecoderParameters]:
+    """Read a model written by :func:`save_model`, rejecting metadata and
+    array shapes that do not describe one consistent encoder/decoder pair."""
     arrs = load_arrays(path)
-    try:
-        stride = int(arrs["meta/stride"])
-        enc = EncoderParameters(
-            kernels=arrs["encoder/kernels"],
-            dilated_kernels=arrs["encoder/dilated_kernels"],
-            stride=stride,
-            dilation=int(arrs["meta/dilation"]),
-        )
-        dec = DecoderParameters(
-            freq=arrs["decoder/freq"],
-            phase=arrs["decoder/phase"],
-            modulator=arrs["decoder/modulator"],
-            stride=stride,
-            square_freq=bool(arrs["meta/square_freq"]),
-        )
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: missing array {exc.args[0]!r}") from exc
-    return enc, dec
+    names = ("encoder/kernels", "encoder/dilated_kernels", "decoder/freq", "decoder/phase",
+             "decoder/modulator", "meta/stride", "meta/dilation", "meta/square_freq")
+    for name in names:
+        if name not in arrs:
+            raise CheckpointError(f"{path}: missing array {name!r}")
+    kernels, dilated, freq, phase, modulator, stride, dilation, square_freq = (arrs[n] for n in names)
+    for name, value in (("meta/stride", stride), ("meta/dilation", dilation)):
+        if value.shape != () or not (np.isfinite(value) and value >= 1 and value == np.floor(value)):
+            raise CheckpointError(f"{path}: {name} must be a positive integer, got {value}")
+    if square_freq.shape != () or square_freq not in (0.0, 1.0):
+        raise CheckpointError(f"{path}: meta/square_freq must be 0 or 1, got {square_freq}")
+    c, length = kernels.shape if kernels.ndim == 2 else (-1, -1)
+    l2 = dilated.shape[1] if dilated.ndim == 3 else -1
+    shapes = [a.shape for a in (kernels, dilated, freq, phase, modulator)]
+    if shapes != [(c, length), (c, l2, c), (c,), (c,), (c, length)]:
+        raise CheckpointError(
+            f"{path}: inconsistent array shapes {shapes}; expected encoder (C, L), (C, L2, C) "
+            "and decoder (C,), (C,), (C, L)")
+    enc = EncoderParameters(kernels, dilated, int(stride), int(dilation))
+    return enc, DecoderParameters(freq, phase, modulator, int(stride), bool(square_freq))

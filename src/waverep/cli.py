@@ -37,6 +37,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # an abbreviated flag would slip past the config file's exact-spelling
+        # match and let the file override it, so abbreviations are refused
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # exit 1 on usage errors instead of argparse's 2
         raise UsageError(message)
 
@@ -275,7 +280,8 @@ def cmd_separate(args) -> int:
     accomp = load_and_downmix(args.accomp)
     n = min(len(voice), len(accomp))
     voice, accomp = voice[:n], accomp[:n]
-    sep = oracle_separate(voice + accomp, voice, accomp, enc, dec)
+    z_m, z_v, z_ac = (encode_values(x, enc) for x in (voice + accomp, voice, accomp))
+    sep = decode_values(oracle_separate(z_m, z_v, z_ac), dec, n)
     wav_path = out / (Path(args.voice).stem + "_separated.wav")
     write_wav(wav_path, sep)
     print(f"SI-SDR (masked separation): {si_sdr(voice, sep):.3f} dB")

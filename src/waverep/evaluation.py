@@ -11,13 +11,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import ACTIVITY_EPS, frame, is_active, overlap_add, segment
-from .decoder import DecoderParameters, decode_values
+from .autodiff import as_node
+from .dataset import ACTIVITY_EPS, SAMPLE_RATE, frame, is_active, overlap_add, segment
+from .decoder import DecoderParameters, kernel_matrix, synthesize
 from .encoder import EncoderParameters, encode_values
 from .errors import DataError
 
 STFT_WINDOW = 2048
 STFT_HOP = 256
+SEGMENT_LEN = SAMPLE_RATE  # evaluation cuts non-overlapping 1 s segments
 
 
 def si_sdr(ref: np.ndarray, est: np.ndarray, cap_db: float = 120.0) -> float:
@@ -59,42 +61,21 @@ def binary_mask(a_target: np.ndarray, a_interf: np.ndarray) -> np.ndarray:
     return (a_target >= 0.5 * a_interf).astype(np.float64)
 
 
-def oracle_separate(
-    x_m: np.ndarray,
-    x_v: np.ndarray,
-    x_ac: np.ndarray,
-    enc: EncoderParameters,
-    dec: DecoderParameters,
-    linear: bool = False,
-) -> np.ndarray:
-    """Separate the voice from the mixture by oracle binary masking: encode
-    all three signals, mask the mixture representation with the voice/accomp
-    mask, and decode."""
-    a_m = encode_values(x_m, enc, linear=linear)
-    a_v = encode_values(x_v, enc, linear=linear)
-    a_ac = encode_values(x_ac, enc, linear=linear)
-    mask = binary_mask(a_v, a_ac)
-    return decode_values(a_m * mask, dec, len(x_m))
+def oracle_separate(z_m: np.ndarray, z_v: np.ndarray, z_ac: np.ndarray) -> np.ndarray:
+    """Oracle binary masking in a representation domain: the mixture
+    representation ``z_m`` with the cells kept where the voice magnitude
+    ``|z_v|`` is at least half the accompaniment's ``|z_ac|``.  The caller
+    resynthesizes the result with its front end's inverse."""
+    return binary_mask(np.abs(z_v), np.abs(z_ac)) * z_m
 
 
-def additivity(
-    x_m: np.ndarray,
-    x_v: np.ndarray,
-    x_ac: np.ndarray,
-    enc: EncoderParameters,
-    linear: bool = False,
-    eps: float = ACTIVITY_EPS,
-) -> float:
-    """1 - ||E(x_m) - E(x_v) - E(x_ac)||_1 / (||E(x_m)||_1 + eps).
+def additivity(a_m: np.ndarray, a_v: np.ndarray, a_ac: np.ndarray) -> float:
+    """1 - ||a_m - a_v - a_ac||_1 / (||a_m||_1 + eps) for the representations
+    of a mixture and of its voice and accompaniment.
 
     Equals 1 exactly for a linear encoder on an additive mixture; <= 1 always.
     """
-    return _additivity(*(encode_values(x, enc, linear=linear) for x in (x_m, x_v, x_ac)), eps)
-
-
-def _additivity(a_m: np.ndarray, a_v: np.ndarray, a_ac: np.ndarray, eps: float = ACTIVITY_EPS) -> float:
-    """:func:`additivity` on representations that are already computed."""
-    return float(1.0 - np.abs(a_m - a_v - a_ac).sum() / (np.abs(a_m).sum() + eps))
+    return float(1.0 - np.abs(a_m - a_v - a_ac).sum() / (np.abs(a_m).sum() + ACTIVITY_EPS))
 
 
 def w_do(y_target: np.ndarray, y_interf: np.ndarray) -> tuple[float, float, float]:
@@ -200,52 +181,46 @@ def evaluate(
     enc: EncoderParameters | None = None,
     dec: DecoderParameters | None = None,
     baseline: bool = False,
-    segment_len: int = 44100,
-    threshold_db: float = -10.0,
 ) -> EvalReport:
     """Segment-level evaluation over (name, voice, accompaniment) tracks.
 
-    Tracks are cut into non-overlapping segments and silent-voice segments are
-    discarded.  With ``baseline=True`` the front end is the STFT magnitude and
-    masked mixtures are resynthesized from the mixture phase; otherwise the
-    trained encoder/decoder pair is used.
+    Tracks are cut into non-overlapping 1 s segments and silent-voice
+    segments (below :func:`is_active`'s -10 dB) are discarded.  The front end
+    is the STFT with ``baseline=True`` (masked mixtures keep the mixture
+    phase), otherwise the trained encoder/decoder pair.  Either way each
+    segment's mixture, voice and accompaniment are analysed once, and every
+    metric is computed from those three representations.
     """
-    if not baseline and (enc is None or dec is None):
+    if baseline:
+        analyze, resynthesize = stft, istft
+    elif enc is None or dec is None:
         raise ValueError("evaluate needs encoder+decoder parameters or baseline=True")
+    else:
+        kernels = as_node(kernel_matrix(dec))
+
+        def analyze(x):
+            return encode_values(x, enc)
+
+        def resynthesize(z, n):
+            return synthesize(as_node(z), kernels, dec.stride, n).value
 
     rows = []
     for name, voice, accomp in tracks:
         n = min(len(voice), len(accomp))
-        v_segs = segment(voice[:n], segment_len, segment_len)
-        a_segs = segment(accomp[:n], segment_len, segment_len)
+        v_segs = segment(voice[:n], SEGMENT_LEN, SEGMENT_LEN)
+        a_segs = segment(accomp[:n], SEGMENT_LEN, SEGMENT_LEN)
         for i, (x_v, x_ac) in enumerate(zip(v_segs, a_segs)):
-            if not is_active(x_v, threshold_db):
+            if not is_active(x_v):
                 continue
-            x_m = x_v + x_ac
-            if baseline:
-                spec_m = stft(x_m)
-                spec_v = stft(x_v)
-                spec_ac = stft(x_ac)
-                mag_v = np.abs(spec_v)
-                mag_ac = np.abs(spec_ac)
-                recon = istft(spec_v, len(x_v))
-                mask = binary_mask(mag_v, mag_ac)
-                sep = istft(mask * spec_m, len(x_m))  # mixture phase kept
-                add = _additivity(np.abs(spec_m), mag_v, mag_ac)
-                rep_v, rep_ac = mag_v, mag_ac
-            else:
-                a_v = encode_values(x_v, enc)
-                recon = decode_values(a_v, dec, len(x_v))
-                sep = oracle_separate(x_m, x_v, x_ac, enc, dec)
-                add = additivity(x_m, x_v, x_ac, enc)
-                rep_v, rep_ac = a_v, encode_values(x_ac, enc)
-            wdo, psr, sir = w_do(rep_v, rep_ac)
+            z_m, z_v, z_ac = analyze(x_v + x_ac), analyze(x_v), analyze(x_ac)
+            a_m, a_v, a_ac = np.abs(z_m), np.abs(z_v), np.abs(z_ac)
+            wdo, psr, sir = w_do(a_v, a_ac)
             rows.append(SegmentMetrics(
                 track=name,
                 segment=i,
-                si_sdr=si_sdr(x_v, recon),
-                si_sdr_bm=si_sdr(x_v, sep),
-                additivity=add,
+                si_sdr=si_sdr(x_v, resynthesize(z_v, len(x_v))),
+                si_sdr_bm=si_sdr(x_v, resynthesize(oracle_separate(z_m, z_v, z_ac), len(x_v))),
+                additivity=additivity(a_m, a_v, a_ac),
                 w_do=wdo,
                 psr=psr,
                 sir=sir,

@@ -80,7 +80,7 @@ def test_criterion_4_additivity_identity():
         n = int(rng.integers(40, 200))
         x_v = rng.uniform(-1, 1, n)
         x_ac = rng.uniform(-1, 1, n)
-        value = additivity(x_v + x_ac, x_v, x_ac, enc, linear=True)
+        value = additivity(*(encode_values(x, enc, linear=True) for x in (x_v + x_ac, x_v, x_ac)))
         worst = max(worst, abs(value - 1.0))
         assert value == pytest.approx(1.0, abs=1e-6)
     print(f"\nPASS criterion 4: linear-encoder additivity equals 1.0 "

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from waverep.checkpoint import save_model
+from waverep.checkpoint import load_arrays, load_model, save_arrays, save_model
 from waverep.cli import run
-from waverep.dataset import SAMPLE_RATE
-from waverep.decoder import init_decoder
-from waverep.encoder import init_encoder
+from waverep.dataset import SAMPLE_RATE, load_and_downmix
+from waverep.decoder import decode_values, init_decoder
+from waverep.encoder import encode_values, init_encoder
+from waverep.evaluation import oracle_separate
 from waverep.export import read_representation_csv
 from waverep.synth import synth_data
 from waverep.wavio import write_wav
@@ -57,6 +58,17 @@ class TestExitCodes:
         assert run(["evaluate", "--stems", str(stems), "--baseline", "stft",
                     "--out", str(tmp_path / "o")]) == 2
 
+    def test_bad_checkpoint_stride_is_data_error(self, tmp_path):
+        ckpt = tmp_path / "zero_stride.bin"
+        save_model(ckpt, init_encoder(4, 8, 2, 4, 2, seed=0), init_decoder(4, 8, 4))
+        arrays = load_arrays(ckpt)
+        arrays["meta/stride"] = np.float64(0.0)
+        save_arrays(ckpt, arrays)
+        wav = tmp_path / "x.wav"
+        write_wav(wav, np.ones(100))
+        assert run(["reconstruct", "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "o"), str(wav)]) == 2
+
     def test_evaluate_needs_exactly_one_frontend(self, stems_dir, tmp_path):
         assert run(["evaluate", "--stems", str(stems_dir), "--out", str(tmp_path / "o")]) == 1
 
@@ -97,6 +109,13 @@ class TestCommands:
         assert run(["separate", "--checkpoint", str(trained / "checkpoint.bin"),
                     "--out", str(out), str(voice), str(accomp)]) == 0
         assert (out / f"{voice.stem}_separated.wav").is_file()
+        # the WAV is the oracle mask applied to the three encodings, decoded
+        enc, dec = load_model(trained / "checkpoint.bin")
+        x_v, x_ac = load_and_downmix(voice), load_and_downmix(accomp)
+        z = [encode_values(x, enc) for x in (x_v + x_ac, x_v, x_ac)]
+        write_wav(tmp_path / "expected.wav", decode_values(oracle_separate(*z), dec, len(x_v)))
+        assert ((out / f"{voice.stem}_separated.wav").read_bytes()
+                == (tmp_path / "expected.wav").read_bytes())
 
     def test_evaluate_with_checkpoint(self, trained, stems_dir, tmp_path):
         out = tmp_path / "ev"
@@ -140,6 +159,16 @@ class TestConfigFile:
         assert "kernel_len=64" in text       # config value applied
         assert "epochs=1" in text
         assert "square_freq=False" in text
+
+    def test_abbreviated_flag_is_usage_error(self, stems_dir, tmp_path):
+        # argparse would expand --lam/--epoch, but the config file only sees
+        # exact spellings and would override them, so abbreviations are refused
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda=0.5\nepochs=1\n")
+        out = tmp_path / "out"
+        assert run(["train", "--stems", str(stems_dir), "--out", str(out),
+                    "--config", str(cfg), "--lam", "0.3", "--epoch", "3"]) == 1
+        assert not out.exists()
 
     def test_unknown_config_key_is_data_error(self, stems_dir, tmp_path):
         cfg = tmp_path / "bad.cfg"

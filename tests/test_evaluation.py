@@ -96,6 +96,10 @@ def _impulse_codec():
     return enc, dec
 
 
+def _encode(enc, *signals, linear=False):
+    return [encode_values(x, enc, linear=linear) for x in signals]
+
+
 class TestOracleSeparate:
     def test_all_ones_mask_is_plain_decode(self, rng):
         enc = init_encoder(4, 8, 2, 4, 2, seed=0)
@@ -103,16 +107,16 @@ class TestOracleSeparate:
         dec = init_decoder(4, 8, 4)
         x_v = rng.uniform(-1, 1, 32)
         x_ac = np.zeros(32)  # encodes to zero -> ratio comparison keeps all cells
-        out = oracle_separate(x_v + x_ac, x_v, x_ac, enc, dec)
+        out = decode_values(oracle_separate(*_encode(enc, x_v + x_ac, x_v, x_ac)), dec, 32)
         a_m = encode_values(x_v, enc)
         np.testing.assert_array_equal(out, decode_values(a_m, dec, 32))
 
     def test_all_zeros_mask_silences(self, rng):
         enc = init_encoder(4, 8, 2, 4, 2, seed=0)
-        from waverep.decoder import init_decoder
+        from waverep.decoder import init_decoder, decode_values
         dec = init_decoder(4, 8, 4)
         x_ac = rng.uniform(0.5, 1, 32)
-        out = oracle_separate(x_ac, np.zeros(32), x_ac, enc, dec)
+        out = decode_values(oracle_separate(*_encode(enc, x_ac, np.zeros(32), x_ac)), dec, 32)
         # voice encodes to 0 while accomp activations are positive somewhere;
         # masked cells are exactly the (0 >= 0.5*positive) = kept-only-if-both-zero set
         a_ac = encode_values(x_ac, enc)
@@ -128,9 +132,9 @@ class TestOracleSeparate:
         x_ac = np.zeros(16)
         x_ac[1::2] = rng.uniform(0.5, 1.0, 8)
         x_m = x_v + x_ac
-        masked = oracle_separate(x_m, x_v, x_ac, enc, dec, linear=True)
-        a_m = encode_values(x_m, enc, linear=True)
         from waverep.decoder import decode_values
+        masked = decode_values(oracle_separate(*_encode(enc, x_m, x_v, x_ac, linear=True)), dec, 16)
+        a_m = encode_values(x_m, enc, linear=True)
         plain = decode_values(a_m, dec, 16)
         assert si_sdr(x_v, masked) > si_sdr(x_v, plain)
         assert si_sdr(x_v, masked) == 120.0  # exact recovery on disjoint supports
@@ -142,25 +146,26 @@ class TestAdditivity:
         for _ in range(5):
             x_v = rng.uniform(-1, 1, 50)
             x_ac = rng.uniform(-1, 1, 50)
-            assert additivity(x_v + x_ac, x_v, x_ac, enc, linear=True) == pytest.approx(1.0, abs=1e-6)
+            value = additivity(*_encode(enc, x_v + x_ac, x_v, x_ac, linear=True))
+            assert value == pytest.approx(1.0, abs=1e-6)
 
     def test_all_silent_inputs(self):
         enc = init_encoder(3, 4, 2, 2, 2, seed=0)
         z = np.zeros(16)
-        assert additivity(z, z, z, enc) == 1.0
+        assert additivity(*_encode(enc, z, z, z)) == 1.0
 
     def test_constructed_double_count_gives_zero(self, rng):
         # sources identical to the mixture: E(v) + E(ac) = 2 E(m) in linear mode
         enc = init_encoder(3, 4, 2, 2, 2, seed=0)
         x = rng.uniform(-1, 1, 20)
-        assert additivity(x, x, x, enc, linear=True) == pytest.approx(0.0, abs=1e-9)
+        assert additivity(*_encode(enc, x, x, x, linear=True)) == pytest.approx(0.0, abs=1e-9)
 
     def test_never_exceeds_one(self, rng):
         enc = init_encoder(4, 8, 2, 4, 2, seed=3)
         for _ in range(10):
             x_v = rng.uniform(-1, 1, 40)
             x_ac = rng.uniform(-1, 1, 40)
-            assert additivity(x_v + x_ac, x_v, x_ac, enc) <= 1.0
+            assert additivity(*_encode(enc, x_v + x_ac, x_v, x_ac)) <= 1.0
 
 
 class TestWdo:
@@ -257,6 +262,51 @@ class TestEvaluate:
         report = evaluate([("t", voice, accomp)], enc, dec)
         assert len(report.rows) == 1
         assert np.isfinite(report.rows[0].si_sdr)
+
+    def test_learned_codec_row_is_composed_from_the_parts(self, rng):
+        from waverep.decoder import decode_values, init_decoder
+        from waverep.evaluation import SegmentMetrics
+        enc = init_encoder(8, 64, 2, 64, 2, seed=0)
+        dec = init_decoder(8, 64, 64)
+        voice = 0.3 * np.sin(2 * np.pi * 300 * np.arange(SAMPLE_RATE) / SAMPLE_RATE)
+        accomp = 0.2 * rng.normal(size=SAMPLE_RATE)
+        z_m, z_v, z_ac = _encode(enc, voice + accomp, voice, accomp)
+        wdo, psr, sir = w_do(z_v, z_ac)
+        expected = SegmentMetrics(
+            track="t",
+            segment=0,
+            si_sdr=si_sdr(voice, decode_values(z_v, dec, SAMPLE_RATE)),
+            si_sdr_bm=si_sdr(voice, decode_values(binary_mask(z_v, z_ac) * z_m, dec, SAMPLE_RATE)),
+            additivity=additivity(z_m, z_v, z_ac),
+            w_do=wdo,
+            psr=psr,
+            sir=sir,
+        )
+        assert evaluate([("t", voice, accomp)], enc, dec).rows == [expected]
+
+    def test_each_signal_encoded_once_and_kernels_built_once(self, rng, monkeypatch):
+        import waverep.decoder
+        import waverep.encoder
+        from waverep.decoder import init_decoder
+        counts = {"encode": 0, "build_kernels": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(waverep.encoder, "encode", counting("encode", waverep.encoder.encode))
+        monkeypatch.setattr(waverep.decoder, "build_kernels",
+                            counting("build_kernels", waverep.decoder.build_kernels))
+        enc = init_encoder(8, 64, 2, 64, 2, seed=0)
+        dec = init_decoder(8, 64, 64)
+        voice = 0.3 * np.sin(2 * np.pi * 300 * np.arange(3 * SAMPLE_RATE) / SAMPLE_RATE)
+        voice[SAMPLE_RATE : 2 * SAMPLE_RATE] = 0.0  # the middle segment is silent
+        accomp = 0.2 * rng.normal(size=3 * SAMPLE_RATE)
+        report = evaluate([("t", voice, accomp)], enc, dec)
+        assert [r.segment for r in report.rows] == [0, 2]
+        assert counts == {"encode": 3 * 2, "build_kernels": 1}
 
     def test_all_silent_rejected(self):
         with pytest.raises(DataError, match="active"):

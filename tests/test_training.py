@@ -190,6 +190,62 @@ class TestCheckpoint:
             load_arrays(path)
 
 
+class TestLoadModelValidation:
+    """CRC-valid files whose metadata or shapes cannot describe a model."""
+
+    def _write(self, tmp_path, **changes):
+        path = tmp_path / "m.bin"
+        save_model(path, *_toy_model())
+        arrays = load_arrays(path)
+        arrays.update(changes)
+        save_arrays(path, arrays)
+        return path
+
+    @pytest.mark.parametrize("value", [0.0, -3.0, 2.5, np.nan, np.inf])
+    def test_stride_must_be_positive_integer(self, tmp_path, value):
+        with pytest.raises(CheckpointError, match="meta/stride"):
+            load_model(self._write(tmp_path, **{"meta/stride": np.float64(value)}))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, 1.5])
+    def test_dilation_must_be_positive_integer(self, tmp_path, value):
+        with pytest.raises(CheckpointError, match="meta/dilation"):
+            load_model(self._write(tmp_path, **{"meta/dilation": np.float64(value)}))
+
+    def test_stride_must_be_scalar(self, tmp_path):
+        with pytest.raises(CheckpointError, match="meta/stride"):
+            load_model(self._write(tmp_path, **{"meta/stride": np.array([8.0, 8.0])}))
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0])
+    def test_square_freq_must_be_zero_or_one(self, tmp_path, value):
+        with pytest.raises(CheckpointError, match="square_freq"):
+            load_model(self._write(tmp_path, **{"meta/square_freq": np.float64(value)}))
+
+    @pytest.mark.parametrize("name, shape", [
+        ("encoder/kernels", (6, 15)),
+        ("encoder/kernels", (6, 16, 1)),
+        ("encoder/dilated_kernels", (6, 2, 5)),
+        ("encoder/dilated_kernels", (6, 2)),
+        ("decoder/freq", (5,)),
+        ("decoder/phase", (6, 1)),
+        ("decoder/modulator", (6, 17)),
+    ])
+    def test_array_shapes_must_agree(self, tmp_path, name, shape):
+        with pytest.raises(CheckpointError, match="shapes"):
+            load_model(self._write(tmp_path, **{name: np.zeros(shape)}))
+
+    def test_missing_array(self, tmp_path):
+        path = self._write(tmp_path)
+        arrays = load_arrays(path)
+        del arrays["meta/dilation"]
+        save_arrays(path, arrays)
+        with pytest.raises(CheckpointError, match="missing array 'meta/dilation'"):
+            load_model(path)
+
+    def test_valid_model_still_loads(self, tmp_path):
+        enc, dec = load_model(self._write(tmp_path))
+        assert (enc.stride, enc.dilation, dec.square_freq) == (8, 2, True)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
