@@ -23,7 +23,6 @@ from .dataset import (
 from .decoder import (
     DecoderParameters,
     build_kernels,
-    decode,
     decode_values,
     init_decoder,
     kernel_matrix,

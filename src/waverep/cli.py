@@ -206,6 +206,13 @@ def _discover_stems(stems_dir) -> list[tuple[str, Path, Path]]:
     return pairs
 
 
+def _score_db(metric, ref: np.ndarray, est: np.ndarray) -> str:
+    """``metric(ref, est)`` in dB; a silent stem is valid input that no ratio can score."""
+    if float(ref @ ref) == 0.0:
+        return "n/a (silent reference)"
+    return f"{float(metric(ref, est)):.3f} dB"
+
+
 def cmd_synth_data(args) -> int:
     out = _out_dir(args)
     pairs = synth.synth_data(out, seed=args.seed, n_tracks=args.tracks, duration=args.duration)
@@ -267,8 +274,8 @@ def cmd_reconstruct(args) -> int:
     xhat = decode_values(encode_values(x, enc), dec, len(x))
     wav_path = out / (Path(args.input).stem + "_recon.wav")
     write_wav(wav_path, xhat)
-    print(f"neg-SNR: {float(neg_snr(x, xhat).value):.3f} dB")
-    print(f"SI-SDR: {si_sdr(x, xhat):.3f} dB")
+    print(f"neg-SNR: {_score_db(lambda r, e: neg_snr(r, e).value, x, xhat)}")
+    print(f"SI-SDR: {_score_db(si_sdr, x, xhat)}")
     print(f"wrote {wav_path}")
     return 0
 
@@ -284,7 +291,7 @@ def cmd_separate(args) -> int:
     sep = decode_values(oracle_separate(z_m, z_v, z_ac), dec, n)
     wav_path = out / (Path(args.voice).stem + "_separated.wav")
     write_wav(wav_path, sep)
-    print(f"SI-SDR (masked separation): {si_sdr(voice, sep):.3f} dB")
+    print(f"SI-SDR (masked separation): {_score_db(si_sdr, voice, sep)}")
     print(f"wrote {wav_path}")
     return 0
 

@@ -9,13 +9,12 @@ where g squares the normalized carrier frequency by default (the squaring is
 a learnable-frequency warping that favors low frequencies; it can be switched
 off).  A representation is rendered by weighting kernels with the frame
 activations and overlap-adding frames every ``stride`` samples.  Only f, rho
-and b are ever trained; w is recomputed from them on every forward pass.
+and b are ever trained; w is recomputed from them once per optimizer step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -131,22 +130,6 @@ def synthesize(
     return out
 
 
-def decode(
-    a: Node,
-    params: DecoderParameters,
-    out_len: int,
-    tape: Tape | None = None,
-    nodes: Mapping[str, Node] | None = None,
-) -> Node:
-    """Build kernels from the current parameters and synthesize ``a``."""
-    nodes = nodes or {}
-    fn = nodes.get("freq") or as_node(params.freq)
-    pn = nodes.get("phase") or as_node(params.phase)
-    mn = nodes.get("modulator") or as_node(params.modulator)
-    w = build_kernels(fn, pn, mn, params.square_freq, tape)
-    return synthesize(a, w, params.stride, out_len, tape)
-
-
 def kernel_matrix(params: DecoderParameters) -> np.ndarray:
     """Forward-only (C, L) kernel matrix for the current parameters."""
     return build_kernels(as_node(params.freq), as_node(params.phase),
@@ -155,4 +138,4 @@ def kernel_matrix(params: DecoderParameters) -> np.ndarray:
 
 def decode_values(a: np.ndarray, params: DecoderParameters, out_len: int) -> np.ndarray:
     """Forward-only decode of a plain (C, T) array."""
-    return decode(as_node(a), params, out_len).value
+    return synthesize(as_node(a), as_node(kernel_matrix(params)), params.stride, out_len).value

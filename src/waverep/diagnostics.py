@@ -15,9 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import Node, Tape, as_node
-from .decoder import build_kernels, decode, synthesize
+from .decoder import DecoderParameters, build_kernels, decode_values, mel_init_frequencies, synthesize
 from .encoder import EncoderParameters, conv1, conv2_dilated, encode, init_encoder, relu_residual
-from .decoder import DecoderParameters, mel_init_frequencies
 from .losses import (
     LossConfig,
     neg_snr,
@@ -247,7 +246,7 @@ def _end_to_end_check(seed: int, variant: str) -> dict[str, float]:
 
     def forward() -> float:
         rep_v = encode(noisy, enc)
-        xhat = decode(rep_v.a, dec, len(x_v))
+        xhat = decode_values(rep_v.a.value, dec, len(x_v))
         rep_m = encode(mixture, enc)
         bd = total_loss(x_v, xhat, rep_m.a, cfg, variant, plan=plan)
         return float(bd.total.value)
@@ -262,7 +261,8 @@ def _end_to_end_check(seed: int, variant: str) -> dict[str, float]:
     nodes = {name: Node(arr) for name, arr in tensors.items()}
     tape = Tape()
     rep_v = encode(noisy, enc, tape, nodes=nodes)
-    xhat = decode(rep_v.a, dec, len(x_v), tape, nodes=nodes)
+    w = build_kernels(nodes["freq"], nodes["phase"], nodes["modulator"], dec.square_freq, tape)
+    xhat = synthesize(rep_v.a, w, dec.stride, len(x_v), tape)
     rep_m = encode(mixture, enc, tape, nodes=nodes)
     bd = total_loss(x_v, xhat, rep_m.a, cfg, variant, tape, plan=plan)
     tape.backward(bd.total)

@@ -39,6 +39,8 @@ class LossConfig:
             raise ValueError("p must be 1 or 2")
         if self.tau <= 0:
             raise ValueError("tau must be > 0")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass

@@ -84,10 +84,12 @@ def synth_data(
     duration: float = 6.0,
 ) -> list[tuple[Path, Path]]:
     """Write paired voice/accompaniment stems, returning the file paths."""
+    n = int(duration * SAMPLE_RATE)
+    if n < 1:
+        raise ValueError(f"duration {duration} s is shorter than one sample")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    n = int(duration * SAMPLE_RATE)
     pairs = []
     for i in range(n_tracks):
         voice = voice_stem(rng, n)

@@ -1,7 +1,7 @@
-"""Training loop: Adam over the encoder/decoder parameters with per-batch
-gradient accumulation on a shared tape, optional early stopping on the
-epoch-mean reconstruction loss, and deterministic behavior as a function of
-(seed, config, data).
+"""Training loop: Adam over the encoder/decoder parameters on batch-mean
+gradients (the decoder kernels built once per step), optional early stopping
+on the epoch-mean reconstruction loss, and deterministic behavior as a
+function of (seed, config, data).
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ import numpy as np
 
 from .autodiff import Node, Tape
 from .checkpoint import save_model
-from .dataset import CorruptionConfig, make_training_pairs
-from .decoder import DecoderParameters, decode
+from .dataset import CorruptionConfig, TrainingPair, make_training_pairs
+from .decoder import DecoderParameters, build_kernels, kernel_matrix, synthesize
 from .encoder import EncoderParameters, encode
 from .errors import NumericalError
-from .losses import LossConfig, total_loss
+from .losses import LossBreakdown, LossConfig, total_loss
 
 
 @dataclass
@@ -101,7 +101,7 @@ def backward(loss_node: Node, tape: Tape, param_nodes: dict[str, Node], seed=1.0
 
 def _param_dict(enc: EncoderParameters, dec: DecoderParameters) -> dict[str, np.ndarray]:
     # the decoder kernels themselves are deliberately absent: they are
-    # recomputed from freq/phase/modulator on every forward pass
+    # rebuilt from freq/phase/modulator once per optimizer step
     return {
         "kernels": enc.kernels,
         "dilated_kernels": enc.dilated_kernels,
@@ -113,6 +113,35 @@ def _param_dict(enc: EncoderParameters, dec: DecoderParameters) -> dict[str, np.
 
 def _epoch_seed(seed: int, epoch: int) -> int:
     return (seed * 1_000_003 + epoch) % 2**63
+
+
+def _item_loss(pair: TrainingPair, enc: EncoderParameters, kernels: Node, stride: int,
+               cfg: TrainConfig, tape: Tape | None = None, nodes=None) -> LossBreakdown:
+    """One item's objective: denoising with ``kernels``, plus the mixture's representation term."""
+    rep_v = encode(pair.noisy_voice, enc, tape, nodes=nodes)
+    xhat = synthesize(rep_v.a, kernels, stride, len(pair.voice), tape)
+    rep_m = encode(pair.mixture, enc, tape, nodes=nodes)
+    return total_loss(pair.voice, xhat, rep_m.a, cfg.loss, cfg.variant, tape)
+
+
+def batch_gradients(items: Sequence[TrainingPair], enc: EncoderParameters, dec: DecoderParameters,
+                    cfg: TrainConfig) -> tuple[dict[str, np.ndarray], list[LossBreakdown]]:
+    """Batch-mean gradient for every trained tensor, and each item's loss breakdown.
+
+    The kernels are built once, on a step-level tape replayed once per batch.
+    Each item runs and is replayed (seed 1/B) on its own tape, so only one item's
+    activations are alive at a time, and adds its dL/dW to the shared kernels."""
+    nodes = {name: Node(arr) for name, arr in _param_dict(enc, dec).items()}
+    kernel_tape = Tape()
+    w = build_kernels(nodes["freq"], nodes["phase"], nodes["modulator"], dec.square_freq, kernel_tape)
+    breakdowns = []
+    for pair in items:
+        tape = Tape()
+        bd = _item_loss(pair, enc, w, dec.stride, cfg, tape, nodes)
+        tape.backward(bd.total, 1.0 / len(items))
+        breakdowns.append(bd)
+    # w.grad already holds the batch-mean dL/dW: a zero seed adds nothing to it
+    return backward(w, kernel_tape, nodes, seed=0.0), breakdowns
 
 
 def train(
@@ -149,15 +178,10 @@ def train(
         )
         return make_training_pairs(voice_segments, accomp_segments, cc)
 
-    def forward(pair, tape=None, nodes=None):
-        rep_v = encode(pair.noisy_voice, enc, tape, nodes=nodes)
-        xhat = decode(rep_v.a, dec, len(pair.voice), tape, nodes=nodes)
-        rep_m = encode(pair.mixture, enc, tape, nodes=nodes)
-        return total_loss(pair.voice, xhat, rep_m.a, cfg.loss, cfg.variant, tape)
-
     try:
         # pre-training baseline over the first epoch's stream, no updates
-        baseline = [forward(pair).neg_snr_db for pair in pairs_for(1)]
+        w = Node(kernel_matrix(dec))
+        baseline = [_item_loss(pair, enc, w, dec.stride, cfg).neg_snr_db for pair in pairs_for(1)]
         epoch_means = [float(np.mean(baseline))]
 
         step = 0
@@ -170,14 +194,7 @@ def train(
 
             def run_batch(items):
                 nonlocal step
-                nodes = {name: Node(arr) for name, arr in params.items()}
-                breakdowns = []
-                for pair in items:
-                    tape = Tape()
-                    bd = forward(pair, tape, nodes)
-                    # the shared nodes accumulate, so the last return is the batch gradient
-                    grads = backward(bd.total, tape, nodes, seed=1.0 / len(items))
-                    breakdowns.append(bd)
+                grads, breakdowns = batch_gradients(items, enc, dec, cfg)
                 adam_step(params, grads, adam)
                 step += 1
                 record = {

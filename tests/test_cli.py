@@ -69,6 +69,13 @@ class TestExitCodes:
         assert run(["reconstruct", "--checkpoint", str(ckpt),
                     "--out", str(tmp_path / "o"), str(wav)]) == 2
 
+    def test_sinkhorn_without_iterations_is_data_error(self, stems_dir, tmp_path):
+        assert run(["train", "--stems", str(stems_dir), "--out", str(tmp_path / "o"),
+                    "--loss", "sinkhorn", "--sinkhorn-iters", "0"]) == 2
+
+    def test_zero_duration_synth_is_data_error(self, tmp_path):
+        assert run(["synth-data", "--out", str(tmp_path / "o"), "--duration", "0"]) == 2
+
     def test_evaluate_needs_exactly_one_frontend(self, stems_dir, tmp_path):
         assert run(["evaluate", "--stems", str(stems_dir), "--out", str(tmp_path / "o")]) == 1
 
@@ -144,6 +151,35 @@ class TestCommands:
 
     def test_ot_check_passes(self):
         assert run(["ot-check"]) == 0
+
+
+class TestSilentVoice:
+    """An all-zero voice stem is valid input: the output is written and the
+    score, which has no meaning against a silent reference, reads n/a."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        ckpt = tmp_path / "model.bin"
+        save_model(ckpt, init_encoder(8, 32, 2, 16, 2, seed=0), init_decoder(8, 32, 16))
+        write_wav(tmp_path / "voice.wav", np.zeros(SAMPLE_RATE))
+        write_wav(tmp_path / "accomp.wav", np.full(SAMPLE_RATE, 0.1))
+        return tmp_path, ckpt
+
+    def test_reconstruct(self, inputs, capsys):
+        tmp_path, ckpt = inputs
+        assert run(["reconstruct", "--checkpoint", str(ckpt), "--out", str(tmp_path / "rec"),
+                    str(tmp_path / "voice.wav")]) == 0
+        assert (tmp_path / "rec" / "voice_recon.wav").is_file()
+        out = capsys.readouterr().out
+        assert "neg-SNR: n/a (silent reference)" in out
+        assert "SI-SDR: n/a (silent reference)" in out
+
+    def test_separate(self, inputs, capsys):
+        tmp_path, ckpt = inputs
+        assert run(["separate", "--checkpoint", str(ckpt), "--out", str(tmp_path / "sep"),
+                    str(tmp_path / "voice.wav"), str(tmp_path / "accomp.wav")]) == 0
+        assert (tmp_path / "sep" / "voice_separated.wav").is_file()
+        assert "SI-SDR (masked separation): n/a (silent reference)" in capsys.readouterr().out
 
 
 class TestConfigFile:

@@ -243,3 +243,5 @@ def test_loss_config_validation():
         LossConfig(p=3)
     with pytest.raises(ValueError):
         LossConfig(tau=0.0)
+    with pytest.raises(ValueError, match="max_iters"):
+        LossConfig(max_iters=0)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from waverep.dataset import is_active, load_and_downmix, segment
 from waverep.synth import synth_data
@@ -34,3 +35,14 @@ def test_stems_stay_in_range(tmp_path):
             x = load_and_downmix(path)
             assert np.max(np.abs(x)) <= 1.0
             assert np.max(np.abs(x)) > 0.05
+
+
+def test_zero_duration_rejected(tmp_path):
+    with pytest.raises(ValueError, match="one sample"):
+        synth_data(tmp_path / "none", seed=0, n_tracks=1, duration=0.0)
+    assert not (tmp_path / "none").exists()
+
+
+def test_one_millisecond_still_writes_stems(tmp_path):
+    for path in synth_data(tmp_path, seed=0, n_tracks=1, duration=0.001)[0]:
+        assert load_and_downmix(path).size == 44

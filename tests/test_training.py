@@ -1,15 +1,20 @@
 import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+import waverep.decoder
+import waverep.training
+from waverep.autodiff import Node, Tape
 from waverep.checkpoint import load_arrays, load_model, save_arrays, save_model
-from waverep.decoder import DecoderParameters, init_decoder
-from waverep.encoder import init_encoder
+from waverep.dataset import CorruptionConfig, make_training_pairs
+from waverep.decoder import DecoderParameters, build_kernels, init_decoder, synthesize
+from waverep.encoder import encode, init_encoder
 from waverep.errors import CheckpointError, NumericalError
-from waverep.losses import LossConfig
-from waverep.training import TrainConfig, adam_step, init_adam, train
+from waverep.losses import LossConfig, total_loss
+from waverep.training import TrainConfig, adam_step, batch_gradients, init_adam, train
 
 
 class TestAdam:
@@ -113,7 +118,7 @@ class TestTrainLoop:
     def test_only_reparameterized_tensors_train(self, rng):
         # the synthesis kernels are never stored or updated directly: the
         # trainable set is exactly the two encoder tensors plus (freq, phase,
-        # modulator), and kernels are rebuilt from them on every forward pass
+        # modulator), and kernels are rebuilt from them once per optimizer step
         from waverep.training import _param_dict
         enc, dec = _toy_model()
         assert set(_param_dict(enc, dec)) == {
@@ -125,6 +130,55 @@ class TestTrainLoop:
         enc, dec = _toy_model()
         with pytest.raises(ValueError):
             train([], [], enc, dec, TrainConfig())
+
+
+def _per_item_gradients(pair, enc, dec, cfg):
+    """One item's gradients on its own tape, with its own kernels."""
+    nodes = {name: Node(arr) for name, arr in waverep.training._param_dict(enc, dec).items()}
+    tape = Tape()
+    rep_v = encode(pair.noisy_voice, enc, tape, nodes=nodes)
+    w = build_kernels(nodes["freq"], nodes["phase"], nodes["modulator"], dec.square_freq, tape)
+    xhat = synthesize(rep_v.a, w, dec.stride, len(pair.voice), tape)
+    rep_m = encode(pair.mixture, enc, tape, nodes=nodes)
+    bd = total_loss(pair.voice, xhat, rep_m.a, cfg.loss, cfg.variant, tape)
+    tape.backward(bd.total)
+    return {name: node.grad for name, node in nodes.items()}, bd
+
+
+class TestBatchGradients:
+    @pytest.mark.parametrize("variant", ["tv", "sinkhorn"])
+    def test_step_gradient_is_mean_of_item_gradients(self, rng, variant):
+        voices, accomps = _toy_problem(rng, n_segments=3)
+        items = list(make_training_pairs(voices, accomps, CorruptionConfig(segment_len=256, seed=2)))
+        enc, dec = _toy_model(seed=1)
+        dec.phase += rng.uniform(-0.5, 0.5, dec.phase.shape)
+        cfg = TrainConfig(variant=variant, loss=LossConfig(omega=0.3, lam=1.0))
+        grads, breakdowns = batch_gradients(items, enc, dec, cfg)
+        singles = [_per_item_gradients(pair, enc, dec, cfg) for pair in items]
+        assert len(items) == 3 and set(grads) == set(singles[0][0])
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, np.mean([s[0][name] for s in singles], axis=0), rtol=1e-12)
+        for bd, (_, single) in zip(breakdowns, singles):
+            assert (bd.neg_snr_db, bd.rep_loss) == (single.neg_snr_db, single.rep_loss)
+
+    def test_train_builds_kernels_once_per_step(self, rng, monkeypatch):
+        real = waverep.decoder.build_kernels
+        taped = []
+
+        def counting(*args, **kwargs):
+            taped.append(inspect.signature(real).bind(*args, **kwargs).arguments.get("tape") is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(waverep.decoder, "build_kernels", counting)
+        monkeypatch.setattr(waverep.training, "build_kernels", counting, raising=False)
+        voices, accomps = _toy_problem(rng)
+        enc, dec = _toy_model()
+        cfg = TrainConfig(batch_size=4, epochs=2, variant="tv", seed=0, early_stop=False, lr=1e-3)
+        result = train(voices, accomps, enc, dec, cfg)
+        # 6 items per epoch in batches of 4 and 2: 4 optimizer steps in all,
+        # plus one forward-only build for the pre-training baseline pass
+        assert taped.count(True) == len(result.history) == 4
+        assert taped.count(False) == 1
 
 
 class TestCheckpoint:
