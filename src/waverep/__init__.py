@@ -23,6 +23,7 @@ from .dataset import (
 from .decoder import (
     DecoderParameters,
     build_kernels,
+    decode_chunks,
     decode_values,
     init_decoder,
     kernel_matrix,
@@ -33,6 +34,7 @@ from .encoder import (
     EncoderParameters,
     Representation,
     encode,
+    encode_chunks,
     encode_values,
     init_encoder,
     num_frames,

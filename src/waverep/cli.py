@@ -19,8 +19,8 @@ import numpy as np
 
 from . import checkpoint, diagnostics, synth
 from .dataset import SAMPLE_RATE, load_and_downmix, segment
-from .decoder import decode_values, init_decoder
-from .encoder import encode_values, init_encoder, num_frames
+from .decoder import decode_chunks, init_decoder
+from .encoder import encode_chunks, encode_values, init_encoder, num_frames
 from .errors import DataError, NumericalError
 from .evaluation import evaluate, oracle_separate, si_sdr
 from .export import export_representation
@@ -271,7 +271,7 @@ def cmd_reconstruct(args) -> int:
     out = _out_dir(args)
     enc, dec = checkpoint.load_model(args.checkpoint)
     x = load_and_downmix(args.input)
-    xhat = decode_values(encode_values(x, enc), dec, len(x))
+    xhat = decode_chunks(encode_chunks(x, enc), dec, len(x))
     wav_path = out / (Path(args.input).stem + "_recon.wav")
     write_wav(wav_path, xhat)
     print(f"neg-SNR: {_score_db(lambda r, e: neg_snr(r, e).value, x, xhat)}")
@@ -287,8 +287,9 @@ def cmd_separate(args) -> int:
     accomp = load_and_downmix(args.accomp)
     n = min(len(voice), len(accomp))
     voice, accomp = voice[:n], accomp[:n]
-    z_m, z_v, z_ac = (encode_values(x, enc) for x in (voice + accomp, voice, accomp))
-    sep = decode_values(oracle_separate(z_m, z_v, z_ac), dec, n)
+    streams = zip(*(encode_chunks(x, enc) for x in (voice + accomp, voice, accomp)))
+    sep = decode_chunks(((t0, oracle_separate(z_m, z_v, z_ac))
+                         for (t0, z_m), (_, z_v), (_, z_ac) in streams), dec, n)
     wav_path = out / (Path(args.voice).stem + "_separated.wav")
     write_wav(wav_path, sep)
     print(f"SI-SDR (masked separation): {_score_db(si_sdr, voice, sep)}")

@@ -10,14 +10,20 @@ a learnable-frequency warping that favors low frequencies; it can be switched
 off).  A representation is rendered by weighting kernels with the frame
 activations and overlap-adding frames every ``stride`` samples.  Only f, rho
 and b are ever trained; w is recomputed from them once per optimizer step.
+
+The forward-only path (:func:`decode_chunks`, and :func:`decode_values` on
+top of it) builds w once and synthesizes one block of frames at a time,
+overlap-adding each block into the output at its first frame's sample offset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
+from . import encoder
 from .autodiff import Node, Tape, as_node
 from .dataset import SAMPLE_RATE, frame, overlap_add
 
@@ -136,6 +142,24 @@ def kernel_matrix(params: DecoderParameters) -> np.ndarray:
                          as_node(params.modulator), params.square_freq).value
 
 
+def decode_chunks(chunks: Iterable[tuple[int, np.ndarray]], params: DecoderParameters,
+                  out_len: int) -> np.ndarray:
+    """Forward-only decode of ``(t0, a[:, t0:t1])`` blocks, such as
+    :func:`encoder.encode_chunks` yields: each block is synthesized and
+    overlap-added into the ``out_len``-sample output at sample ``t0 * stride``."""
+    w = as_node(kernel_matrix(params))
+    y = np.zeros(out_len)
+    for t0, block in chunks:
+        start = t0 * params.stride
+        n = min((block.shape[1] - 1) * params.stride + params.kernel_len, out_len - start)
+        if n > 0:
+            y[start : start + n] += synthesize(as_node(block), w, params.stride, n).value
+    return y
+
+
 def decode_values(a: np.ndarray, params: DecoderParameters, out_len: int) -> np.ndarray:
-    """Forward-only decode of a plain (C, T) array."""
-    return synthesize(as_node(a), as_node(kernel_matrix(params)), params.stride, out_len).value
+    """Forward-only decode of a plain (C, T) array, ``CHUNK_FRAMES`` columns at a time."""
+    a = np.asarray(a, dtype=np.float64)
+    step = encoder.CHUNK_FRAMES
+    return decode_chunks(((t0, a[:, t0 : t0 + step]) for t0 in range(0, a.shape[1], step)),
+                         params, out_len)

@@ -5,18 +5,28 @@ A signal of N samples is mapped to a non-negative representation of shape
 kernels, a dilated channel-mixing convolution on top of it, a residual
 connection, and a ReLU.  Both layers zero-pad on the right, so frame t is
 aligned with sample ``t * stride``.
+
+Frame t of the output reads first-layer frames t .. t + dilation*(L2-1) only,
+so the forward-only path (:func:`encode_chunks`, and :func:`encode_values` on
+top of it) streams the signal in blocks of ``CHUNK_FRAMES`` frames and holds
+one block's latents at a time.  Blocks agree with the one-shot :func:`encode`
+to rounding; an input of at most ``CHUNK_FRAMES`` frames is one block,
+computed by the same arithmetic, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .autodiff import Node, Tape, as_node
 from .dataset import frame
+
+#: frames per block of the forward-only streaming path
+CHUNK_FRAMES = 1024
 
 
 @dataclass
@@ -66,12 +76,19 @@ def num_frames(n_samples: int, stride: int) -> int:
     return -(-n_samples // stride)
 
 
-def conv1(x: np.ndarray, kernels: Node, stride: int, tape: Tape | None = None) -> Node:
-    """First layer: cross-correlation of ``x`` with each kernel at ``stride``."""
+def _signal(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("conv1 expects a non-empty 1-D signal")
-    frames = num_frames(x.size, stride)
+    return x
+
+
+def conv1(x: np.ndarray, kernels: Node, stride: int, tape: Tape | None = None,
+          n_frames: int | None = None) -> Node:
+    """First layer: cross-correlation of ``x`` with each kernel at ``stride``,
+    for the first ``n_frames`` frames (default: all ``ceil(len(x) / stride)``)."""
+    x = _signal(x)
+    frames = num_frames(x.size, stride) if n_frames is None else n_frames
     win = frame(x, kernels.value.shape[1], stride, frames)  # (T, L)
     out = Node(kernels.value @ win.T)
 
@@ -84,11 +101,13 @@ def conv1(x: np.ndarray, kernels: Node, stride: int, tape: Tape | None = None) -
     return out
 
 
-def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = None) -> Node:
+def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = None,
+                  n_out: int | None = None) -> Node:
     """Second layer: unit-stride dilated convolution mixing all channels.
 
     Output frame t aggregates input frames t, t+d, t+2d, ...; the input is
-    zero-padded on the right so the output keeps exactly T frames.
+    zero-padded on the right so the output keeps exactly T frames, or the
+    first ``n_out`` of them.
     """
     kp = kernels.value  # (C_out, L2, C_in)
     c_out, l2, c_in = kp.shape
@@ -96,12 +115,13 @@ def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = Non
     if hv.shape[0] != c_in:
         raise ValueError(f"channel mismatch: latent has {hv.shape[0]} rows, kernels expect {c_in}")
     t = hv.shape[1]
+    n = t if n_out is None else n_out
     pad = dilation * (l2 - 1)
     hp = np.pad(hv, ((0, 0), (0, pad)))
-    out_val = np.zeros((c_out, t))
+    out_val = np.zeros((c_out, n))
     for tap in range(l2):
         off = tap * dilation
-        out_val += kp[:, tap, :] @ hp[:, off : off + t]
+        out_val += kp[:, tap, :] @ hp[:, off : off + n]
     out = Node(out_val)
 
     if tape is not None:
@@ -113,8 +133,8 @@ def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = Non
             dhp = np.zeros_like(hp)
             for tap in range(l2):
                 off = tap * dilation
-                dk[:, tap, :] = g @ hp[:, off : off + t].T
-                dhp[:, off : off + t] += kp[:, tap, :].T @ g
+                dk[:, tap, :] = g @ hp[:, off : off + n].T
+                dhp[:, off : off + n] += kp[:, tap, :].T @ g
             kernels.add_grad(dk)
             h.add_grad(dhp[:, :t])
         tape.record(backward)
@@ -167,6 +187,38 @@ def encode(
     return Representation(a=a, h1=h1, h2=h2)
 
 
+def encode_chunks(
+    x: np.ndarray, params: EncoderParameters, linear: bool = False
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Forward-only encode, yielding ``(t0, a[:, t0:t1])`` for consecutive
+    blocks of ``CHUNK_FRAMES`` frames.
+
+    A block needs the first-layer frames of its ``dilation * (L2 - 1)``-frame
+    right context; they are computed once and carried into the next block.
+    """
+    x = _signal(x)
+    kn, dn = as_node(params.kernels), as_node(params.dilated_kernels)
+    stride = params.stride
+    total = num_frames(x.size, stride)
+    context = params.dilation * (params.dilated_kernels.shape[1] - 1)
+    h1 = np.empty((params.n_components, 0))  # first-layer frames [t0, done)
+    done = 0
+    for t0 in range(0, total, CHUNK_FRAMES):
+        n = min(CHUNK_FRAMES, total - t0)
+        need = min(t0 + n + context, total)
+        if need > done:
+            fresh = conv1(x[done * stride :], kn, stride, n_frames=need - done).value
+            h1 = np.concatenate([h1, fresh], axis=1)
+            done = need
+        h2 = conv2_dilated(Node(h1), dn, params.dilation, n_out=n)
+        yield t0, relu_residual(h2, Node(h1[:, :n]), linear=linear).value
+        h1 = h1[:, n:]
+
+
 def encode_values(x: np.ndarray, params: EncoderParameters, linear: bool = False) -> np.ndarray:
-    """Forward-only encode returning the (C, T) representation array."""
-    return encode(x, params, linear=linear).a.value
+    """Forward-only encode returning the (C, T) representation array,
+    filled block by block from :func:`encode_chunks`."""
+    a = np.empty((params.n_components, num_frames(np.size(x), params.stride)))
+    for t0, block in encode_chunks(x, params, linear):
+        a[:, t0 : t0 + block.shape[1]] = block
+    return a

@@ -182,6 +182,8 @@ def sinkhorn_plan(
         raise ValueError("cost matrix must be finite and non-negative")
     if lam <= 0:
         raise ValueError("lam must be > 0")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
 
     gibbs = np.exp(-lam * m)
     saturation = float(np.mean(gibbs == 0.0))
@@ -191,9 +193,7 @@ def sinkhorn_plan(
     t = m.shape[0]
     u = np.full(t, 1.0 / t)
     v = np.full(t, 1.0 / t)
-    plan = None
     converged = False
-    iterations = 0
     for iterations in range(1, max_iters + 1):
         ktu = gibbs.T @ u
         if np.any(ktu <= 0.0) or not np.all(np.isfinite(ktu)):

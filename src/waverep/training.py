@@ -18,7 +18,7 @@ from .dataset import CorruptionConfig, TrainingPair, make_training_pairs
 from .decoder import DecoderParameters, build_kernels, kernel_matrix, synthesize
 from .encoder import EncoderParameters, encode
 from .errors import NumericalError
-from .losses import LossBreakdown, LossConfig, total_loss
+from .losses import LossBreakdown, LossConfig, neg_snr, total_loss
 
 
 @dataclass
@@ -115,11 +115,17 @@ def _epoch_seed(seed: int, epoch: int) -> int:
     return (seed * 1_000_003 + epoch) % 2**63
 
 
+def _denoise(pair: TrainingPair, enc: EncoderParameters, kernels: Node, stride: int,
+             tape: Tape | None = None, nodes=None) -> Node:
+    """The noisy voice, encoded and resynthesized with ``kernels``."""
+    rep_v = encode(pair.noisy_voice, enc, tape, nodes=nodes)
+    return synthesize(rep_v.a, kernels, stride, len(pair.voice), tape)
+
+
 def _item_loss(pair: TrainingPair, enc: EncoderParameters, kernels: Node, stride: int,
                cfg: TrainConfig, tape: Tape | None = None, nodes=None) -> LossBreakdown:
     """One item's objective: denoising with ``kernels``, plus the mixture's representation term."""
-    rep_v = encode(pair.noisy_voice, enc, tape, nodes=nodes)
-    xhat = synthesize(rep_v.a, kernels, stride, len(pair.voice), tape)
+    xhat = _denoise(pair, enc, kernels, stride, tape, nodes)
     rep_m = encode(pair.mixture, enc, tape, nodes=nodes)
     return total_loss(pair.voice, xhat, rep_m.a, cfg.loss, cfg.variant, tape)
 
@@ -179,9 +185,12 @@ def train(
         return make_training_pairs(voice_segments, accomp_segments, cc)
 
     try:
-        # pre-training baseline over the first epoch's stream, no updates
+        # pre-training baseline over the first epoch's stream, no updates: it
+        # reports the reconstruction term only, so only that term is computed
         w = Node(kernel_matrix(dec))
-        baseline = [_item_loss(pair, enc, w, dec.stride, cfg).neg_snr_db for pair in pairs_for(1)]
+        baseline = [float(neg_snr(pair.voice, _denoise(pair, enc, w, dec.stride),
+                                  cfg.loss.snr_floor_db).value)
+                    for pair in pairs_for(1)]
         epoch_means = [float(np.mean(baseline))]
 
         step = 0

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import waverep.cli
+from waverep.autodiff import as_node
 from waverep.checkpoint import load_arrays, load_model, save_arrays, save_model
 from waverep.cli import run
 from waverep.dataset import SAMPLE_RATE, load_and_downmix
-from waverep.decoder import decode_values, init_decoder
-from waverep.encoder import encode_values, init_encoder
+from waverep.decoder import decode_values, init_decoder, kernel_matrix, synthesize
+from waverep.encoder import CHUNK_FRAMES, encode, encode_values, init_encoder
 from waverep.evaluation import oracle_separate
 from waverep.export import read_representation_csv
 from waverep.synth import synth_data
@@ -180,6 +184,85 @@ class TestSilentVoice:
                     str(tmp_path / "voice.wav"), str(tmp_path / "accomp.wav")]) == 0
         assert (tmp_path / "sep" / "voice_separated.wav").is_file()
         assert "SI-SDR (masked separation): n/a (silent reference)" in capsys.readouterr().out
+
+
+class TestStreaming:
+    """``reconstruct`` and ``separate`` stream the input in blocks of
+    ``CHUNK_FRAMES`` frames; their output matches one-shot encode/decode."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, rng):
+        enc, dec = init_encoder(8, 64, 5, 16, 10, seed=2), init_decoder(8, 64, 16)
+        ckpt = tmp_path / "model.bin"
+        save_model(ckpt, enc, dec)
+        n = 2 * SAMPLE_RATE + 5  # 5513 frames at stride 16: six blocks
+        assert -(-n // 16) > 3 * CHUNK_FRAMES
+        t = np.arange(n) / SAMPLE_RATE
+        write_wav(tmp_path / "voice.wav", 0.3 * np.sin(2 * np.pi * 330 * t) * np.sin(2 * np.pi * 1.5 * t))
+        write_wav(tmp_path / "accomp.wav", 0.2 * rng.uniform(-1, 1, n))
+        return tmp_path, ckpt
+
+    @staticmethod
+    def _written(monkeypatch):
+        written = []
+
+        def capture(path, samples, *args, **kwargs):
+            written.append(np.array(samples))
+            return write_wav(path, samples, *args, **kwargs)
+
+        monkeypatch.setattr(waverep.cli, "write_wav", capture)
+        return written
+
+    @staticmethod
+    def _one_shot(z, dec, n):
+        return synthesize(as_node(z), as_node(kernel_matrix(dec)), dec.stride, n).value
+
+    @staticmethod
+    def _assert_close(got, ref):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_reconstruct(self, inputs, monkeypatch):
+        tmp_path, ckpt = inputs
+        written = self._written(monkeypatch)
+        assert run(["reconstruct", "--checkpoint", str(ckpt), "--out", str(tmp_path / "rec"),
+                    str(tmp_path / "voice.wav")]) == 0
+        enc, dec = load_model(ckpt)
+        x = load_and_downmix(tmp_path / "voice.wav")
+        self._assert_close(written[0], self._one_shot(encode(x, enc).a.value, dec, len(x)))
+
+    def test_separate(self, inputs, monkeypatch):
+        tmp_path, ckpt = inputs
+        written = self._written(monkeypatch)
+        assert run(["separate", "--checkpoint", str(ckpt), "--out", str(tmp_path / "sep"),
+                    str(tmp_path / "voice.wav"), str(tmp_path / "accomp.wav")]) == 0
+        enc, dec = load_model(ckpt)
+        x_v, x_ac = load_and_downmix(tmp_path / "voice.wav"), load_and_downmix(tmp_path / "accomp.wav")
+        z = [encode(x, enc).a.value for x in (x_v + x_ac, x_v, x_ac)]
+        self._assert_close(written[0], self._one_shot(oracle_separate(*z), dec, len(x_v)))
+
+
+def test_separate_memory_is_bounded_in_duration(tmp_path, rng):
+    """Doubling the input adds a few signal-sized arrays to the peak of
+    ``separate``, not (C, T) representations: C=64 at stride 4 makes each
+    representation 16x the signal's size, and one-shot separation holds
+    several of them (~100x the added signal bytes)."""
+    ckpt = tmp_path / "model.bin"
+    save_model(ckpt, init_encoder(64, 64, 5, 4, 10, seed=0), init_decoder(64, 64, 4))
+    peaks = {}
+    for seconds in (2, 4):
+        n = seconds * SAMPLE_RATE
+        write_wav(tmp_path / f"v{seconds}.wav", 0.3 * np.sin(2 * np.pi * 220 * np.arange(n) / SAMPLE_RATE))
+        write_wav(tmp_path / f"a{seconds}.wav", 0.2 * rng.uniform(-1, 1, n))
+        tracemalloc.start()
+        try:
+            assert run(["separate", "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"),
+                        str(tmp_path / f"v{seconds}.wav"), str(tmp_path / f"a{seconds}.wav")]) == 0
+            peaks[seconds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    added_signal_bytes = 2 * SAMPLE_RATE * 8
+    assert peaks[4] - peaks[2] <= 8 * added_signal_bytes, (peaks[4] - peaks[2]) / added_signal_bytes
 
 
 class TestConfigFile:

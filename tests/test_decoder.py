@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import waverep.encoder
 from waverep.autodiff import as_node
 from waverep.decoder import (
     DecoderParameters,
     build_kernels,
+    decode_chunks,
     decode_values,
     init_decoder,
     kernel_matrix,
@@ -185,3 +187,30 @@ def test_kernel_matrix_matches_build(rng):
     np.testing.assert_array_equal(
         kernel_matrix(dec),
         build_kernels(as_node(dec.freq), as_node(dec.phase), as_node(dec.modulator), True).value)
+
+
+class TestStreaming:
+    """``decode_values`` overlap-adds ``CHUNK_FRAMES``-column blocks; it must
+    agree with one-shot synthesis, including truncated and extended outputs."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 40, 41, 97, 98, 99])
+    def test_matches_one_shot(self, rng, monkeypatch, chunk):
+        dec = init_decoder(4, 16, 4)
+        a = rng.uniform(0, 1, (4, 98))
+        natural = 97 * 4 + 16
+        monkeypatch.setattr(waverep.encoder, "CHUNK_FRAMES", chunk)
+        for out_len in (natural, 4 * 98 - 3, natural + 9, 30):
+            ref = synthesize(as_node(a), as_node(kernel_matrix(dec)), 4, out_len).value
+            got = decode_values(a, dec, out_len)
+            if chunk >= a.shape[1]:
+                np.testing.assert_array_equal(got, ref)  # one block: bit for bit
+            else:
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_short_signal_blocks(self, rng):
+        # two frames, fewer samples than one kernel, one frame per block
+        dec = init_decoder(4, 16, 4)
+        a = rng.uniform(0, 1, (4, 2))
+        ref = synthesize(as_node(a), as_node(kernel_matrix(dec)), 4, 6).value
+        got = decode_chunks([(0, a[:, :1]), (1, a[:, 1:])], dec, 6)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

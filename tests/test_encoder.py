@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import waverep.encoder
 from waverep.autodiff import as_node
 from waverep.encoder import (
     EncoderParameters,
     conv1,
+    conv2_dilated,
     encode,
+    encode_chunks,
     encode_values,
     init_encoder,
     num_frames,
@@ -155,3 +158,60 @@ class TestEncode:
         params = init_encoder(2, 4, 3, 2, 5, seed=0)
         a = encode_values(rng.uniform(-1, 1, 21), params)
         assert a.shape == (2, 11)
+
+
+def test_leading_frames_match_the_full_layers(rng):
+    x = rng.uniform(-1, 1, 50)
+    k = as_node(rng.normal(size=(3, 7)))
+    h = conv1(x, k, 3)
+    assert h.value.shape == (3, 17)
+    np.testing.assert_array_equal(conv1(x, k, 3, n_frames=5).value, h.value[:, :5])
+    k2 = as_node(rng.normal(size=(3, 3, 3)))
+    full = conv2_dilated(h, k2, 4).value
+    for n in (1, 8, 9, 17):
+        np.testing.assert_allclose(conv2_dilated(h, k2, 4, n_out=n).value, full[:, :n],
+                                   rtol=0, atol=1e-14)
+
+
+class TestStreaming:
+    """``encode_values`` fills the representation from ``encode_chunks``
+    blocks; it must agree with the one-shot taped ``encode``."""
+
+    # dilation 10 and 5 taps give the 40-frame right context of the paper's
+    # second layer
+    PARAMS = dict(n_components=4, kernel_len=16, kernel2_len=5, stride=4, dilation=10)
+    N = 4 * 97 + 3  # T = 98 frames
+
+    @pytest.mark.parametrize("linear", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 7, 40, 41, 97, 98, 99])
+    def test_matches_one_shot(self, rng, monkeypatch, chunk, linear):
+        params = init_encoder(**self.PARAMS, seed=4)
+        x = rng.uniform(-1, 1, self.N)
+        ref = encode(x, params, linear=linear).a.value
+        assert ref.shape[1] == 98
+        monkeypatch.setattr(waverep.encoder, "CHUNK_FRAMES", chunk)
+        got = encode_values(x, params, linear=linear)
+        if chunk >= ref.shape[1]:
+            np.testing.assert_array_equal(got, ref)  # one block: bit for bit
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_signal_shorter_than_one_kernel(self, rng, monkeypatch, chunk):
+        params = init_encoder(**self.PARAMS, seed=5)
+        x = rng.uniform(-1, 1, 6)  # 2 frames, fewer samples than the 16-tap kernel
+        monkeypatch.setattr(waverep.encoder, "CHUNK_FRAMES", chunk)
+        for linear in (False, True):
+            ref = encode(x, params, linear=linear).a.value
+            got = encode_values(x, params, linear=linear)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_blocks_are_consecutive(self, rng, monkeypatch):
+        params = init_encoder(**self.PARAMS, seed=6)
+        monkeypatch.setattr(waverep.encoder, "CHUNK_FRAMES", 40)
+        blocks = list(encode_chunks(rng.uniform(-1, 1, self.N), params))
+        assert [(t0, b.shape) for t0, b in blocks] == [(0, (4, 40)), (40, (4, 40)), (80, (4, 18))]
+
+    def test_empty_signal_rejected(self):
+        with pytest.raises(ValueError):
+            encode_values(np.zeros(0), init_encoder(**self.PARAMS))

@@ -288,7 +288,7 @@ class TestEvaluate:
         import waverep.decoder
         import waverep.encoder
         from waverep.decoder import init_decoder
-        counts = {"encode": 0, "build_kernels": 0}
+        counts = {"encode_chunks": 0, "build_kernels": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -296,7 +296,9 @@ class TestEvaluate:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(waverep.encoder, "encode", counting("encode", waverep.encoder.encode))
+        # encode_values streams every signal through one encode_chunks call
+        monkeypatch.setattr(waverep.encoder, "encode_chunks",
+                            counting("encode_chunks", waverep.encoder.encode_chunks))
         monkeypatch.setattr(waverep.decoder, "build_kernels",
                             counting("build_kernels", waverep.decoder.build_kernels))
         enc = init_encoder(8, 64, 2, 64, 2, seed=0)
@@ -306,7 +308,7 @@ class TestEvaluate:
         accomp = 0.2 * rng.normal(size=3 * SAMPLE_RATE)
         report = evaluate([("t", voice, accomp)], enc, dec)
         assert [r.segment for r in report.rows] == [0, 2]
-        assert counts == {"encode": 3 * 2, "build_kernels": 1}
+        assert counts == {"encode_chunks": 3 * 2, "build_kernels": 1}
 
     def test_all_silent_rejected(self):
         with pytest.raises(DataError, match="active"):

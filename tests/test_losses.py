@@ -152,6 +152,13 @@ class TestSinkhornPlan:
         with pytest.raises(ValueError):
             sinkhorn_plan(np.zeros((2, 3)), 1.0)
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_iteration_cap_below_one_rejected(self, max_iters):
+        # as in LossConfig: without one iteration there is no plan to return
+        with pytest.raises(ValueError, match="max_iters"):
+            sinkhorn_plan(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]),
+                          1.0, max_iters=max_iters)
+
 
 class TestSinkhornLoss:
     def test_identical_frames_zero_loss(self):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import waverep.decoder
+import waverep.losses
 import waverep.training
 from waverep.autodiff import Node, Tape
 from waverep.checkpoint import load_arrays, load_model, save_arrays, save_model
 from waverep.dataset import CorruptionConfig, make_training_pairs
-from waverep.decoder import DecoderParameters, build_kernels, init_decoder, synthesize
+from waverep.decoder import DecoderParameters, build_kernels, init_decoder, kernel_matrix, synthesize
 from waverep.encoder import encode, init_encoder
 from waverep.errors import CheckpointError, NumericalError
 from waverep.losses import LossConfig, total_loss
@@ -179,6 +180,43 @@ class TestBatchGradients:
         # plus one forward-only build for the pre-training baseline pass
         assert taped.count(True) == len(result.history) == 4
         assert taped.count(False) == 1
+
+    @pytest.mark.parametrize("variant", ["tv", "sinkhorn"])
+    def test_baseline_pass_computes_the_reconstruction_term_only(self, rng, monkeypatch, variant):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("pairwise_cost", "tv_loss"):
+            monkeypatch.setattr(waverep.losses, name, counting(name, getattr(waverep.losses, name)))
+        before_first_step = []
+        real_batch_gradients = waverep.training.batch_gradients
+
+        def first_step_marker(*args, **kwargs):
+            if not before_first_step:
+                before_first_step.append(list(calls))
+            return real_batch_gradients(*args, **kwargs)
+
+        monkeypatch.setattr(waverep.training, "batch_gradients", first_step_marker)
+        voices, accomps = _toy_problem(rng)
+        cfg = TrainConfig(batch_size=3, epochs=1, variant=variant, seed=4, early_stop=False)
+        enc, dec = _toy_model()
+        # the baseline is the mean neg-SNR of the full item loss over epoch 1's items
+        pairs = make_training_pairs(voices, accomps, CorruptionConfig(
+            gaussian_std=cfg.gaussian_std, segment_len=256,
+            seed=waverep.training._epoch_seed(cfg.seed, 1)))
+        expected = float(np.mean([
+            waverep.training._item_loss(p, enc, Node(kernel_matrix(dec)), dec.stride, cfg).neg_snr_db
+            for p in pairs]))
+        calls.clear()
+        result = train(voices, accomps, enc, dec, cfg)
+        assert before_first_step == [[]]
+        assert calls  # the optimizer steps do reach the counted terms
+        assert result.epoch_mean_neg_snr[0] == expected
 
 
 class TestCheckpoint:
