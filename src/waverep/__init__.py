@@ -13,7 +13,6 @@ from .autodiff import Node, Tape, as_node
 from .checkpoint import load_model, save_model
 from .dataset import (
     SAMPLE_RATE,
-    CorruptionConfig,
     TrainingPair,
     is_active,
     load_and_downmix,
@@ -32,7 +31,6 @@ from .decoder import (
 )
 from .encoder import (
     EncoderParameters,
-    Representation,
     encode,
     encode_chunks,
     encode_values,

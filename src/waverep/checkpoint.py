@@ -46,8 +46,11 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
+    """Read the arrays written by :func:`save_arrays`.  The file is read once
+    and every payload is copied out of it once; the checksum and the headers
+    are read in place."""
     path = Path(path)
-    blob = path.read_bytes()
+    blob = memoryview(path.read_bytes())
     if len(blob) < 16:
         raise CheckpointError(f"{path}: truncated checkpoint")
     if blob[:4] != MAGIC:
@@ -68,7 +71,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", blob, pos)
             pos += 2
-            name = blob[pos : pos + name_len].decode("utf-8")
+            name = str(blob[pos : pos + name_len], "utf-8")
             pos += name_len
             (rank,) = struct.unpack_from("<I", blob, pos)
             pos += 4

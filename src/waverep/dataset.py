@@ -3,12 +3,12 @@ training-pair synthesis.
 
 Signals are plain 1-D float64 arrays at a fixed 44100 Hz sample rate; files at
 any other rate are rejected rather than resampled, because every model
-hyper-parameter in this package is tied to 44100 Hz.
+hyper-parameter in this package is tied to 44100 Hz.  Training pairs take
+their length from the first voice segment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -21,19 +21,8 @@ SAMPLE_RATE = 44100
 
 #: numerical-stability epsilon shared with the additivity metric
 ACTIVITY_EPS = 1e-24
-
-
-@dataclass(frozen=True)
-class CorruptionConfig:
-    """Controls the two corruption processes that build training pairs."""
-
-    gaussian_std: float = 1e-4
-    segment_len: int = SAMPLE_RATE
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.gaussian_std < 0:
-            raise ValueError("gaussian_std must be >= 0")
+#: energy gate of :func:`is_active`, in dB
+ACTIVE_THRESHOLD_DB = -10.0
 
 
 class TrainingPair(NamedTuple):
@@ -109,46 +98,46 @@ def segment(x: np.ndarray, length: int, hop: int) -> list[np.ndarray]:
     return list(frame(x, length, hop, -(-x.size // hop)))
 
 
-def is_active(x: np.ndarray, threshold_db: float = -10.0, eps: float = ACTIVITY_EPS) -> bool:
+def is_active(x: np.ndarray) -> bool:
     """Energy gate used to discard silent voice segments.
 
-    A segment is active iff ``10*log10(||x||^2 + eps) >= threshold_db``
-    (boundary inclusive).
+    A segment is active iff ``10*log10(||x||^2 + ACTIVITY_EPS) >=
+    ACTIVE_THRESHOLD_DB`` (boundary inclusive).
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
     x = np.asarray(x, dtype=np.float64)
-    level_db = 10.0 * np.log10(float(x @ x) + eps)
-    return bool(level_db >= threshold_db)
+    level_db = 10.0 * np.log10(float(x @ x) + ACTIVITY_EPS)
+    return bool(level_db >= ACTIVE_THRESHOLD_DB)
 
 
 def make_training_pairs(
     voice_segments: Sequence[np.ndarray],
     accomp_segments: Sequence[np.ndarray],
-    cfg: CorruptionConfig,
+    seed: int,
+    gaussian_std: float,
 ) -> Iterator[TrainingPair]:
     """Yield one :class:`TrainingPair` per voice segment.
 
-    Both segment pools are shuffled independently, then paired; the pairing,
-    the shuffles and the Gaussian noise are all a deterministic function of
-    ``cfg.seed``.  With ``gaussian_std == 0`` the noisy voice equals the clean
+    Every segment of both pools must have the first voice segment's length.
+    Both pools are shuffled independently, then paired; the pairing, the
+    shuffles and the Gaussian noise are all a deterministic function of
+    ``seed``.  With ``gaussian_std == 0`` the noisy voice equals the clean
     voice exactly (degenerate test mode).
     """
     if not len(voice_segments) or not len(accomp_segments):
         raise ValueError("both segment pools must be non-empty")
-    n = cfg.segment_len
+    n = np.size(voice_segments[0])
     for pool in (voice_segments, accomp_segments):
         for s in pool:
-            if np.asarray(s).shape != (n,):
-                raise ValueError(f"segment of shape {np.asarray(s).shape} != ({n},)")
+            if np.shape(s) != (n,):
+                raise ValueError(f"segment of shape {np.shape(s)} != ({n},)")
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     voice_order = rng.permutation(len(voice_segments))
     accomp_order = rng.permutation(len(accomp_segments))
     for i, vi in enumerate(voice_order):
         voice = np.asarray(voice_segments[vi], dtype=np.float64)
         accomp = np.asarray(accomp_segments[accomp_order[i % len(accomp_order)]], dtype=np.float64)
-        noise = rng.normal(0.0, cfg.gaussian_std, size=n)
+        noise = rng.normal(0.0, gaussian_std, size=n)
         yield TrainingPair(
             voice=voice,
             noisy_voice=voice + noise,

@@ -27,6 +27,9 @@ from . import encoder
 from .autodiff import Node, Tape, as_node
 from .dataset import SAMPLE_RATE, frame, overlap_add
 
+#: lowest initial carrier frequency in Hz; the highest is the Nyquist frequency
+LOWEST_CARRIER_HZ = 30.0
+
 
 @dataclass
 class DecoderParameters:
@@ -53,15 +56,15 @@ def mel_inverse(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_init_frequencies(n_components: int, f_lo: float = 30.0, f_hi: float = 22050.0) -> np.ndarray:
+def mel_init_frequencies(n_components: int) -> np.ndarray:
     """Normalized carrier frequencies spaced linearly on the mel scale.
 
     Returns ``n_components`` strictly increasing values in (0, 0.5], the
-    endpoints mapping back to ``f_lo`` and ``f_hi`` Hz.
+    endpoints mapping back to ``LOWEST_CARRIER_HZ`` and the Nyquist frequency.
     """
     if n_components < 2:
         raise ValueError("need at least 2 components")
-    mels = np.linspace(mel_scale(f_lo), mel_scale(f_hi), n_components)
+    mels = np.linspace(mel_scale(LOWEST_CARRIER_HZ), mel_scale(SAMPLE_RATE / 2), n_components)
     # the top endpoint can overshoot Nyquist by one ulp through the round trip
     return np.minimum(mel_inverse(mels) / SAMPLE_RATE, 0.5)
 

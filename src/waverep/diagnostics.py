@@ -14,7 +14,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import training
 from .autodiff import Node, Tape, as_node
+from .dataset import TrainingPair
 from .decoder import DecoderParameters, build_kernels, decode_values, mel_init_frequencies, synthesize
 from .encoder import EncoderParameters, conv1, conv2_dilated, encode, init_encoder, relu_residual
 from .losses import (
@@ -216,7 +218,8 @@ def _separated_representation(rng: np.random.Generator, c: int, t: int) -> np.nd
 
 
 def _end_to_end_check(seed: int, variant: str) -> dict[str, float]:
-    """Gradients of the full objective w.r.t. all five parameter tensors."""
+    """Gradients of the full objective w.r.t. all five parameter tensors, as
+    the training step computes them (:func:`training.batch_gradients`)."""
     for attempt in range(50):
         enc, dec, rng = _toy_model(seed + 1000 * attempt)
         x_v = rng.uniform(-0.8, 0.8, 12)
@@ -224,13 +227,11 @@ def _end_to_end_check(seed: int, variant: str) -> dict[str, float]:
         mixture = x_v + rng.uniform(-0.8, 0.8, 12)
         cfg = LossConfig(omega=0.7, lam=2.0, p=1, max_iters=2000, tau=1e-10)
 
-        rep_v = encode(noisy, enc)
-        rep_m = encode(mixture, enc)
-        pre_v = rep_v.h1.value + rep_v.h2.value
-        pre_m = rep_m.h1.value + rep_m.h2.value
+        pre_v = encode(noisy, enc, linear=True).value
+        pre_m = encode(mixture, enc, linear=True).value
         if min(np.min(np.abs(pre_v)), np.min(np.abs(pre_m))) < 1e-3:
             continue  # too close to a ReLU kink for finite differences
-        a_m = rep_m.a.value
+        a_m = np.maximum(pre_m, 0.0)
         d_comp = np.abs(np.diff(a_m, axis=0))
         d_time = np.abs(np.diff(a_m, axis=1))
         active_gaps = np.concatenate([d_comp[d_comp > 0], d_time[d_time > 0]])
@@ -242,36 +243,20 @@ def _end_to_end_check(seed: int, variant: str) -> dict[str, float]:
 
     plan = None
     if variant == "sinkhorn":
-        _, plan = sinkhorn_loss(as_node(rep_m.a.value), cfg)
+        _, plan = sinkhorn_loss(as_node(a_m), cfg)
 
     def forward() -> float:
-        rep_v = encode(noisy, enc)
-        xhat = decode_values(rep_v.a.value, dec, len(x_v))
-        rep_m = encode(mixture, enc)
-        bd = total_loss(x_v, xhat, rep_m.a, cfg, variant, plan=plan)
+        xhat = decode_values(encode(noisy, enc).value, dec, len(x_v))
+        bd = total_loss(x_v, xhat, encode(mixture, enc), cfg, variant, plan=plan)
         return float(bd.total.value)
 
-    tensors = {
-        "kernels": enc.kernels,
-        "dilated_kernels": enc.dilated_kernels,
-        "freq": dec.freq,
-        "phase": dec.phase,
-        "modulator": dec.modulator,
-    }
-    nodes = {name: Node(arr) for name, arr in tensors.items()}
-    tape = Tape()
-    rep_v = encode(noisy, enc, tape, nodes=nodes)
-    w = build_kernels(nodes["freq"], nodes["phase"], nodes["modulator"], dec.square_freq, tape)
-    xhat = synthesize(rep_v.a, w, dec.stride, len(x_v), tape)
-    rep_m = encode(mixture, enc, tape, nodes=nodes)
-    bd = total_loss(x_v, xhat, rep_m.a, cfg, variant, tape, plan=plan)
-    tape.backward(bd.total)
+    pair = TrainingPair(x_v, noisy, mixture, mixture - x_v)
+    grads, _ = training.batch_gradients([pair], enc, dec, training.TrainConfig(variant=variant, loss=cfg))
 
     report = {}
-    for name, arr in tensors.items():
+    for name, arr in training._param_dict(enc, dec).items():
         numeric = central_difference(forward, arr)
-        analytic = nodes[name].grad if nodes[name].grad is not None else np.zeros_like(arr)
-        report[f"total_{variant}/{name}"] = max_relative_error(analytic, numeric)
+        report[f"total_{variant}/{name}"] = max_relative_error(grads[name], numeric)
     return report
 
 

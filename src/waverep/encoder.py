@@ -45,15 +45,6 @@ class EncoderParameters:
         return self.kernels.shape[1]
 
 
-@dataclass
-class Representation:
-    """Encoder output with the latents retained for the backward pass."""
-
-    a: Node   # (C, T) non-negative representation
-    h1: Node  # (C, T) first-layer latent
-    h2: Node  # (C, T) dilated-layer latent
-
-
 def init_encoder(
     n_components: int,
     kernel_len: int,
@@ -172,8 +163,8 @@ def encode(
     tape: Tape | None = None,
     linear: bool = False,
     nodes: Mapping[str, Node] | None = None,
-) -> Representation:
-    """Run the full analysis front end.
+) -> Node:
+    """Run the full analysis front end; returns the (C, T) representation.
 
     ``nodes`` lets a training loop supply shared parameter nodes (keyed
     ``"kernels"`` / ``"dilated_kernels"``) so gradients accumulate there.
@@ -183,8 +174,7 @@ def encode(
     dn = nodes.get("dilated_kernels") or as_node(params.dilated_kernels)
     h1 = conv1(x, kn, params.stride, tape)
     h2 = conv2_dilated(h1, dn, params.dilation, tape)
-    a = relu_residual(h2, h1, tape, linear=linear)
-    return Representation(a=a, h1=h1, h2=h2)
+    return relu_residual(h2, h1, tape, linear=linear)
 
 
 def encode_chunks(

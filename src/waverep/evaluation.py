@@ -1,6 +1,10 @@
 """Objective evaluation: SI-SDR, oracle binary-mask separation, additivity of
 source representations, windowed disjointness orthogonality, and an STFT
 magnitude-masking baseline with the same protocol.
+
+The protocol is fixed: 1 s segments, the -10 dB activity gate of
+:func:`dataset.is_active`, SI-SDR clamped to +-``SI_SDR_CAP_DB`` and a
+``STFT_WINDOW``-sample hamming window at hop ``STFT_HOP``.
 """
 
 from __future__ import annotations
@@ -20,16 +24,17 @@ from .errors import DataError
 STFT_WINDOW = 2048
 STFT_HOP = 256
 SEGMENT_LEN = SAMPLE_RATE  # evaluation cuts non-overlapping 1 s segments
+SI_SDR_CAP_DB = 120.0      # si_sdr never leaves [-SI_SDR_CAP_DB, SI_SDR_CAP_DB]
 
 
-def si_sdr(ref: np.ndarray, est: np.ndarray, cap_db: float = 120.0) -> float:
+def si_sdr(ref: np.ndarray, est: np.ndarray) -> float:
     """Scale-invariant signal-to-distortion ratio in dB.
 
     The estimate is compared against its own projection onto the reference,
     so the measure is invariant to (nonzero) rescaling of the estimate.  The
-    result is clamped to [-cap_db, cap_db]: a vanishing residual scores
-    ``cap_db``, and a silent or orthogonal estimate (zero projection) scores
-    ``-cap_db``.
+    result is clamped to [-SI_SDR_CAP_DB, SI_SDR_CAP_DB]: a vanishing residual
+    scores the cap, and a silent or orthogonal estimate (zero projection)
+    scores its negative.
     """
     ref = np.asarray(ref, dtype=np.float64)
     est = np.asarray(est, dtype=np.float64)
@@ -44,10 +49,10 @@ def si_sdr(ref: np.ndarray, est: np.ndarray, cap_db: float = 120.0) -> float:
     num = float(target @ target)
     den = float(resid @ resid)
     if num == 0.0:
-        return -cap_db
+        return -SI_SDR_CAP_DB
     if den == 0.0:
-        return cap_db
-    return max(-cap_db, min(cap_db, 10.0 * math.log10(num / den)))
+        return SI_SDR_CAP_DB
+    return max(-SI_SDR_CAP_DB, min(SI_SDR_CAP_DB, 10.0 * math.log10(num / den)))
 
 
 def binary_mask(a_target: np.ndarray, a_interf: np.ndarray) -> np.ndarray:
@@ -104,29 +109,23 @@ def w_do(y_target: np.ndarray, y_interf: np.ndarray) -> tuple[float, float, floa
     return psr - psr / sir, psr, sir
 
 
-def stft(x: np.ndarray, window: int = STFT_WINDOW, hop: int = STFT_HOP) -> np.ndarray:
+def stft(x: np.ndarray) -> np.ndarray:
     """One-sided complex spectrogram, hamming analysis window, right padding."""
     x = np.asarray(x, dtype=np.float64)
-    n_frames = 1 + max(0, -(-(x.size - window) // hop)) if x.size > window else 1
-    spec = np.fft.rfft(frame(x, window, hop, n_frames) * np.hamming(window), axis=1)
+    n_frames = 1 + max(0, -(-(x.size - STFT_WINDOW) // STFT_HOP)) if x.size > STFT_WINDOW else 1
+    frames = frame(x, STFT_WINDOW, STFT_HOP, n_frames)
+    spec = np.fft.rfft(frames * np.hamming(STFT_WINDOW), axis=1)
     # (F, T) in C order: sums over the spectrogram round by memory layout
     return np.ascontiguousarray(spec.T)
 
 
-def istft(
-    spec: np.ndarray,
-    length: int | None = None,
-    window: int = STFT_WINDOW,
-    hop: int = STFT_HOP,
-) -> np.ndarray:
+def istft(spec: np.ndarray, length: int) -> np.ndarray:
     """Weighted overlap-add inverse with squared-window normalization, so
     ``istft(stft(x), len(x))`` reconstructs ``x``."""
-    win = np.hamming(window)
-    frames = np.fft.irfft(spec.T, n=window, axis=1) * win
-    if length is None:
-        length = (frames.shape[0] - 1) * hop + window
-    y = overlap_add(frames, hop, length)
-    norm = overlap_add(np.broadcast_to(win * win, frames.shape), hop, length)
+    win = np.hamming(STFT_WINDOW)
+    frames = np.fft.irfft(spec.T, n=STFT_WINDOW, axis=1) * win
+    y = overlap_add(frames, STFT_HOP, length)
+    norm = overlap_add(np.broadcast_to(win * win, frames.shape), STFT_HOP, length)
     return y / np.maximum(norm, 1e-12)
 
 

@@ -1,9 +1,8 @@
 """Export a representation as CSV plus a portable graymap (PGM) image.
 
 The CSV holds the raw matrix at full precision.  The image is meant for eyes:
-rows are sorted by carrier frequency when frequencies are supplied, values
-are compressed with log1p (magnitudes span orders of magnitude) and min-max
-mapped to 0..255.
+rows are sorted by carrier frequency, values are compressed with log1p
+(magnitudes span orders of magnitude) and min-max mapped to 0..255.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 
-def export_representation(a: np.ndarray, out_base, carrier_freq=None) -> tuple[Path, Path]:
+def export_representation(a: np.ndarray, out_base, carrier_freq) -> tuple[Path, Path]:
     """Write ``<out_base>.csv`` and ``<out_base>.pgm``; returns both paths."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -26,14 +25,10 @@ def export_representation(a: np.ndarray, out_base, carrier_freq=None) -> tuple[P
     csv_path = out_base.with_suffix(".csv")
     np.savetxt(csv_path, a, delimiter=",", fmt="%.10g")
 
-    if carrier_freq is not None:
-        order = np.argsort(np.asarray(carrier_freq), kind="stable")
-        if order.size != a.shape[0]:
-            raise ValueError("carrier_freq length must match the number of rows")
-        img = a[order]
-    else:
-        img = a
-    img = np.log1p(np.maximum(img, 0.0))
+    order = np.argsort(np.asarray(carrier_freq), kind="stable")
+    if order.size != a.shape[0]:
+        raise ValueError("carrier_freq length must match the number of rows")
+    img = np.log1p(np.maximum(a[order], 0.0))
     lo, hi = img.min(), img.max()
     if hi > lo:
         pixels = np.round((img - lo) / (hi - lo) * 255.0).astype(np.uint8)

@@ -5,7 +5,8 @@ Sinkhorn-Knopp scaling).
 
 The transport plan is treated as a constant during backpropagation (the usual
 envelope treatment for Sinkhorn losses); gradients flow only through the cost
-matrix and the simplex normalization that feeds it.
+matrix and the simplex normalization that feeds it.  The reconstruction term
+is capped at ``SNR_FLOOR_DB``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from .errors import SaturationError
 
 _LN10 = math.log(10.0)
 
+#: neg-SNR cap for (near-)perfect reconstruction, in dB
+SNR_FLOOR_DB = -120.0
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -28,7 +32,6 @@ class LossConfig:
     p: int = 1                # exponent of the pairwise frame distance (1 or 2)
     max_iters: int = 100      # Sinkhorn iteration cap
     tau: float = 1e-6         # Sinkhorn termination threshold on marginal error
-    snr_floor_db: float = -120.0  # neg-SNR cap for (near-)perfect reconstruction
 
     def __post_init__(self):
         if self.omega < 0:
@@ -63,10 +66,10 @@ class LossBreakdown:
         return self.plan.saturation if self.plan is not None else 0.0
 
 
-def neg_snr(x: np.ndarray, est, floor_db: float = -120.0, tape: Tape | None = None) -> Node:
+def neg_snr(x: np.ndarray, est, tape: Tape | None = None) -> Node:
     """Negative signal-to-noise ratio in dB: -10*log10(||x||^2 / ||x - est||^2).
 
-    Clamped at ``floor_db`` when the residual (nearly) vanishes; on the
+    Clamped at ``SNR_FLOOR_DB`` when the residual (nearly) vanishes; on the
     clamped plateau the gradient is zero.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -79,8 +82,8 @@ def neg_snr(x: np.ndarray, est, floor_db: float = -120.0, tape: Tape | None = No
     diff = x - est_node.value
     resid = float(diff @ diff)
     raw = -10.0 * math.log10(energy / resid) if resid > 0.0 else -math.inf
-    capped = raw < floor_db
-    out = Node(floor_db if capped else raw)
+    capped = raw < SNR_FLOOR_DB
+    out = Node(SNR_FLOOR_DB if capped else raw)
 
     if tape is not None:
         def backward():
@@ -270,7 +273,7 @@ def total_loss(
     ``variant`` selects the representation term: ``"tv"`` or ``"sinkhorn"``.
     The representation term is computed on the mixture representation only.
     """
-    rec = neg_snr(x_v, xhat_v, cfg.snr_floor_db, tape)
+    rec = neg_snr(x_v, xhat_v, tape)
     plan_out = None
     if variant == "tv":
         rep = tv_loss(a_m, tape)

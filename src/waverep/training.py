@@ -1,32 +1,35 @@
-"""Training loop: Adam over the encoder/decoder parameters on batch-mean
-gradients (the decoder kernels built once per step), optional early stopping
-on the epoch-mean reconstruction loss, and deterministic behavior as a
-function of (seed, config, data).
+"""Training loop: Adam (fixed betas 0.9 / 0.999 and eps 1e-8) over the
+encoder/decoder parameters on batch-mean gradients (the decoder kernels built
+once per step), optional early stopping on the epoch-mean reconstruction
+loss, and deterministic behavior as a function of (seed, config, data).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Node, Tape
 from .checkpoint import save_model
-from .dataset import CorruptionConfig, TrainingPair, make_training_pairs
+from .dataset import TrainingPair, make_training_pairs
 from .decoder import DecoderParameters, build_kernels, kernel_matrix, synthesize
 from .encoder import EncoderParameters, encode
 from .errors import NumericalError
 from .losses import LossBreakdown, LossConfig, neg_snr, total_loss
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -43,8 +46,8 @@ def init_adam(params: dict[str, np.ndarray], lr: float = 1e-4) -> AdamState:
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState) -> None:
     """Bias-corrected Adam update, applied to the parameter arrays in place."""
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.shape:
@@ -53,11 +56,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
             raise NumericalError(f"non-finite gradient for {name!r} at step {state.step}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -74,16 +77,19 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
+        if self.gaussian_std < 0:
+            raise ValueError("gaussian_std must be >= 0")
 
 
 @dataclass
 class TrainResult:
-    encoder: EncoderParameters
-    decoder: DecoderParameters
     history: list[dict]             # one record per optimizer step
     epoch_mean_neg_snr: list[float]  # index 0 is the pre-training baseline
-    epochs_run: int
     early_stopped: bool
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.epoch_mean_neg_snr) - 1
 
 
 def backward(loss_node: Node, tape: Tape, param_nodes: dict[str, Node], seed=1.0) -> dict[str, np.ndarray]:
@@ -118,16 +124,16 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 def _denoise(pair: TrainingPair, enc: EncoderParameters, kernels: Node, stride: int,
              tape: Tape | None = None, nodes=None) -> Node:
     """The noisy voice, encoded and resynthesized with ``kernels``."""
-    rep_v = encode(pair.noisy_voice, enc, tape, nodes=nodes)
-    return synthesize(rep_v.a, kernels, stride, len(pair.voice), tape)
+    a_v = encode(pair.noisy_voice, enc, tape, nodes=nodes)
+    return synthesize(a_v, kernels, stride, len(pair.voice), tape)
 
 
 def _item_loss(pair: TrainingPair, enc: EncoderParameters, kernels: Node, stride: int,
                cfg: TrainConfig, tape: Tape | None = None, nodes=None) -> LossBreakdown:
     """One item's objective: denoising with ``kernels``, plus the mixture's representation term."""
     xhat = _denoise(pair, enc, kernels, stride, tape, nodes)
-    rep_m = encode(pair.mixture, enc, tape, nodes=nodes)
-    return total_loss(pair.voice, xhat, rep_m.a, cfg.loss, cfg.variant, tape)
+    a_m = encode(pair.mixture, enc, tape, nodes=nodes)
+    return total_loss(pair.voice, xhat, a_m, cfg.loss, cfg.variant, tape)
 
 
 def batch_gradients(items: Sequence[TrainingPair], enc: EncoderParameters, dec: DecoderParameters,
@@ -170,44 +176,34 @@ def train(
     """
     if not len(voice_segments) or not len(accomp_segments):
         raise ValueError("training needs non-empty voice and accompaniment segment pools")
-    seg_len = len(voice_segments[0])
     params = _param_dict(enc, dec)
     adam = init_adam(params, lr=cfg.lr)
     history: list[dict] = []
     log_file = open(log_path, "w") if log_path is not None else None
 
     def pairs_for(epoch: int):
-        cc = CorruptionConfig(
-            gaussian_std=cfg.gaussian_std,
-            segment_len=seg_len,
-            seed=_epoch_seed(cfg.seed, epoch),
-        )
-        return make_training_pairs(voice_segments, accomp_segments, cc)
+        return make_training_pairs(voice_segments, accomp_segments,
+                                   _epoch_seed(cfg.seed, epoch), cfg.gaussian_std)
 
     try:
         # pre-training baseline over the first epoch's stream, no updates: it
         # reports the reconstruction term only, so only that term is computed
         w = Node(kernel_matrix(dec))
-        baseline = [float(neg_snr(pair.voice, _denoise(pair, enc, w, dec.stride),
-                                  cfg.loss.snr_floor_db).value)
+        baseline = [float(neg_snr(pair.voice, _denoise(pair, enc, w, dec.stride)).value)
                     for pair in pairs_for(1)]
         epoch_means = [float(np.mean(baseline))]
 
-        step = 0
         early_stopped = False
-        epochs_run = 0
         for epoch in range(1, cfg.epochs + 1):
-            epochs_run = epoch
             epoch_neg_snrs: list[float] = []
-            batch: list = []
-
-            def run_batch(items):
-                nonlocal step
-                grads, breakdowns = batch_gradients(items, enc, dec, cfg)
+            pairs = pairs_for(epoch)
+            while batch := list(islice(pairs, cfg.batch_size)):
+                grads, breakdowns = batch_gradients(batch, enc, dec, cfg)
                 adam_step(params, grads, adam)
-                step += 1
+                # one model's worth of arrays: free them before the next step allocates its own
+                del grads
                 record = {
-                    "step": step,
+                    "step": len(history) + 1,
                     "epoch": epoch,
                     "neg_snr": float(np.mean([b.neg_snr_db for b in breakdowns])),
                     "rep_loss": float(np.mean([b.rep_loss for b in breakdowns])),
@@ -219,14 +215,6 @@ def train(
                     log_file.write(json.dumps(record) + "\n")
                 epoch_neg_snrs.extend(b.neg_snr_db for b in breakdowns)
 
-            for pair in pairs_for(epoch):
-                batch.append(pair)
-                if len(batch) == cfg.batch_size:
-                    run_batch(batch)
-                    batch = []
-            if batch:
-                run_batch(batch)
-
             epoch_means.append(float(np.mean(epoch_neg_snrs)))
             if cfg.early_stop and epoch >= 2 and epoch_means[epoch] >= epoch_means[epoch - 1]:
                 early_stopped = True
@@ -237,4 +225,4 @@ def train(
 
     if checkpoint_path is not None:
         save_model(checkpoint_path, enc, dec)
-    return TrainResult(enc, dec, history, epoch_means, epochs_run, early_stopped)
+    return TrainResult(history, epoch_means, early_stopped)

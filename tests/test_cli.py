@@ -77,6 +77,14 @@ class TestExitCodes:
         assert run(["train", "--stems", str(stems_dir), "--out", str(tmp_path / "o"),
                     "--loss", "sinkhorn", "--sinkhorn-iters", "0"]) == 2
 
+    def test_negative_noise_level_is_data_error(self, stems_dir, tmp_path):
+        # refused with the rest of the configuration, before the log is opened
+        out = tmp_path / "o"
+        assert run(["train", "--stems", str(stems_dir), "--out", str(out),
+                    "--gaussian-std", "-1"]) == 2
+        assert not (out / "train_log.jsonl").exists()
+        assert not (out / "checkpoint.bin").exists()
+
     def test_zero_duration_synth_is_data_error(self, tmp_path):
         assert run(["synth-data", "--out", str(tmp_path / "o"), "--duration", "0"]) == 2
 
@@ -229,7 +237,7 @@ class TestStreaming:
                     str(tmp_path / "voice.wav")]) == 0
         enc, dec = load_model(ckpt)
         x = load_and_downmix(tmp_path / "voice.wav")
-        self._assert_close(written[0], self._one_shot(encode(x, enc).a.value, dec, len(x)))
+        self._assert_close(written[0], self._one_shot(encode(x, enc).value, dec, len(x)))
 
     def test_separate(self, inputs, monkeypatch):
         tmp_path, ckpt = inputs
@@ -238,7 +246,7 @@ class TestStreaming:
                     str(tmp_path / "voice.wav"), str(tmp_path / "accomp.wav")]) == 0
         enc, dec = load_model(ckpt)
         x_v, x_ac = load_and_downmix(tmp_path / "voice.wav"), load_and_downmix(tmp_path / "accomp.wav")
-        z = [encode(x, enc).a.value for x in (x_v + x_ac, x_v, x_ac)]
+        z = [encode(x, enc).value for x in (x_v + x_ac, x_v, x_ac)]
         self._assert_close(written[0], self._one_shot(oracle_separate(*z), dec, len(x_v)))
 
 

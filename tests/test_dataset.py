@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from waverep.dataset import (
-    CorruptionConfig,
     frame,
     is_active,
     load_and_downmix,
@@ -135,50 +134,56 @@ class TestTrainingPairs:
 
     def test_deterministic_replay(self, rng):
         voices, accomps = self._pools(rng)
-        cfg = CorruptionConfig(segment_len=32, seed=7)
-        first = list(make_training_pairs(voices, accomps, cfg))
-        second = list(make_training_pairs(voices, accomps, cfg))
+        first = list(make_training_pairs(voices, accomps, 7, 1e-4))
+        second = list(make_training_pairs(voices, accomps, 7, 1e-4))
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a.noisy_voice, b.noisy_voice)
             np.testing.assert_array_equal(a.mixture, b.mixture)
 
     def test_zero_noise_degenerates(self, rng):
         voices, accomps = self._pools(rng)
-        cfg = CorruptionConfig(gaussian_std=0.0, segment_len=32, seed=0)
-        for pair in make_training_pairs(voices, accomps, cfg):
+        for pair in make_training_pairs(voices, accomps, 0, 0.0):
             np.testing.assert_array_equal(pair.noisy_voice, pair.voice)
 
     def test_silent_accompaniment(self, rng):
         voices, _ = self._pools(rng)
         silent = [np.zeros(32)]
-        cfg = CorruptionConfig(segment_len=32, seed=0)
-        for pair in make_training_pairs(voices, silent, cfg):
+        for pair in make_training_pairs(voices, silent, 0, 1e-4):
             np.testing.assert_array_equal(pair.mixture, pair.voice)
 
     def test_mixture_is_pure_addition(self, rng):
         voices, accomps = self._pools(rng)
-        cfg = CorruptionConfig(segment_len=32, seed=3)
-        for pair in make_training_pairs(voices, accomps, cfg):
+        for pair in make_training_pairs(voices, accomps, 3, 1e-4):
             # recomputing the sum reproduces the mixture bit for bit: no
             # clipping or renormalization happened
             np.testing.assert_array_equal(pair.mixture, pair.voice + pair.accomp)
 
     def test_one_pair_per_voice_segment(self, rng):
         voices, accomps = self._pools(rng, n=5)
-        cfg = CorruptionConfig(segment_len=32, seed=0)
-        assert len(list(make_training_pairs(voices, accomps[:2], cfg))) == 5
+        assert len(list(make_training_pairs(voices, accomps[:2], 0, 1e-4))) == 5
 
     def test_mismatched_length_rejected(self, rng):
-        cfg = CorruptionConfig(segment_len=32, seed=0)
         with pytest.raises(ValueError):
-            list(make_training_pairs([np.zeros(32)], [np.zeros(31)], cfg))
+            list(make_training_pairs([np.zeros(32)], [np.zeros(31)], 0, 1e-4))
+
+    @pytest.mark.parametrize("voices", [
+        [np.zeros(32), np.zeros(31), np.zeros(32)],
+        [np.zeros(32), np.zeros(32), np.zeros(33)],
+        [np.zeros(31), np.zeros(32), np.zeros(32)],
+        [np.zeros((2, 16))],
+    ])
+    def test_mixed_segment_lengths_rejected(self, voices):
+        # the length is read from the first voice segment; a pool that holds
+        # any other shape is refused before a pair is made
+        with pytest.raises(ValueError, match="segment of shape"):
+            next(make_training_pairs(voices, [np.zeros(np.size(voices[0]))], 0, 1e-4))
 
     def test_empty_pool_rejected(self):
-        cfg = CorruptionConfig(segment_len=32)
         with pytest.raises(ValueError):
-            list(make_training_pairs([], [np.zeros(32)], cfg))
+            list(make_training_pairs([], [np.zeros(32)], 0, 1e-4))
 
 
 def test_corruption_config_validation():
+    # a negative noise level is refused when the first pair is drawn
     with pytest.raises(ValueError):
-        CorruptionConfig(gaussian_std=-1.0)
+        next(make_training_pairs([np.zeros(32)], [np.zeros(32)], 0, -1.0))

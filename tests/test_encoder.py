@@ -111,22 +111,27 @@ class TestEncode:
         )
 
     def test_toy_residual_doubling(self):
-        rep = encode(np.array([1.0, 2, 3, 4]), self._single_channel_toy())
-        np.testing.assert_array_equal(rep.h1.value, [[1, 2, 3, 4]])
-        np.testing.assert_array_equal(rep.h2.value, [[1, 2, 3, 4]])
-        np.testing.assert_array_equal(rep.a.value, [[2, 4, 6, 8]])
+        x = np.array([1.0, 2, 3, 4])
+        params = self._single_channel_toy()
+        h1 = conv1(x, as_node(params.kernels), params.stride)
+        h2 = conv2_dilated(h1, as_node(params.dilated_kernels), params.dilation)
+        np.testing.assert_array_equal(h1.value, [[1, 2, 3, 4]])
+        np.testing.assert_array_equal(h2.value, [[1, 2, 3, 4]])
+        np.testing.assert_array_equal(encode(x, params).value, [[2, 4, 6, 8]])
 
     def test_zero_second_layer_reduces_to_relu(self, rng):
         params = init_encoder(4, 6, 3, 2, 2, seed=1)
         params.dilated_kernels[:] = 0.0
         x = rng.uniform(-1, 1, 25)
-        rep = encode(x, params)
-        np.testing.assert_array_equal(rep.a.value, np.maximum(rep.h1.value, 0.0))
+        h1 = conv1(x, as_node(params.kernels), params.stride)
+        h2 = conv2_dilated(h1, as_node(params.dilated_kernels), params.dilation)
+        assert np.all(h2.value == 0.0)
+        np.testing.assert_array_equal(encode(x, params).value, np.maximum(h1.value, 0.0))
 
     def test_nonpositive_preactivation_gives_zero(self):
         params = self._single_channel_toy()
-        rep = encode(np.array([-1.0, -2, -3]), params)  # H + H~ = 2x < 0
-        assert np.all(rep.a.value == 0.0)
+        a = encode(np.array([-1.0, -2, -3]), params)  # H + H~ = 2x < 0
+        assert np.all(a.value == 0.0)
 
     def test_nonnegative_for_random_inputs(self, rng):
         params = init_encoder(5, 8, 3, 3, 4, seed=2)
@@ -150,8 +155,8 @@ class TestEncode:
 
     def test_linear_hook_bypasses_relu(self):
         params = self._single_channel_toy()
-        rep = encode(np.array([-1.0, -2, -3]), params, linear=True)
-        np.testing.assert_array_equal(rep.a.value, [[-2, -4, -6]])
+        a = encode(np.array([-1.0, -2, -3]), params, linear=True)
+        np.testing.assert_array_equal(a.value, [[-2, -4, -6]])
 
     def test_dilated_layer_shapes_and_padding(self, rng):
         # dilation reaches phi*(L2-1) frames ahead; output keeps T frames
@@ -187,7 +192,7 @@ class TestStreaming:
     def test_matches_one_shot(self, rng, monkeypatch, chunk, linear):
         params = init_encoder(**self.PARAMS, seed=4)
         x = rng.uniform(-1, 1, self.N)
-        ref = encode(x, params, linear=linear).a.value
+        ref = encode(x, params, linear=linear).value
         assert ref.shape[1] == 98
         monkeypatch.setattr(waverep.encoder, "CHUNK_FRAMES", chunk)
         got = encode_values(x, params, linear=linear)
@@ -202,7 +207,7 @@ class TestStreaming:
         x = rng.uniform(-1, 1, 6)  # 2 frames, fewer samples than the 16-tap kernel
         monkeypatch.setattr(waverep.encoder, "CHUNK_FRAMES", chunk)
         for linear in (False, True):
-            ref = encode(x, params, linear=linear).a.value
+            ref = encode(x, params, linear=linear).value
             got = encode_values(x, params, linear=linear)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 

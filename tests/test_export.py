@@ -4,15 +4,20 @@ import pytest
 from waverep.export import export_representation, read_representation_csv
 
 
+def _rising(a):
+    """Carrier frequencies already in ascending order: the image keeps the row order."""
+    return np.arange(np.shape(a)[0], dtype=np.float64)
+
+
 def test_csv_roundtrip_precision(rng, tmp_path):
     a = np.abs(rng.normal(size=(6, 9))) * 10.0 ** rng.integers(-4, 4, size=(6, 9))
-    csv_path, _ = export_representation(a, tmp_path / "rep")
+    csv_path, _ = export_representation(a, tmp_path / "rep", _rising(a))
     back = read_representation_csv(csv_path)
     np.testing.assert_allclose(back, a, rtol=1e-6)
 
 
 def test_zero_matrix_black_image(tmp_path):
-    csv_path, pgm_path = export_representation(np.zeros((4, 5)), tmp_path / "rep")
+    csv_path, pgm_path = export_representation(np.zeros((4, 5)), tmp_path / "rep", np.zeros(4))
     assert np.all(read_representation_csv(csv_path) == 0.0)
     blob = pgm_path.read_bytes()
     assert blob.startswith(b"P5\n5 4\n255\n")
@@ -32,8 +37,8 @@ def test_one_hot_bright_pixel_at_sorted_row(tmp_path):
 
 def test_pgm_is_deterministic(rng, tmp_path):
     a = np.abs(rng.normal(size=(5, 7)))
-    export_representation(a, tmp_path / "one")
-    export_representation(a, tmp_path / "two")
+    export_representation(a, tmp_path / "one", _rising(a))
+    export_representation(a, tmp_path / "two", _rising(a))
     assert (tmp_path / "one.pgm").read_bytes() == (tmp_path / "two.pgm").read_bytes()
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
@@ -42,4 +47,9 @@ def test_nonfinite_rejected(tmp_path):
     a = np.zeros((2, 2))
     a[0, 0] = np.inf
     with pytest.raises(ValueError):
-        export_representation(a, tmp_path / "rep")
+        export_representation(a, tmp_path / "rep", _rising(a))
+
+
+def test_carrier_count_must_match_rows(tmp_path):
+    with pytest.raises(ValueError, match="carrier_freq"):
+        export_representation(np.ones((3, 4)), tmp_path / "rep", np.zeros(2))

@@ -4,6 +4,7 @@ tape mechanics."""
 import numpy as np
 import pytest
 
+import waverep.training
 from waverep.autodiff import Node, Tape, as_node
 from waverep.decoder import build_kernels
 from waverep.diagnostics import (
@@ -20,6 +21,30 @@ def test_every_op_matches_finite_differences():
     assert len(report) >= 20  # all layers, losses and both end-to-end variants
     for name, err in report.items():
         assert err < GRAD_TOLERANCE, f"{name}: {err:.3e}"
+
+
+def test_end_to_end_gradients_come_from_the_training_step(monkeypatch):
+    # the total_* entries differentiate training.batch_gradients itself, not a copy
+    real = waverep.training.batch_gradients
+    calls = []
+
+    def scaled(factor):
+        def batch_gradients(items, enc, dec, cfg):
+            calls.append((len(items), cfg.variant))
+            grads, breakdowns = real(items, enc, dec, cfg)
+            return {name: factor * g for name, g in grads.items()}, breakdowns
+        return batch_gradients
+
+    monkeypatch.setattr(waverep.training, "batch_gradients", scaled(1.0))
+    report = grad_check_report(seed=0)
+    assert calls == [(1, "tv"), (1, "sinkhorn")]
+    assert max(v for k, v in report.items() if k.startswith("total_")) < GRAD_TOLERANCE
+
+    monkeypatch.setattr(waverep.training, "batch_gradients", scaled(2.0))
+    doubled = grad_check_report(seed=0)
+    assert all(v > 0.3 for k, v in doubled.items() if k.startswith("total_"))
+    assert {k: v for k, v in doubled.items() if not k.startswith("total_")} == \
+        {k: v for k, v in report.items() if not k.startswith("total_")}
 
 
 def test_report_is_deterministic():

@@ -1,6 +1,9 @@
 import dataclasses
 import inspect
 import json
+import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import waverep.losses
 import waverep.training
 from waverep.autodiff import Node, Tape
 from waverep.checkpoint import load_arrays, load_model, save_arrays, save_model
-from waverep.dataset import CorruptionConfig, make_training_pairs
+from waverep.dataset import make_training_pairs
 from waverep.decoder import DecoderParameters, build_kernels, init_decoder, kernel_matrix, synthesize
 from waverep.encoder import encode, init_encoder
 from waverep.errors import CheckpointError, NumericalError
@@ -127,6 +130,23 @@ class TestTrainLoop:
         assert {f.name for f in dataclasses.fields(DecoderParameters)} == {
             "freq", "phase", "modulator", "stride", "square_freq"}
 
+    def test_peak_memory_does_not_grow_with_the_step_count(self, rng):
+        # a step must not hold the previous step's gradients: one step of two
+        # items and two steps of one item peak alike
+        enc, dec = init_encoder(32, 1024, 5, 256, 2, seed=0), init_decoder(32, 1024, 256)
+        voices, accomps = _toy_problem(rng, n_segments=2, seg_len=1024)
+        grad_bytes = sum(p.nbytes for p in waverep.training._param_dict(enc, dec).values())
+        peaks = []
+        for batch_size in (2, 1):
+            cfg = TrainConfig(batch_size=batch_size, epochs=1, early_stop=False, lr=0.0)
+            tracemalloc.start()
+            try:
+                train(voices, accomps, enc, dec, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.5 * grad_bytes, (peaks, grad_bytes)
+
     def test_empty_dataset_rejected(self):
         enc, dec = _toy_model()
         with pytest.raises(ValueError):
@@ -137,11 +157,11 @@ def _per_item_gradients(pair, enc, dec, cfg):
     """One item's gradients on its own tape, with its own kernels."""
     nodes = {name: Node(arr) for name, arr in waverep.training._param_dict(enc, dec).items()}
     tape = Tape()
-    rep_v = encode(pair.noisy_voice, enc, tape, nodes=nodes)
+    a_v = encode(pair.noisy_voice, enc, tape, nodes=nodes)
     w = build_kernels(nodes["freq"], nodes["phase"], nodes["modulator"], dec.square_freq, tape)
-    xhat = synthesize(rep_v.a, w, dec.stride, len(pair.voice), tape)
-    rep_m = encode(pair.mixture, enc, tape, nodes=nodes)
-    bd = total_loss(pair.voice, xhat, rep_m.a, cfg.loss, cfg.variant, tape)
+    xhat = synthesize(a_v, w, dec.stride, len(pair.voice), tape)
+    a_m = encode(pair.mixture, enc, tape, nodes=nodes)
+    bd = total_loss(pair.voice, xhat, a_m, cfg.loss, cfg.variant, tape)
     tape.backward(bd.total)
     return {name: node.grad for name, node in nodes.items()}, bd
 
@@ -150,7 +170,7 @@ class TestBatchGradients:
     @pytest.mark.parametrize("variant", ["tv", "sinkhorn"])
     def test_step_gradient_is_mean_of_item_gradients(self, rng, variant):
         voices, accomps = _toy_problem(rng, n_segments=3)
-        items = list(make_training_pairs(voices, accomps, CorruptionConfig(segment_len=256, seed=2)))
+        items = list(make_training_pairs(voices, accomps, 2, 1e-4))
         enc, dec = _toy_model(seed=1)
         dec.phase += rng.uniform(-0.5, 0.5, dec.phase.shape)
         cfg = TrainConfig(variant=variant, loss=LossConfig(omega=0.3, lam=1.0))
@@ -206,9 +226,8 @@ class TestBatchGradients:
         cfg = TrainConfig(batch_size=3, epochs=1, variant=variant, seed=4, early_stop=False)
         enc, dec = _toy_model()
         # the baseline is the mean neg-SNR of the full item loss over epoch 1's items
-        pairs = make_training_pairs(voices, accomps, CorruptionConfig(
-            gaussian_std=cfg.gaussian_std, segment_len=256,
-            seed=waverep.training._epoch_seed(cfg.seed, 1)))
+        pairs = make_training_pairs(voices, accomps, waverep.training._epoch_seed(cfg.seed, 1),
+                                    cfg.gaussian_std)
         expected = float(np.mean([
             waverep.training._item_loss(p, enc, Node(kernel_matrix(dec)), dec.stride, cfg).neg_snr_db
             for p in pairs]))
@@ -217,6 +236,13 @@ class TestBatchGradients:
         assert before_first_step == [[]]
         assert calls  # the optimizer steps do reach the counted terms
         assert result.epoch_mean_neg_snr[0] == expected
+
+
+def _with_crc(blob: bytearray) -> bytes:
+    """``blob`` with its trailing checksum recomputed, so that only the check
+    under test can fire."""
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
+    return bytes(blob)
 
 
 class TestCheckpoint:
@@ -258,10 +284,7 @@ class TestCheckpoint:
         save_arrays(path, {"a": np.ones(3)})
         blob = bytearray(path.read_bytes())
         blob[4] = 99
-        # keep the checksum honest so only the version check can fire
-        import struct, zlib
-        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
-        path.write_bytes(bytes(blob))
+        path.write_bytes(_with_crc(blob))
         with pytest.raises(CheckpointError, match="version"):
             load_arrays(path)
 
@@ -280,6 +303,39 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(CheckpointError):
             load_arrays(path)
+
+    def test_truncated_payload(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_arrays(path, {"a": np.ones(3)})
+        blob = bytearray(path.read_bytes())
+        blob[-4 - 8 : -4] = b""  # drop the last float
+        path.write_bytes(_with_crc(blob))
+        with pytest.raises(CheckpointError, match="truncated array payload"):
+            load_arrays(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_arrays(path, {"a": np.ones(3)})
+        blob = bytearray(path.read_bytes())
+        blob[-4:-4] = b"\0" * 8
+        path.write_bytes(_with_crc(blob))
+        with pytest.raises(CheckpointError, match="trailing bytes"):
+            load_arrays(path)
+
+    def test_load_copies_each_payload_once(self, tmp_path):
+        # the file's bytes plus one copy of the array: no copy for the checksum
+        path = tmp_path / "c.bin"
+        save_arrays(path, {"a": np.arange(1 << 20, dtype=np.float64)})
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            arrays = load_arrays(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(arrays["a"], np.arange(1 << 20, dtype=np.float64))
+        assert arrays["a"].flags.writeable and arrays["a"].flags.owndata
+        assert peak <= 2.1 * size
 
 
 class TestLoadModelValidation:
@@ -343,3 +399,13 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+
+
+@pytest.mark.parametrize("std", [-1.0, -1e-12])
+def test_negative_noise_level_rejected(std):
+    with pytest.raises(ValueError, match="gaussian_std"):
+        TrainConfig(gaussian_std=std)
+
+
+def test_zero_noise_level_allowed():
+    assert TrainConfig(gaussian_std=0.0).gaussian_std == 0.0
