@@ -70,7 +70,9 @@ def build_parser() -> _Parser:
                        help="representation loss")
         p.add_argument("--omega", type=float, default=1.0, help="representation loss weight")
         p.add_argument("--lambda", dest="lam", type=float, default=0.5,
-                       help="entropic regularization strength")
+                       help="Gibbs-kernel scale in K = exp(-lambda*M); the entropic "
+                            "regularization strength is 1/lambda, so a smaller lambda "
+                            "regularizes more")
         p.add_argument("--p", type=int, choices=(1, 2), default=1,
                        help="pairwise frame-distance exponent")
         p.add_argument("--sinkhorn-iters", type=int, default=100)

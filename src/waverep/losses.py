@@ -28,7 +28,7 @@ SNR_FLOOR_DB = -120.0
 @dataclass(frozen=True)
 class LossConfig:
     omega: float = 1.0        # weight of the representation loss
-    lam: float = 0.5          # entropic regularization strength (> 0)
+    lam: float = 0.5          # K = exp(-lam*M) (> 0); regularization strength is 1/lam
     p: int = 1                # exponent of the pairwise frame distance (1 or 2)
     max_iters: int = 100      # Sinkhorn iteration cap
     tau: float = 1e-6         # Sinkhorn termination threshold on marginal error
@@ -148,16 +148,19 @@ def normalize_simplex(a, tape: Tape | None = None) -> Node:
 def pairwise_cost(ao: np.ndarray, p: int = 1) -> np.ndarray:
     """(T, T) Minkowski distance matrix between the columns of ``ao``.
 
-    Symmetric, zero-diagonal, and satisfies the triangle inequality.
+    Each frame pair is computed once, so M is exactly symmetric with an
+    exactly zero diagonal; it satisfies the triangle inequality.
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
-    ao = np.asarray(ao, dtype=np.float64)
-    t = ao.shape[1]
-    m = np.empty((t, t))
-    for i in range(t):
-        d = np.abs(ao - ao[:, [i]])
-        m[i] = d.sum(axis=0) if p == 1 else np.sqrt((d * d).sum(axis=0))
+    at = np.ascontiguousarray(np.asarray(ao, dtype=np.float64).T)  # (T, C): frames as rows
+    t = at.shape[0]
+    m = np.zeros((t, t))
+    for i in range(t - 1):
+        d = at[i + 1:] - at[i]
+        row = np.abs(d, out=d).sum(axis=1) if p == 1 else np.sqrt(np.einsum("ij,ij->i", d, d))
+        m[i, i + 1:] = row
+        m[i + 1:, i] = row
     return m
 
 
@@ -222,16 +225,23 @@ def _plan_cost_inner(ao: Node, m: np.ndarray, plan: np.ndarray, p: int, tape: Ta
         def backward():
             if out.grad is None:
                 return
-            q = float(out.grad) * (plan + plan.T)
+            q = float(out.grad) * (plan + plan.T)  # symmetric
             av = ao.value
-            grad = np.empty_like(av)
-            for i in range(av.shape[1]):
-                diff = av[:, [i]] - av
-                if p == 1:
-                    grad[:, i] = np.sign(diff) @ q[i]
-                else:
-                    w = np.divide(q[i], m[i], out=np.zeros_like(q[i]), where=m[i] > 0)
-                    grad[:, i] = diff @ w
+            if p == 1:
+                # sign(a_i - a_j) is antisymmetric, so each frame pair is visited once
+                at = np.ascontiguousarray(av.T)
+                gt = np.zeros_like(at)
+                for i in range(at.shape[0] - 1):
+                    s = np.sign(at[i] - at[i + 1:])
+                    gt[i] += q[i, i + 1:] @ s
+                    s *= q[i, i + 1:, None]
+                    gt[i + 1:] -= s
+                grad = gt.T
+            else:
+                # sum_j (a_i - a_j) w_ij with w = q / m symmetric, so sum_j a_j w_ij = av @ w;
+                # identical frames (m == 0) get no weight
+                w = np.divide(q, m, out=np.zeros_like(q), where=m > 0)
+                grad = av * w.sum(axis=1) - av @ w
             ao.add_grad(grad)
         tape.record(backward)
     return out

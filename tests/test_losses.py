@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from waverep.autodiff import as_node
 from waverep.diagnostics import assignment_cost, random_cost_matrix
 from waverep.errors import SaturationError
+from waverep.autodiff import Tape
 from waverep.losses import (
     LossConfig,
+    _plan_cost_inner,
     neg_snr,
     normalize_simplex,
     pairwise_cost,
@@ -85,6 +87,34 @@ class TestNormalizeSimplex:
         assert np.all(out.sum(axis=0) < 1.0)
 
 
+def _tied_frames(rng, c=16, t=40):
+    """Normalized (C, T) frames with the exact ties a ReLU encoder produces:
+    exact zeros, frames 3 and 7 identical, frame 11 all-zero."""
+    a = np.maximum(rng.normal(size=(c, t)), 0.0)
+    a[:, 7] = a[:, 3]
+    a[:, 11] = 0.0
+    return normalize_simplex(as_node(a)).value
+
+
+def _brute_force_cost(ao, p):
+    d = np.abs(ao[:, :, None] - ao[:, None, :])  # (C, T, T)
+    return d.sum(axis=0) if p == 1 else np.sqrt((d * d).sum(axis=0))
+
+
+def _plan_cost_grad_per_frame(av, m, q, p):
+    """Reference gradient of <P, M(av)>: one (C, T) pass per frame, visiting
+    every frame pair twice."""
+    grad = np.empty_like(av)
+    for i in range(av.shape[1]):
+        diff = av[:, [i]] - av
+        if p == 1:
+            grad[:, i] = np.sign(diff) @ q[i]
+        else:
+            w = np.divide(q[i], m[i], out=np.zeros_like(q[i]), where=m[i] > 0)
+            grad[:, i] = diff @ w
+    return grad
+
+
 class TestPairwiseCost:
     def test_identical_columns_zero(self):
         a = np.tile(np.array([[0.3], [0.2]]), (1, 4))
@@ -104,6 +134,49 @@ class TestPairwiseCost:
             assert np.all(m >= 0.0)
             for i, j, k in itertools.product(range(6), repeat=3):
                 assert m[i, k] <= m[i, j] + m[j, k] + 1e-9
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_brute_force(self, rng, p):
+        ao = _tied_frames(rng)
+        m = pairwise_cost(ao, p)
+        ref = _brute_force_cost(ao, p)
+        np.testing.assert_allclose(m, ref, rtol=1e-12, atol=0.0)
+        assert m[3, 7] == 0.0 and m[11, 11] == 0.0
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_exactly_symmetric_zero_diagonal(self, rng, p):
+        m = pairwise_cost(_tied_frames(rng), p)
+        assert np.array_equal(m, m.T)
+        assert np.all(np.diag(m) == 0.0)
+
+
+class TestPlanCostGradient:
+    def _gradient(self, ao, m, plan, p, seed):
+        node = as_node(ao)
+        tape = Tape()
+        out = _plan_cost_inner(node, m, plan, p, tape)
+        tape.backward(out, seed)
+        return node.grad
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_per_frame_reference(self, rng, p):
+        ao = _tied_frames(rng)
+        m = pairwise_cost(ao, p)
+        plan = sinkhorn_plan(m, 0.5).plan
+        grad = self._gradient(ao, m, plan, p, 1.7)
+        ref = _plan_cost_grad_per_frame(ao, m, 1.7 * (plan + plan.T), p)
+        assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_duplicated_frames_get_finite_p2_gradient(self, rng):
+        ao = _tied_frames(rng)
+        m = pairwise_cost(ao, 2)
+        assert m[3, 7] == 0.0
+        grad = self._gradient(ao, m, sinkhorn_plan(m, 0.5).plan, 2, 1.0)
+        assert np.all(np.isfinite(grad))
+        # the zero-distance pair contributes nothing, so the duplicates,
+        # which see the same distances to every other frame, get equal gradients
+        np.testing.assert_allclose(grad[:, 3], grad[:, 7], rtol=0.0,
+                                   atol=1e-12 * np.abs(grad).max())
 
 
 class TestSinkhornPlan:
@@ -135,6 +208,15 @@ class TestSinkhornPlan:
         for lam in (0.5, 1.0, 5.0, 20.0, 50.0):
             plan = sinkhorn_plan(m, lam=lam, max_iters=2000, tau=1e-9)
             assert float((plan.plan * m).sum()) >= opt - 1e-12
+
+    def test_weakest_lambda_gives_independent_coupling(self, rng):
+        # closed-form oracle at the strongest entropic regularization (1/lambda):
+        # K = exp(-lambda M) -> 1, so P -> ones/T and <P, M> -> sum(M)/T
+        m = pairwise_cost(_tied_frames(rng), 1)
+        t = m.shape[0]
+        plan = sinkhorn_plan(m, lam=1e-8)
+        np.testing.assert_allclose(plan.plan, np.full((t, t), 1.0 / t), rtol=0.0, atol=1e-6)
+        assert float((plan.plan * m).sum()) == pytest.approx(m.sum() / t, rel=1e-6)
 
     def test_full_row_underflow_raises_not_nan(self):
         m = np.array([[800.0, 900.0], [0.0, 0.1]])
