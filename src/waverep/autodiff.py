@@ -2,10 +2,12 @@
 
 Every differentiable operation in this package computes its result eagerly,
 wraps it in a :class:`Node`, and (when a :class:`Tape` is supplied) records a
-closure that pushes the output gradient back to the operation's inputs.
-Operations are recorded in execution order, so replaying the tape in reverse
-visits each one exactly once in a valid reverse topological order; shared
-inputs accumulate gradients additively.
+``(backward, output)`` pair: a closure that pushes the output node's gradient
+back to the operation's inputs, and that output node.  Operations are recorded
+in execution order, so replaying the tape in reverse visits each one exactly
+once in a valid reverse topological order; shared inputs accumulate gradients
+additively.  An output that received no gradient is skipped, so a closure may
+assume ``out.grad`` is set.
 
 Operations are coarse-grained (a whole convolution, a whole loss) rather than
 elementwise, which keeps both the forward pass and the backward pass vectorized.
@@ -45,19 +47,17 @@ def as_node(x) -> Node:
 
 
 class Tape:
-    """Records backward closures during a forward pass."""
+    """Records backward closures, each with the node it produced, during a forward pass."""
 
     def __init__(self):
-        self._ops: list[Callable[[], None]] = []
+        self._ops: list[tuple[Callable[[], None], Node]] = []
 
-    def record(self, op: Callable[[], None]) -> None:
-        self._ops.append(op)
-
-    def __len__(self) -> int:
-        return len(self._ops)
+    def record(self, op: Callable[[], None], out: Node) -> None:
+        self._ops.append((op, out))
 
     def backward(self, root: Node, seed=1.0) -> None:
-        """Seed ``root.grad`` and replay every recorded closure in reverse.
+        """Seed ``root.grad`` and replay the recorded closures in reverse,
+        skipping each one whose output received no gradient.
 
         ``seed`` scales the whole gradient; passing ``1/batch_size`` while
         reusing shared parameter nodes across a batch accumulates the
@@ -66,5 +66,6 @@ class Tape:
         if not self._ops:
             raise ValueError("backward on an empty tape: no operations were recorded")
         root.add_grad(np.asarray(seed, dtype=np.float64))
-        for op in reversed(self._ops):
-            op()
+        for op, out in reversed(self._ops):
+            if out.grad is not None:
+                op()

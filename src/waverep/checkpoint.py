@@ -104,8 +104,9 @@ def save_model(path, enc: EncoderParameters, dec: DecoderParameters) -> None:
 
 
 def load_model(path) -> tuple[EncoderParameters, DecoderParameters]:
-    """Read a model written by :func:`save_model`, rejecting metadata and
-    array shapes that do not describe one consistent encoder/decoder pair."""
+    """Read a model written by :func:`save_model`, rejecting non-finite
+    parameters, and metadata and array shapes that do not describe one
+    consistent encoder/decoder pair."""
     arrs = load_arrays(path)
     names = ("encoder/kernels", "encoder/dilated_kernels", "decoder/freq", "decoder/phase",
              "decoder/modulator", "meta/stride", "meta/dilation", "meta/square_freq")
@@ -113,6 +114,9 @@ def load_model(path) -> tuple[EncoderParameters, DecoderParameters]:
         if name not in arrs:
             raise CheckpointError(f"{path}: missing array {name!r}")
     kernels, dilated, freq, phase, modulator, stride, dilation, square_freq = (arrs[n] for n in names)
+    for name in names[:5]:
+        if not np.all(np.isfinite(arrs[name])):
+            raise CheckpointError(f"{path}: {name} holds non-finite values")
     for name, value in (("meta/stride", stride), ("meta/dilation", dilation)):
         if value.shape != () or not (np.isfinite(value) and value >= 1 and value == np.floor(value)):
             raise CheckpointError(f"{path}: {name} must be a positive integer, got {value}")

@@ -223,6 +223,18 @@ def cmd_synth_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # the settings are checked before any stem is read or output written
+    cfg = TrainConfig(
+        batch_size=args.batch,
+        epochs=args.epochs,
+        variant=args.loss,
+        loss=LossConfig(omega=args.omega, lam=args.lam, p=args.p,
+                        max_iters=args.sinkhorn_iters, tau=args.tau),
+        seed=args.seed,
+        early_stop=not args.no_early_stop,
+        lr=args.lr,
+        gaussian_std=args.gaussian_std,
+    )
     out = _out_dir(args)
     voice_segs, accomp_segs = [], []
     for _, vp, ap in _discover_stems(args.stems):
@@ -235,17 +247,6 @@ def cmd_train(args) -> int:
     enc = init_encoder(args.components, args.kernel_len, args.kernel2_len,
                        args.stride, args.dilation, seed=args.seed)
     dec = init_decoder(args.components, args.kernel_len, args.stride, args.square_freq)
-    cfg = TrainConfig(
-        batch_size=args.batch,
-        epochs=args.epochs,
-        variant=args.loss,
-        loss=LossConfig(omega=args.omega, lam=args.lam, p=args.p,
-                        max_iters=args.sinkhorn_iters, tau=args.tau),
-        seed=args.seed,
-        early_stop=not args.no_early_stop,
-        lr=args.lr,
-        gaussian_std=args.gaussian_std,
-    )
     result = train(voice_segs, accomp_segs, enc, dec, cfg,
                    log_path=out / "train_log.jsonl",
                    checkpoint_path=out / "checkpoint.bin")

@@ -99,15 +99,13 @@ def build_kernels(
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             g = out.grad
             modulator.add_grad(g * cos_t)
             msin = g * np.sin(theta) * modulator.value
             phase.add_grad(-msin.sum(axis=1))
             dcarrier = 2.0 * freq.value if square_freq else np.ones_like(freq.value)
             freq.add_grad(-(msin * l_idx).sum(axis=1) * 2.0 * np.pi * dcarrier)
-        tape.record(backward)
+        tape.record(backward, out)
     return out
 
 
@@ -129,13 +127,11 @@ def synthesize(
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             # (L, T) in C order: the GEMMs below round by operand layout
             dframes = np.ascontiguousarray(frame(out.grad, wv.shape[1], stride, av.shape[1]).T)
             kernels.add_grad(av @ dframes.T)
             a.add_grad(wv @ dframes)
-        tape.record(backward)
+        tape.record(backward, out)
     return out
 
 

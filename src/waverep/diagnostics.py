@@ -66,23 +66,32 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float =
     return float(np.max(np.abs(a - n) / scale))
 
 
-def _weighted_sum(node: Node, weights: np.ndarray, tape: Tape | None) -> Node:
-    """Reduce a node to a scalar via a fixed random functional."""
-    out = Node(float((node.value * weights).sum()))
-    if tape is not None:
-        def backward():
-            if out.grad is None:
-                return
-            node.add_grad(float(out.grad) * weights)
-        tape.record(backward)
-    return out
+def _check_op(report: dict[str, float], label: str, op: Callable[..., Node],
+              inputs: dict[str, np.ndarray], weights: np.ndarray | None = None) -> None:
+    """Add a ``label/<input>`` entry to ``report`` per input of ``op(*nodes, tape=...)``.
 
+    The output, reduced to a scalar by the fixed random functional ``weights``
+    unless ``op`` already returns one, is taped and replayed; each input's
+    gradient is then compared against central differences of the untaped
+    forward on the same arrays.
+    """
+    def scalar(nodes, tape=None) -> Node:
+        out = op(*nodes, tape=tape)
+        if weights is None:
+            return out
+        total = Node(float((out.value * weights).sum()))
+        if tape is not None:
+            tape.record(lambda: out.add_grad(float(total.grad) * weights), total)
+        return total
 
-def _compare(forward: Callable[[], float], analytic: dict[str, np.ndarray],
-             tensors: dict[str, np.ndarray], out: dict[str, float], prefix: str) -> None:
-    for name, arr in tensors.items():
-        numeric = central_difference(forward, arr)
-        out[f"{prefix}/{name}"] = max_relative_error(analytic[name], numeric)
+    def forward() -> float:
+        return float(scalar([as_node(arr) for arr in inputs.values()]).value)
+
+    tape = Tape()
+    nodes = [Node(arr) for arr in inputs.values()]
+    tape.backward(scalar(nodes, tape))
+    for (name, arr), node in zip(inputs.items(), nodes):
+        report[f"{label}/{name}"] = max_relative_error(node.grad, central_difference(forward, arr))
 
 
 def _toy_model(seed: int) -> tuple[EncoderParameters, DecoderParameters, np.random.Generator]:
@@ -106,24 +115,14 @@ def grad_check_report(seed: int = 0) -> dict[str, float]:
     # --- conv1 -----------------------------------------------------------
     x = rng.uniform(-1, 1, 11)
     k = rng.normal(0, 0.5, (3, 5))
-    r = rng.normal(size=(3, 4))
-    tape = Tape()
-    kn = Node(k)
-    s = _weighted_sum(conv1(x, kn, 3, tape), r, tape)
-    tape.backward(s)
-    _compare(lambda: float((conv1(x, as_node(k), 3).value * r).sum()),
-             {"kernels": kn.grad}, {"kernels": k}, report, "conv1")
+    _check_op(report, "conv1", lambda kn, tape: conv1(x, kn, 3, tape),
+              {"kernels": k}, rng.normal(size=(3, 4)))
 
     # --- conv2 (dilated) ---------------------------------------------------
     h = rng.normal(0, 1, (3, 6))
     kp = rng.normal(0, 0.5, (3, 2, 3))
-    r = rng.normal(size=(3, 6))
-    tape = Tape()
-    hn, kn = Node(h), Node(kp)
-    s = _weighted_sum(conv2_dilated(hn, kn, 2, tape), r, tape)
-    tape.backward(s)
-    _compare(lambda: float((conv2_dilated(as_node(h), as_node(kp), 2).value * r).sum()),
-             {"latent": hn.grad, "kernels": kn.grad}, {"latent": h, "kernels": kp}, report, "conv2")
+    _check_op(report, "conv2", lambda hn, kn, tape: conv2_dilated(hn, kn, 2, tape),
+              {"latent": h, "kernels": kp}, rng.normal(size=(3, 6)))
 
     # --- relu residual (away from the kink) --------------------------------
     while True:
@@ -131,13 +130,8 @@ def grad_check_report(seed: int = 0) -> dict[str, float]:
         h2 = rng.normal(0, 1, (3, 5))
         if np.min(np.abs(h1 + h2)) > 1e-2:
             break
-    r = rng.normal(size=(3, 5))
-    tape = Tape()
-    n1, n2 = Node(h1), Node(h2)
-    s = _weighted_sum(relu_residual(n2, n1, tape), r, tape)
-    tape.backward(s)
-    _compare(lambda: float((relu_residual(as_node(h2), as_node(h1)).value * r).sum()),
-             {"h1": n1.grad, "h2": n2.grad}, {"h1": h1, "h2": h2}, report, "relu_residual")
+    _check_op(report, "relu_residual", lambda n1, n2, tape: relu_residual(n2, n1, tape),
+              {"h1": h1, "h2": h2}, rng.normal(size=(3, 5)))
 
     # --- modulated-cosine kernels ------------------------------------------
     freq = np.array([0.06, 0.19, 0.37]) + rng.uniform(0, 0.02, 3)
@@ -145,61 +139,36 @@ def grad_check_report(seed: int = 0) -> dict[str, float]:
     mod = rng.normal(0.2, 0.1, (3, 8))
     r = rng.normal(size=(3, 8))
     for squared in (True, False):
-        tape = Tape()
-        fn, pn, mn = Node(freq), Node(phase), Node(mod)
-        s = _weighted_sum(build_kernels(fn, pn, mn, squared, tape), r, tape)
-        tape.backward(s)
-        label = "build_kernels" if squared else "build_kernels_nosquare"
-        _compare(
-            lambda: float((build_kernels(as_node(freq), as_node(phase), as_node(mod), squared).value * r).sum()),
-            {"freq": fn.grad, "phase": pn.grad, "modulator": mn.grad},
-            {"freq": freq, "phase": phase, "modulator": mod}, report, label)
+        _check_op(report, "build_kernels" if squared else "build_kernels_nosquare",
+                  lambda fn, pn, mn, tape: build_kernels(fn, pn, mn, squared, tape),
+                  {"freq": freq, "phase": phase, "modulator": mod}, r)
 
     # --- overlap-add synthesis (with truncation) ----------------------------
     a = rng.normal(0, 1, (3, 4))
     w = rng.normal(0, 1, (3, 5))
-    r = rng.normal(size=9)
-    tape = Tape()
-    an, wn = Node(a), Node(w)
-    s = _weighted_sum(synthesize(an, wn, 2, 9, tape), r, tape)
-    tape.backward(s)
-    _compare(lambda: float((synthesize(as_node(a), as_node(w), 2, 9).value * r).sum()),
-             {"representation": an.grad, "kernels": wn.grad},
-             {"representation": a, "kernels": w}, report, "synthesize")
+    _check_op(report, "synthesize", lambda an, wn, tape: synthesize(an, wn, 2, 9, tape),
+              {"representation": a, "kernels": w}, rng.normal(size=9))
 
     # --- neg-SNR (away from the floor) --------------------------------------
     ref = rng.uniform(-1, 1, 16)
     est = ref + 0.3 * rng.normal(0, 1, 16)
-    tape = Tape()
-    en = Node(est)
-    loss = neg_snr(ref, en, tape=tape)
-    tape.backward(loss)
-    _compare(lambda: float(neg_snr(ref, as_node(est)).value),
-             {"estimate": en.grad}, {"estimate": est}, report, "neg_snr")
+    _check_op(report, "neg_snr", lambda en, tape: neg_snr(ref, en, tape), {"estimate": est})
 
     # --- total variation (away from ties) -----------------------------------
     while True:
         a = rng.normal(0, 1, (4, 5))
         if min(np.min(np.abs(np.diff(a, axis=0))), np.min(np.abs(np.diff(a, axis=1)))) > 1e-3:
             break
-    tape = Tape()
-    an = Node(a)
-    loss = tv_loss(an, tape)
-    tape.backward(loss)
-    _compare(lambda: float(tv_loss(as_node(a)).value),
-             {"representation": an.grad}, {"representation": a}, report, "tv_loss")
+    _check_op(report, "tv_loss", tv_loss, {"representation": a})
 
     # --- Sinkhorn loss with the plan held fixed ------------------------------
     for p in (1, 2):
         a = _separated_representation(rng, 3, 4)
         cfg = LossConfig(lam=2.0, p=p, max_iters=2000, tau=1e-10)
         _, plan = sinkhorn_loss(as_node(a), cfg)
-        tape = Tape()
-        an = Node(a)
-        loss, _ = sinkhorn_loss(an, cfg, tape, plan=plan)
-        tape.backward(loss)
-        _compare(lambda: float(sinkhorn_loss(as_node(a), cfg, plan=plan)[0].value),
-                 {"representation": an.grad}, {"representation": a}, report, f"sinkhorn_loss_p{p}")
+        _check_op(report, f"sinkhorn_loss_p{p}",
+                  lambda an, tape: sinkhorn_loss(an, cfg, tape, plan=plan)[0],
+                  {"representation": a})
 
     # --- end-to-end training objectives --------------------------------------
     for variant in ("tv", "sinkhorn"):

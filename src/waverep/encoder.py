@@ -85,10 +85,8 @@ def conv1(x: np.ndarray, kernels: Node, stride: int, tape: Tape | None = None,
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             kernels.add_grad(out.grad @ win)
-        tape.record(backward)
+        tape.record(backward, out)
     return out
 
 
@@ -117,8 +115,6 @@ def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = Non
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             g = out.grad
             dk = np.empty_like(kp)
             dhp = np.zeros_like(hp)
@@ -128,7 +124,7 @@ def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = Non
                 dhp[:, off : off + n] += kp[:, tap, :].T @ g
             kernels.add_grad(dk)
             h.add_grad(dhp[:, :t])
-        tape.record(backward)
+        tape.record(backward, out)
     return out
 
 
@@ -148,12 +144,10 @@ def relu_residual(h2: Node, h1: Node, tape: Tape | None = None, linear: bool = F
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             g = out.grad if mask is None else out.grad * mask
             h1.add_grad(g)
             h2.add_grad(g)
-        tape.record(backward)
+        tape.record(backward, out)
     return out
 
 

@@ -19,7 +19,7 @@ from .autodiff import as_node
 from .dataset import ACTIVITY_EPS, SAMPLE_RATE, frame, is_active, overlap_add, segment
 from .decoder import DecoderParameters, kernel_matrix, synthesize
 from .encoder import EncoderParameters, encode_values
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 STFT_WINDOW = 2048
 STFT_HOP = 256
@@ -34,12 +34,14 @@ def si_sdr(ref: np.ndarray, est: np.ndarray) -> float:
     so the measure is invariant to (nonzero) rescaling of the estimate.  The
     result is clamped to [-SI_SDR_CAP_DB, SI_SDR_CAP_DB]: a vanishing residual
     scores the cap, and a silent or orthogonal estimate (zero projection)
-    scores its negative.
+    scores its negative.  A non-finite estimate raises :class:`NumericalError`.
     """
     ref = np.asarray(ref, dtype=np.float64)
     est = np.asarray(est, dtype=np.float64)
     if ref.shape != est.shape:
         raise ValueError("signals must have equal length")
+    if not np.all(np.isfinite(est)):
+        raise NumericalError("si_sdr: the estimate is not finite")
     energy = float(ref @ ref)
     if energy == 0.0:
         raise ValueError("si_sdr reference signal is all-zero")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Node, Tape, as_node
-from .errors import SaturationError
+from .errors import NumericalError, SaturationError
 
 _LN10 = math.log(10.0)
 
@@ -34,14 +34,14 @@ class LossConfig:
     tau: float = 1e-6         # Sinkhorn termination threshold on marginal error
 
     def __post_init__(self):
-        if self.omega < 0:
-            raise ValueError("omega must be >= 0")
-        if self.lam <= 0:
-            raise ValueError("lam must be > 0")
+        if not (math.isfinite(self.omega) and self.omega >= 0):
+            raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
         if self.p not in (1, 2):
             raise ValueError("p must be 1 or 2")
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -70,7 +70,8 @@ def neg_snr(x: np.ndarray, est, tape: Tape | None = None) -> Node:
     """Negative signal-to-noise ratio in dB: -10*log10(||x||^2 / ||x - est||^2).
 
     Clamped at ``SNR_FLOOR_DB`` when the residual (nearly) vanishes; on the
-    clamped plateau the gradient is zero.
+    clamped plateau the gradient is zero.  A non-finite estimate raises
+    :class:`NumericalError` rather than scoring as perfect.
     """
     x = np.asarray(x, dtype=np.float64)
     est_node = as_node(est)
@@ -81,16 +82,18 @@ def neg_snr(x: np.ndarray, est, tape: Tape | None = None) -> Node:
         raise ValueError("neg_snr reference signal is all-zero")
     diff = x - est_node.value
     resid = float(diff @ diff)
+    if not math.isfinite(resid):
+        raise NumericalError(f"neg_snr: the estimate is not finite (residual energy {resid})")
     raw = -10.0 * math.log10(energy / resid) if resid > 0.0 else -math.inf
     capped = raw < SNR_FLOOR_DB
     out = Node(SNR_FLOOR_DB if capped else raw)
 
     if tape is not None:
         def backward():
-            if out.grad is None or capped:
+            if capped:
                 return
             est_node.add_grad(float(out.grad) * (-20.0 / _LN10) * diff / resid)
-        tape.record(backward)
+        tape.record(backward, out)
     return out
 
 
@@ -108,8 +111,6 @@ def tv_loss(a, tape: Tape | None = None) -> Node:
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             g = float(out.grad) / (c * t)
             grad = np.zeros_like(av)
             sc = np.sign(dc)  # subgradient 0 at ties
@@ -119,7 +120,7 @@ def tv_loss(a, tape: Tape | None = None) -> Node:
             grad[:, 1:] += st
             grad[:, :-1] -= st
             a_node.add_grad(g * grad)
-        tape.record(backward)
+        tape.record(backward, out)
     return out
 
 
@@ -136,12 +137,10 @@ def normalize_simplex(a, tape: Tape | None = None) -> Node:
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             g = out.grad
             dot = (g * out.value).sum(axis=0)
             a_node.add_grad((g - dot) / den)
-        tape.record(backward)
+        tape.record(backward, out)
     return out
 
 
@@ -223,8 +222,6 @@ def _plan_cost_inner(ao: Node, m: np.ndarray, plan: np.ndarray, p: int, tape: Ta
 
     if tape is not None:
         def backward():
-            if out.grad is None:
-                return
             q = float(out.grad) * (plan + plan.T)  # symmetric
             av = ao.value
             if p == 1:
@@ -243,7 +240,7 @@ def _plan_cost_inner(ao: Node, m: np.ndarray, plan: np.ndarray, p: int, tape: Ta
                 w = np.divide(q, m, out=np.zeros_like(q), where=m > 0)
                 grad = av * w.sum(axis=1) - av @ w
             ao.add_grad(grad)
-        tape.record(backward)
+        tape.record(backward, out)
     return out
 
 
@@ -295,9 +292,7 @@ def total_loss(
     total = Node(float(rec.value) + cfg.omega * float(rep.value))
     if tape is not None:
         def backward():
-            if total.grad is None:
-                return
             rec.add_grad(total.grad)
             rep.add_grad(cfg.omega * total.grad)
-        tape.record(backward)
+        tape.record(backward, total)
     return LossBreakdown(total, float(rec.value), float(rep.value), plan_out)

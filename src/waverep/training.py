@@ -7,6 +7,7 @@ loss, and deterministic behavior as a function of (seed, config, data).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Sequence
@@ -77,8 +78,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
-        if self.gaussian_std < 0:
-            raise ValueError("gaussian_std must be >= 0")
+        if self.variant not in ("tv", "sinkhorn"):
+            raise ValueError(f"unknown loss variant {self.variant!r} (expected 'tv' or 'sinkhorn')")
+        for name in ("lr", "gaussian_std"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass

@@ -85,6 +85,25 @@ class TestExitCodes:
         assert not (out / "train_log.jsonl").exists()
         assert not (out / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("flags, config", [
+        pytest.param(["--loss", "sinkhorn", "--lambda", "nan"], None, id="lambda-nan"),
+        pytest.param(["--omega", "nan"], None, id="omega-nan"),
+        pytest.param(["--gaussian-std", "nan"], None, id="gaussian-std-nan"),
+        pytest.param(["--loss", "sinkhorn", "--tau", "nan"], None, id="tau-nan"),
+        pytest.param(["--lr", "nan"], None, id="lr-nan"),
+        pytest.param(["--lr", "-1"], None, id="lr-negative"),
+        pytest.param([], "loss=bogus\n", id="config-loss-bogus"),
+    ])
+    def test_bad_training_setting_is_data_error(self, stems_dir, tmp_path, flags, config):
+        # refused when the configuration is built, before training starts
+        out = tmp_path / "o"
+        if config is not None:
+            (tmp_path / "train.cfg").write_text(config)
+            flags = flags + ["--config", str(tmp_path / "train.cfg")]
+        assert run(["train", "--stems", str(stems_dir), "--out", str(out),
+                    "--components", "8", "--kernel-len", "32", "--epochs", "1"] + flags) == 2
+        assert not (out / "train_log.jsonl").exists()
+
     def test_zero_duration_synth_is_data_error(self, tmp_path):
         assert run(["synth-data", "--out", str(tmp_path / "o"), "--duration", "0"]) == 2
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from waverep.dataset import SAMPLE_RATE
 from waverep.decoder import DecoderParameters
 from waverep.encoder import EncoderParameters, encode_values, init_encoder
-from waverep.errors import DataError
+from waverep.errors import DataError, NumericalError
 from waverep.evaluation import (
     additivity,
     binary_mask,
@@ -52,6 +52,14 @@ class TestSiSdr:
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError):
             si_sdr(np.zeros(5), np.ones(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_estimate_raises_instead_of_scoring_the_cap(self, rng, bad):
+        x = rng.uniform(-1, 1, 100)
+        est = x.copy()
+        est[3] = bad
+        with pytest.raises(NumericalError, match="not finite"):
+            si_sdr(x, est)
 
 
 class TestBinaryMask:

@@ -23,6 +23,19 @@ def test_every_op_matches_finite_differences():
         assert err < GRAD_TOLERANCE, f"{name}: {err:.3e}"
 
 
+def test_report_covers_every_op_and_input():
+    # each check the harness runs is named here, so dropping one fails the test
+    params = ["dilated_kernels", "freq", "kernels", "modulator", "phase"]
+    assert sorted(grad_check_report(seed=0)) == sorted(
+        ["conv1/kernels", "conv2/kernels", "conv2/latent", "relu_residual/h1", "relu_residual/h2"]
+        + [f"{label}/{name}" for label in ("build_kernels", "build_kernels_nosquare")
+           for name in ("freq", "modulator", "phase")]
+        + ["synthesize/kernels", "synthesize/representation", "neg_snr/estimate",
+           "tv_loss/representation", "sinkhorn_loss_p1/representation",
+           "sinkhorn_loss_p2/representation"]
+        + [f"total_{variant}/{name}" for variant in ("tv", "sinkhorn") for name in params])
+
+
 def test_end_to_end_gradients_come_from_the_training_step(monkeypatch):
     # the total_* entries differentiate training.batch_gradients itself, not a copy
     real = waverep.training.batch_gradients
@@ -59,9 +72,8 @@ def test_phase_gradient_zero_at_cos_stationary_point():
     s = Node(float(w.value.sum()))
 
     def backward():
-        if s.grad is not None:
-            w.add_grad(float(s.grad) * np.ones_like(w.value))
-    tape.record(backward)
+        w.add_grad(float(s.grad) * np.ones_like(w.value))
+    tape.record(backward, s)
     tape.backward(s)
     np.testing.assert_array_equal(phase.grad, np.zeros(2))
 
@@ -85,16 +97,34 @@ def test_shared_node_accumulates(rng):
     total = Node(float(l1.value) + float(l2.value))
 
     def backward():
-        if total.grad is not None:
-            l1.add_grad(total.grad)
-            l2.add_grad(total.grad)
-    tape.record(backward)
+        l1.add_grad(total.grad)
+        l2.add_grad(total.grad)
+    tape.record(backward, total)
     tape.backward(total)
     single_tape = Tape()
     b = Node(a.value.copy())
     tv_single = tv_loss(b, single_tape)
     single_tape.backward(tv_single)
     np.testing.assert_allclose(a.grad, 2.0 * b.grad, rtol=1e-12)
+
+
+def test_backward_skips_ops_whose_output_got_no_gradient():
+    def fail():
+        raise RuntimeError("backward ran")
+
+    unreached, root = Node(2.0), Node(3.0)
+    tape = Tape()
+    tape.record(fail, unreached)
+    tape.record(lambda: None, root)
+    tape.backward(root)  # nothing reached `unreached`, so fail() is skipped
+
+    # once a gradient reaches the node, its op runs
+    reached, root = Node(2.0), Node(3.0)
+    tape = Tape()
+    tape.record(fail, reached)
+    tape.record(lambda: reached.add_grad(root.grad), root)
+    with pytest.raises(RuntimeError, match="backward ran"):
+        tape.backward(root)
 
 
 def test_empty_tape_rejected():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from waverep.autodiff import as_node
 from waverep.diagnostics import assignment_cost, random_cost_matrix
-from waverep.errors import SaturationError
+from waverep.errors import NumericalError, SaturationError
 from waverep.autodiff import Tape
 from waverep.losses import (
     LossConfig,
@@ -44,6 +44,14 @@ class TestNegSnr:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             neg_snr(np.ones(3), np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_estimate_raises_instead_of_scoring_the_floor(self, rng, bad):
+        x = rng.uniform(-1, 1, 50)
+        est = x.copy()
+        est[7] = bad
+        with pytest.raises(NumericalError, match="not finite"):
+            neg_snr(x, est)
 
 
 class TestTvLoss:
@@ -332,5 +340,9 @@ def test_loss_config_validation():
         LossConfig(p=3)
     with pytest.raises(ValueError):
         LossConfig(tau=0.0)
+    for name in ("omega", "lam", "tau"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                LossConfig(**{name: bad})
     with pytest.raises(ValueError, match="max_iters"):
         LossConfig(max_iters=0)

@@ -381,6 +381,15 @@ class TestLoadModelValidation:
         with pytest.raises(CheckpointError, match="shapes"):
             load_model(self._write(tmp_path, **{name: np.zeros(shape)}))
 
+    @pytest.mark.parametrize("name", ["encoder/kernels", "encoder/dilated_kernels",
+                                      "decoder/freq", "decoder/phase", "decoder/modulator"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_parameters_must_be_finite(self, tmp_path, name, bad):
+        arr = load_arrays(self._write(tmp_path))[name]
+        arr.flat[-1] = bad
+        with pytest.raises(CheckpointError, match=f"{name} holds non-finite values"):
+            load_model(self._write(tmp_path, **{name: arr}))
+
     def test_missing_array(self, tmp_path):
         path = self._write(tmp_path)
         arrays = load_arrays(path)
@@ -405,6 +414,19 @@ def test_train_config_validation():
 def test_negative_noise_level_rejected(std):
     with pytest.raises(ValueError, match="gaussian_std"):
         TrainConfig(gaussian_std=std)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("lr", np.nan), ("lr", np.inf), ("lr", -1.0),
+    ("gaussian_std", np.nan), ("gaussian_std", np.inf), ("variant", "bogus"),
+])
+def test_bad_training_setting_rejected(name, value):
+    with pytest.raises(ValueError, match=name if name != "variant" else "unknown loss variant"):
+        TrainConfig(**{name: value})
+
+
+def test_zero_learning_rate_allowed():
+    assert TrainConfig(lr=0.0).lr == 0.0
 
 
 def test_zero_noise_level_allowed():
