@@ -24,7 +24,7 @@ from .encoder import encode_chunks, encode_values, init_encoder, num_frames
 from .errors import DataError, NumericalError
 from .evaluation import evaluate, oracle_separate, si_sdr
 from .export import export_representation
-from .losses import LossConfig, neg_snr
+from .losses import DISTANCE_EXPONENTS, LOSS_VARIANTS, LossConfig, neg_snr
 from .training import TrainConfig, train
 from .wavio import write_wav
 
@@ -38,8 +38,8 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
-        # an abbreviated flag would slip past the config file's exact-spelling
-        # match and let the file override it, so abbreviations are refused
+        # an abbreviation that is unique today can become ambiguous, or name
+        # another flag, once a flag is added, so flags are spelled in full
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):  # exit 1 on usage errors instead of argparse's 2
@@ -53,6 +53,7 @@ def _on_off(value: str) -> bool:
 
 
 def build_parser() -> _Parser:
+    # the train and loss defaults and choices are read from TrainConfig/LossConfig
     parser = _Parser(prog="waverep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -66,17 +67,18 @@ def build_parser() -> _Parser:
                        help="square the normalized carrier frequencies (default on)")
 
     def add_loss_flags(p):
-        p.add_argument("--loss", choices=("tv", "sinkhorn"), default="tv",
+        p.add_argument("--loss", choices=LOSS_VARIANTS, default=TrainConfig.variant,
                        help="representation loss")
-        p.add_argument("--omega", type=float, default=1.0, help="representation loss weight")
-        p.add_argument("--lambda", dest="lam", type=float, default=0.5,
+        p.add_argument("--omega", type=float, default=LossConfig.omega,
+                       help="representation loss weight")
+        p.add_argument("--lambda", dest="lam", type=float, default=LossConfig.lam,
                        help="Gibbs-kernel scale in K = exp(-lambda*M); the entropic "
                             "regularization strength is 1/lambda, so a smaller lambda "
                             "regularizes more")
-        p.add_argument("--p", type=int, choices=(1, 2), default=1,
+        p.add_argument("--p", type=int, choices=DISTANCE_EXPONENTS, default=LossConfig.p,
                        help="pairwise frame-distance exponent")
-        p.add_argument("--sinkhorn-iters", type=int, default=100)
-        p.add_argument("--tau", type=float, default=1e-6)
+        p.add_argument("--sinkhorn-iters", type=int, default=LossConfig.max_iters)
+        p.add_argument("--tau", type=float, default=LossConfig.tau)
 
     p = sub.add_parser("synth-data", help="generate deterministic synthetic stems")
     p.add_argument("--out", required=True)
@@ -88,11 +90,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the autoencoder on paired stems")
     p.add_argument("--stems", required=True, help="directory of *_voice.wav / *_accomp.wav pairs")
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--gaussian-std", type=float, default=1e-4)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--gaussian-std", type=float, default=TrainConfig.gaussian_std)
     p.add_argument("--no-early-stop", action="store_true")
     p.add_argument("--config", help="key=value config file; flags override it")
     add_loss_flags(p)
@@ -141,22 +143,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(args, argv: list[str]) -> None:
-    """Fill in values from a key=value file for flags absent from argv."""
+def _parse_with_config(parser: _Parser, argv: list[str]):
+    """Parse argv with each key=value line of its --config file read as a
+    --key=value flag placed before the command line, which therefore wins."""
+    args = parser.parse_args(argv)
     if getattr(args, "config", None) is None:
-        return
+        return args
     path = Path(args.config)
     if not path.is_file():
         raise DataError(f"config file not found: {path}")
-    casts = {
-        "loss": str, "omega": float, "lam": float, "p": int,
-        "sinkhorn_iters": int, "tau": float,
-        "epochs": int, "batch": int, "seed": int, "lr": float,
-        "gaussian_std": float, "components": int, "stride": int,
-        "kernel_len": int, "kernel2_len": int, "dilation": int,
-        "square_freq": _on_off,
-    }
-    alias = {"lambda": "lam"}
+    flags = []
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -164,32 +160,23 @@ def _apply_config_file(args, argv: list[str]) -> None:
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        dest = alias.get(key.strip(), key.strip().replace("-", "_"))
-        if dest not in casts:
-            raise DataError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
-        flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
-        if any(tok == flag or tok.startswith(flag + "=") for tok in argv):
-            continue  # explicit flag wins
+        flag = f"--{key.strip().replace('_', '-')}={value.strip()}"
         try:
-            setattr(args, dest, casts[dest](value.strip()))
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise DataError(f"{path}:{lineno}: bad value for {key.strip()!r}: {exc}") from exc
-
-
-def _echo_config(out_dir: Path, args) -> None:
-    skip = {"func", "command", "config"}
-    lines = [f"command={args.command}"]
-    for key in sorted(vars(args)):
-        if key in skip:
-            continue
-        lines.append(f"{key}={getattr(args, key)}")
-    (out_dir / "run_config.txt").write_text("\n".join(lines) + "\n")
+            parser.parse_args([argv[0], flag] + argv[1:])
+        except UsageError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        flags.append(flag)
+    return parser.parse_args(argv[:1] + flags + argv[1:])
 
 
 def _out_dir(args) -> Path:
+    """Make the output directory and echo the resolved configuration into it."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _echo_config(out, args)
+    lines = [f"command={args.command}"] + [
+        f"{key}={value}" for key, value in sorted(vars(args).items())
+        if key not in ("func", "command", "config")]
+    (out / "run_config.txt").write_text("\n".join(lines) + "\n")
     return out
 
 
@@ -216,14 +203,15 @@ def _score_db(metric, ref: np.ndarray, est: np.ndarray) -> str:
 
 
 def cmd_synth_data(args) -> int:
+    # synth_data checks its settings before it makes the directory
+    pairs = synth.synth_data(args.out, seed=args.seed, n_tracks=args.tracks, duration=args.duration)
     out = _out_dir(args)
-    pairs = synth.synth_data(out, seed=args.seed, n_tracks=args.tracks, duration=args.duration)
     print(f"wrote {2 * len(pairs)} stems to {out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    # the settings are checked before any stem is read or output written
+    # settings and model are checked before any stem is read, stems before any output
     cfg = TrainConfig(
         batch_size=args.batch,
         epochs=args.epochs,
@@ -235,7 +223,9 @@ def cmd_train(args) -> int:
         lr=args.lr,
         gaussian_std=args.gaussian_std,
     )
-    out = _out_dir(args)
+    enc = init_encoder(args.components, args.kernel_len, args.kernel2_len,
+                       args.stride, args.dilation, seed=args.seed)
+    dec = init_decoder(args.components, args.kernel_len, args.stride, args.square_freq)
     voice_segs, accomp_segs = [], []
     for _, vp, ap in _discover_stems(args.stems):
         voice_segs.extend(segment(load_and_downmix(vp), TRAIN_SEGMENT_LEN, TRAIN_HOP))
@@ -244,9 +234,7 @@ def cmd_train(args) -> int:
     if not voice_segs:
         raise DataError("all voice segments are silent")
 
-    enc = init_encoder(args.components, args.kernel_len, args.kernel2_len,
-                       args.stride, args.dilation, seed=args.seed)
-    dec = init_decoder(args.components, args.kernel_len, args.stride, args.square_freq)
+    out = _out_dir(args)
     result = train(voice_segs, accomp_segs, enc, dec, cfg,
                    log_path=out / "train_log.jsonl",
                    checkpoint_path=out / "checkpoint.bin")
@@ -354,8 +342,7 @@ def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config_file(args, argv)
+        args = _parse_with_config(parser, argv)
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -24,12 +24,16 @@ _LN10 = math.log(10.0)
 #: neg-SNR cap for (near-)perfect reconstruction, in dB
 SNR_FLOOR_DB = -120.0
 
+#: the representation losses, and the allowed exponents of the pairwise frame distance
+LOSS_VARIANTS = ("tv", "sinkhorn")
+DISTANCE_EXPONENTS = (1, 2)
+
 
 @dataclass(frozen=True)
 class LossConfig:
     omega: float = 1.0        # weight of the representation loss
     lam: float = 0.5          # K = exp(-lam*M) (> 0); regularization strength is 1/lam
-    p: int = 1                # exponent of the pairwise frame distance (1 or 2)
+    p: int = 1                # pairwise frame-distance exponent, one of DISTANCE_EXPONENTS
     max_iters: int = 100      # Sinkhorn iteration cap
     tau: float = 1e-6         # Sinkhorn termination threshold on marginal error
 
@@ -38,8 +42,8 @@ class LossConfig:
             raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be finite and > 0, got {self.lam}")
-        if self.p not in (1, 2):
-            raise ValueError("p must be 1 or 2")
+        if self.p not in DISTANCE_EXPONENTS:
+            raise ValueError(f"p must be one of {DISTANCE_EXPONENTS}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if self.max_iters < 1:
@@ -150,8 +154,8 @@ def pairwise_cost(ao: np.ndarray, p: int = 1) -> np.ndarray:
     Each frame pair is computed once, so M is exactly symmetric with an
     exactly zero diagonal; it satisfies the triangle inequality.
     """
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
+    if p not in DISTANCE_EXPONENTS:
+        raise ValueError(f"p must be one of {DISTANCE_EXPONENTS}")
     at = np.ascontiguousarray(np.asarray(ao, dtype=np.float64).T)  # (T, C): frames as rows
     t = at.shape[0]
     m = np.zeros((t, t))
@@ -287,7 +291,7 @@ def total_loss(
     elif variant == "sinkhorn":
         rep, plan_out = sinkhorn_loss(a_m, cfg, tape, plan)
     else:
-        raise ValueError(f"unknown loss variant {variant!r} (expected 'tv' or 'sinkhorn')")
+        raise ValueError(f"unknown loss variant {variant!r} (expected one of {LOSS_VARIANTS})")
 
     total = Node(float(rec.value) + cfg.omega * float(rep.value))
     if tape is not None:

@@ -8,6 +8,7 @@ float32 WAV files at 44100 Hz and are a pure function of the seed.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,10 @@ def synth_data(
     duration: float = 6.0,
 ) -> list[tuple[Path, Path]]:
     """Write paired voice/accompaniment stems, returning the file paths."""
+    if not math.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration}")
+    if n_tracks < 1:
+        raise ValueError(f"n_tracks must be >= 1, got {n_tracks}")
     n = int(duration * SAMPLE_RATE)
     if n < 1:
         raise ValueError(f"duration {duration} s is shorter than one sample")

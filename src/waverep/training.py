@@ -20,7 +20,7 @@ from .dataset import TrainingPair, make_training_pairs
 from .decoder import DecoderParameters, build_kernels, kernel_matrix, synthesize
 from .encoder import EncoderParameters, encode
 from .errors import NumericalError
-from .losses import LossBreakdown, LossConfig, neg_snr, total_loss
+from .losses import LOSS_VARIANTS, LossBreakdown, LossConfig, neg_snr, total_loss
 
 
 ADAM_BETA1 = 0.9
@@ -68,7 +68,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
 class TrainConfig:
     batch_size: int = 8
     epochs: int = 10
-    variant: str = "tv"            # "tv" or "sinkhorn"
+    variant: str = "tv"            # one of LOSS_VARIANTS
     loss: LossConfig = field(default_factory=LossConfig)
     seed: int = 0
     early_stop: bool = True
@@ -78,8 +78,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
-        if self.variant not in ("tv", "sinkhorn"):
-            raise ValueError(f"unknown loss variant {self.variant!r} (expected 'tv' or 'sinkhorn')")
+        if self.variant not in LOSS_VARIANTS:
+            raise ValueError(f"unknown loss variant {self.variant!r} (expected one of {LOSS_VARIANTS})")
         for name in ("lr", "gaussian_std"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

@@ -6,13 +6,15 @@ import pytest
 import waverep.cli
 from waverep.autodiff import as_node
 from waverep.checkpoint import load_arrays, load_model, save_arrays, save_model
-from waverep.cli import run
+from waverep.cli import build_parser, run
 from waverep.dataset import SAMPLE_RATE, load_and_downmix
 from waverep.decoder import decode_values, init_decoder, kernel_matrix, synthesize
 from waverep.encoder import CHUNK_FRAMES, encode, encode_values, init_encoder
 from waverep.evaluation import oracle_separate
 from waverep.export import read_representation_csv
+from waverep.losses import LossConfig
 from waverep.synth import synth_data
+from waverep.training import TrainConfig
 from waverep.wavio import write_wav
 
 from conftest import _wav_bytes, write_pcm16
@@ -106,6 +108,39 @@ class TestExitCodes:
 
     def test_zero_duration_synth_is_data_error(self, tmp_path):
         assert run(["synth-data", "--out", str(tmp_path / "o"), "--duration", "0"]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--duration", "inf"], id="duration-inf"),
+        pytest.param(["--duration", "nan"], id="duration-nan"),
+        pytest.param(["--tracks", "0"], id="tracks-0"),
+        pytest.param(["--tracks", "-2"], id="tracks-negative"),
+    ])
+    def test_bad_synth_setting_writes_nothing(self, tmp_path, flags):
+        out = tmp_path / "o"
+        assert run(["synth-data", "--out", str(out)] + flags) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stems, flags", [
+        pytest.param("synth", ["--components", "1"], id="one-component"),
+        pytest.param("synth", ["--kernel2-len", "0"], id="kernel2-len-0"),
+        pytest.param("missing", [], id="missing-stems"),
+        pytest.param("silent", [], id="silent-voice"),
+    ])
+    def test_refused_train_writes_nothing(self, stems_dir, tmp_path, monkeypatch, stems, flags):
+        # the model is checked before any stem is read, the stems before any output
+        path = {"synth": stems_dir, "missing": tmp_path / "none", "silent": tmp_path / "silent"}[stems]
+        if stems == "silent":
+            path.mkdir()
+            write_wav(path / "track00_voice.wav", np.zeros(SAMPLE_RATE))
+            write_wav(path / "track00_accomp.wav", np.full(SAMPLE_RATE, 0.1))
+        reads = []
+        monkeypatch.setattr(waverep.cli, "load_and_downmix",
+                            lambda p: reads.append(p) or load_and_downmix(p))
+        out = tmp_path / "o"
+        assert run(["train", "--stems", str(path), "--out", str(out)] + flags) == 2
+        assert not out.exists()
+        if flags:
+            assert reads == []
 
     def test_evaluate_needs_exactly_one_frontend(self, stems_dir, tmp_path):
         assert run(["evaluate", "--stems", str(stems_dir), "--out", str(tmp_path / "o")]) == 1
@@ -307,8 +342,8 @@ class TestConfigFile:
         assert "square_freq=False" in text
 
     def test_abbreviated_flag_is_usage_error(self, stems_dir, tmp_path):
-        # argparse would expand --lam/--epoch, but the config file only sees
-        # exact spellings and would override them, so abbreviations are refused
+        # argparse would expand --lam/--epoch, but an abbreviation can change
+        # meaning when a flag is added, so abbreviations are refused
         cfg = tmp_path / "run.cfg"
         cfg.write_text("lambda=0.5\nepochs=1\n")
         out = tmp_path / "out"
@@ -321,6 +356,51 @@ class TestConfigFile:
         cfg.write_text("warp-speed=9\n")
         assert run(["train", "--stems", str(stems_dir), "--out", str(tmp_path / "o"),
                     "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("flags, lam", [([], "0.1"), (["--lambda", "0.3"], "0.3")],
+                             ids=["file", "flag-wins"])
+    def test_lambda_and_underscore_keys(self, stems_dir, tmp_path, flags, lam):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda=0.1\nkernel_len=64\ncomponents=8\nepochs=1\n")
+        out = tmp_path / "out"
+        assert run(["train", "--stems", str(stems_dir), "--out", str(out),
+                    "--config", str(cfg)] + flags) == 0
+        text = (out / "run_config.txt").read_text()
+        assert f"lam={lam}\n" in text
+        assert "kernel_len=64\n" in text
+
+    @pytest.mark.parametrize("line", ["p=3", "square-freq=maybe", "epochs=two"])
+    def test_bad_config_value_names_file_and_line(self, stems_dir, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# sweep point\n{line}\n")
+        out = tmp_path / "o"
+        assert run(["train", "--stems", str(stems_dir), "--out", str(out),
+                    "--config", str(cfg)]) == 2
+        assert f"{cfg}:2: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_run_matches_flag_run(self, stems_dir, tmp_path):
+        settings = {"components": "8", "kernel-len": "32", "epochs": "1", "batch": "3",
+                    "loss": "sinkhorn", "lambda": "0.3", "seed": "4"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        flags = [t for k, v in settings.items() for t in (f"--{k}", v)]
+        for name, extra in (("flags", flags), ("config", ["--config", str(cfg)])):
+            assert run(["train", "--stems", str(stems_dir), "--out", str(tmp_path / name),
+                        "--no-early-stop"] + extra) == 0
+        for artifact in ("checkpoint.bin", "train_log.jsonl"):
+            assert ((tmp_path / "flags" / artifact).read_bytes()
+                    == (tmp_path / "config" / artifact).read_bytes())
+
+    def test_train_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["train", "--stems", "s", "--out", "o"])
+        train, loss = TrainConfig(), LossConfig()
+        assert (args.epochs, args.batch, args.seed, args.lr, args.gaussian_std, args.loss,
+                not args.no_early_stop) == (train.epochs, train.batch_size, train.seed,
+                                            train.lr, train.gaussian_std, train.variant,
+                                            train.early_stop)
+        assert (args.omega, args.lam, args.p, args.sinkhorn_iters, args.tau) == (
+            loss.omega, loss.lam, loss.p, loss.max_iters, loss.tau)
 
 
 class TestDeterminism:

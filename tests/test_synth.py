@@ -43,6 +43,17 @@ def test_zero_duration_rejected(tmp_path):
     assert not (tmp_path / "none").exists()
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"duration": float("inf")}, "duration"),
+    ({"duration": float("nan")}, "duration"),
+    ({"n_tracks": 0}, "n_tracks"),
+])
+def test_bad_setting_rejected_before_writing(tmp_path, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        synth_data(tmp_path / "none", **kwargs)
+    assert not (tmp_path / "none").exists()
+
+
 def test_one_millisecond_still_writes_stems(tmp_path):
     for path in synth_data(tmp_path, seed=0, n_tracks=1, duration=0.001)[0]:
         assert load_and_downmix(path).size == 44
