@@ -69,3 +69,21 @@ class Tape:
         for op, out in reversed(self._ops):
             if out.grad is not None:
                 op()
+
+
+def split_columns(a: Node, n: int, tape: Tape | None = None) -> list[Node]:
+    """The ``n`` equal column blocks of ``a`` as nodes of their own, such as
+    the per-signal representations of a stack that :func:`encoder.encode`
+    returned.  Each block's gradient lands in its columns of ``a.grad``."""
+    if a.shape[1] % n:
+        raise ValueError(f"{a.shape[1]} columns do not split into {n} equal blocks")
+    t = a.shape[1] // n
+    parts = [Node(a.value[:, k * t : (k + 1) * t]) for k in range(n)]
+    if tape is not None:
+        for k, part in enumerate(parts):
+            def backward(cols=slice(k * t, (k + 1) * t), part=part):
+                if a.grad is None:
+                    a.grad = np.zeros_like(a.value)
+                a.grad[:, cols] += part.grad
+            tape.record(backward, part)
+    return parts

@@ -143,15 +143,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _switches(parser: _Parser, command: str) -> set[str]:
+    """The on/off flags (store-true actions, such as --no-early-stop) of ``command``."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices[command]._actions
+            if isinstance(action, argparse._StoreTrueAction) for opt in action.option_strings}
+
+
 def _parse_with_config(parser: _Parser, argv: list[str]):
     """Parse argv with each key=value line of its --config file read as a
-    --key=value flag placed before the command line, which therefore wins."""
+    --key=value flag placed before the command line, which therefore wins.
+    A switch reads ``on`` (the bare flag) or ``off`` (no flag)."""
     args = parser.parse_args(argv)
     if getattr(args, "config", None) is None:
         return args
     path = Path(args.config)
     if not path.is_file():
         raise DataError(f"config file not found: {path}")
+    switches = _switches(parser, args.command)
     flags = []
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         line = line.strip()
@@ -160,7 +169,14 @@ def _parse_with_config(parser: _Parser, argv: list[str]):
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        flag = f"--{key.strip().replace('_', '-')}={value.strip()}"
+        flag, value = f"--{key.strip().replace('_', '-')}", value.strip()
+        if flag in switches:
+            if value not in ("on", "off"):
+                raise DataError(f"{path}:{lineno}: switch {flag} expects on or off, got {value!r}")
+            if value == "off":
+                continue
+        else:
+            flag = f"{flag}={value}"
         try:
             parser.parse_args([argv[0], flag] + argv[1:])
         except UsageError as exc:
@@ -247,9 +263,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    out = _out_dir(args)
+    # the model and the input are read before the output directory is made
     enc, _ = checkpoint.load_model(args.checkpoint)
     x = load_and_downmix(args.input)
+    out = _out_dir(args)
     a = encode_values(x, enc)
     csv_path = out / (Path(args.input).stem + "_rep.csv")
     np.savetxt(csv_path, a, delimiter=",", fmt="%.10g")
@@ -259,9 +276,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    out = _out_dir(args)
     enc, dec = checkpoint.load_model(args.checkpoint)
     x = load_and_downmix(args.input)
+    out = _out_dir(args)
     xhat = decode_chunks(encode_chunks(x, enc), dec, len(x))
     wav_path = out / (Path(args.input).stem + "_recon.wav")
     write_wav(wav_path, xhat)
@@ -272,10 +289,10 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    out = _out_dir(args)
     enc, dec = checkpoint.load_model(args.checkpoint)
     voice = load_and_downmix(args.voice)
     accomp = load_and_downmix(args.accomp)
+    out = _out_dir(args)
     n = min(len(voice), len(accomp))
     voice, accomp = voice[:n], accomp[:n]
     streams = zip(*(encode_chunks(x, enc) for x in (voice + accomp, voice, accomp)))
@@ -291,16 +308,15 @@ def cmd_separate(args) -> int:
 def cmd_evaluate(args) -> int:
     if (args.checkpoint is None) == (args.baseline is None):
         raise UsageError("evaluate needs exactly one of --checkpoint or --baseline")
-    out = _out_dir(args)
+    enc = dec = None
+    if args.checkpoint is not None:
+        enc, dec = checkpoint.load_model(args.checkpoint)
     tracks = [
         (name, load_and_downmix(vp), load_and_downmix(ap))
         for name, vp, ap in _discover_stems(args.stems)
     ]
-    if args.baseline:
-        report = evaluate(tracks, baseline=True)
-    else:
-        enc, dec = checkpoint.load_model(args.checkpoint)
-        report = evaluate(tracks, enc, dec)
+    out = _out_dir(args)
+    report = evaluate(tracks, enc, dec, baseline=args.baseline is not None)
     report.to_csv(out / "report.csv")
     (out / "summary.txt").write_text(report.summary() + "\n")
     print(report.summary())
@@ -308,9 +324,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_export(args) -> int:
-    out = _out_dir(args)
     enc, dec = checkpoint.load_model(args.checkpoint)
     x = load_and_downmix(args.input)
+    out = _out_dir(args)
     a = encode_values(x, enc)
     csv_path, pgm_path = export_representation(a, out / Path(args.input).stem, dec.freq)
     print(f"wrote {csv_path} and {pgm_path}")

@@ -10,6 +10,9 @@ a learnable-frequency warping that favors low frequencies; it can be switched
 off).  A representation is rendered by weighting kernels with the frame
 activations and overlap-adding frames every ``stride`` samples.  Only f, rho
 and b are ever trained; w is recomputed from them once per optimizer step.
+:func:`synthesize` also renders n equal-length representations laid side by
+side on the frame axis, as :func:`encoder.encode` stacks them: one GEMM for
+all their frames, then an overlap-add per signal.
 
 The forward-only path (:func:`decode_chunks`, and :func:`decode_values` on
 top of it) builds w once and synthesizes one block of frames at a time,
@@ -115,20 +118,31 @@ def synthesize(
     stride: int,
     out_len: int,
     tape: Tape | None = None,
+    signals: int = 1,
 ) -> Node:
     """Overlap-add synthesis: frame t contributes ``a[:, t] @ kernels`` at
     sample offset ``t * stride``; the natural (T-1)*stride + L samples are
-    truncated (or zero-extended) to ``out_len``."""
+    truncated (or zero-extended) to ``out_len``.
+
+    ``a`` may hold ``signals`` equal-length representations side by side; the
+    result is then their (signals, out_len) waveforms, and (out_len,) for one.
+    """
     av, wv = a.value, kernels.value
     if av.shape[0] != wv.shape[0]:
         raise ValueError(f"representation has {av.shape[0]} rows but there are {wv.shape[0]} kernels")
+    if av.shape[1] % signals:
+        raise ValueError(f"{av.shape[1]} frames do not split into {signals} equal signals")
+    t = av.shape[1] // signals
     # frames as (wv.T @ av).T: av.T @ wv would round differently
-    out = Node(overlap_add((wv.T @ av).T, stride, out_len))
+    frames = (wv.T @ av).T
+    y = np.stack([overlap_add(frames[k * t : (k + 1) * t], stride, out_len) for k in range(signals)])
+    out = Node(y if signals > 1 else y[0])
 
     if tape is not None:
         def backward():
-            # (L, T) in C order: the GEMMs below round by operand layout
-            dframes = np.ascontiguousarray(frame(out.grad, wv.shape[1], stride, av.shape[1]).T)
+            g = out.grad.reshape(signals, out_len)
+            # (L, signals*T) in C order: the GEMMs below round by operand layout
+            dframes = np.concatenate([frame(gk, wv.shape[1], stride, t).T for gk in g], axis=1)
             kernels.add_grad(av @ dframes.T)
             a.add_grad(wv @ dframes)
         tape.record(backward, out)

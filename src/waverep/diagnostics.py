@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import training
-from .autodiff import Node, Tape, as_node
+from .autodiff import Node, Tape, as_node, split_columns
 from .dataset import TrainingPair
 from .decoder import DecoderParameters, build_kernels, decode_values, mel_init_frequencies, synthesize
 from .encoder import EncoderParameters, conv1, conv2_dilated, encode, init_encoder, relu_residual
@@ -169,6 +169,22 @@ def grad_check_report(seed: int = 0) -> dict[str, float]:
         _check_op(report, f"sinkhorn_loss_p{p}",
                   lambda an, tape: sinkhorn_loss(an, cfg, tape, plan=plan)[0],
                   {"representation": a})
+
+    # --- the layers on a stack of two signals, and the split back into them ----
+    xs = rng.uniform(-1, 1, (2, 11))
+    _check_op(report, "conv1_stack2", lambda kn, tape: conv1(xs, kn, 3, tape),
+              {"kernels": rng.normal(0, 0.5, (3, 5))}, rng.normal(size=(3, 8)))
+    _check_op(report, "conv2_stack2", lambda hn, kn, tape: conv2_dilated(hn, kn, 2, tape, signals=2),
+              {"latent": rng.normal(0, 1, (3, 12)), "kernels": rng.normal(0, 0.5, (3, 2, 3))},
+              rng.normal(size=(3, 12)))
+    _check_op(report, "synthesize_stack2",
+              lambda an, wn, tape: synthesize(an, wn, 2, 9, tape, signals=2),
+              {"representation": rng.normal(0, 1, (3, 8)), "kernels": rng.normal(0, 1, (3, 5))},
+              rng.normal(size=(2, 9)))
+    # blocks 0 and 2 of three, summed: block 1's columns must get no gradient
+    _check_op(report, "split_columns",
+              lambda an, tape: relu_residual(*split_columns(an, 3, tape)[::2], tape, linear=True),
+              {"stack": rng.normal(0, 1, (3, 6))}, rng.normal(size=(3, 2)))
 
     # --- end-to-end training objectives --------------------------------------
     for variant in ("tv", "sinkhorn"):

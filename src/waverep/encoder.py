@@ -6,9 +6,16 @@ kernels, a dilated channel-mixing convolution on top of it, a residual
 connection, and a ReLU.  Both layers zero-pad on the right, so frame t is
 aligned with sample ``t * stride``.
 
+The layers and :func:`encode` also take an (n, N) stack of n
+equal-length signals and return their representations side by side on the
+frame axis, (C, n*T) with signal k in columns ``k*T .. (k+1)*T - 1``, so
+that signals alive together run as one GEMM per layer instead of n narrow
+ones.  Each signal keeps its own right zero padding, so its columns equal
+its single-signal result to rounding; a 1-D signal is the n = 1 stack.
+
 Frame t of the output reads first-layer frames t .. t + dilation*(L2-1) only,
 so the forward-only path (:func:`encode_chunks`, and :func:`encode_values` on
-top of it) streams the signal in blocks of ``CHUNK_FRAMES`` frames and holds
+top of it) streams one signal in blocks of ``CHUNK_FRAMES`` frames and holds
 one block's latents at a time.  Blocks agree with the one-shot :func:`encode`
 to rounding; an input of at most ``CHUNK_FRAMES`` frames is one block,
 computed by the same arithmetic, bit for bit.
@@ -67,20 +74,24 @@ def num_frames(n_samples: int, stride: int) -> int:
     return -(-n_samples // stride)
 
 
-def _signal(x) -> np.ndarray:
+def _signals(x) -> np.ndarray:
+    """``x`` as an (n, N) stack: a 1-D signal is a stack of one."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("conv1 expects a non-empty 1-D signal")
+    if x.ndim == 1:
+        x = x[None]
+    if x.ndim != 2 or x.size == 0:
+        raise ValueError("conv1 expects a non-empty 1-D signal or an (n, N) stack of them")
     return x
 
 
 def conv1(x: np.ndarray, kernels: Node, stride: int, tape: Tape | None = None,
           n_frames: int | None = None) -> Node:
-    """First layer: cross-correlation of ``x`` with each kernel at ``stride``,
-    for the first ``n_frames`` frames (default: all ``ceil(len(x) / stride)``)."""
-    x = _signal(x)
-    frames = num_frames(x.size, stride) if n_frames is None else n_frames
-    win = frame(x, kernels.value.shape[1], stride, frames)  # (T, L)
+    """First layer: cross-correlation of each signal of ``x`` with each kernel
+    at ``stride``, for its first ``n_frames`` frames (default: all
+    ``ceil(N / stride)``); signal k fills output columns ``k*T .. (k+1)*T - 1``."""
+    x = _signals(x)
+    frames = num_frames(x.shape[1], stride) if n_frames is None else n_frames
+    win = np.concatenate([frame(s, kernels.value.shape[1], stride, frames) for s in x])
     out = Node(kernels.value @ win.T)
 
     if tape is not None:
@@ -91,26 +102,33 @@ def conv1(x: np.ndarray, kernels: Node, stride: int, tape: Tape | None = None,
 
 
 def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = None,
-                  n_out: int | None = None) -> Node:
+                  n_out: int | None = None, signals: int = 1) -> Node:
     """Second layer: unit-stride dilated convolution mixing all channels.
 
     Output frame t aggregates input frames t, t+d, t+2d, ...; the input is
     zero-padded on the right so the output keeps exactly T frames, or the
-    first ``n_out`` of them.
+    first ``n_out`` of them.  ``h`` may hold ``signals`` equal-length latents
+    side by side; each gets its own padding and its own T (or ``n_out``)
+    output columns.
     """
     kp = kernels.value  # (C_out, L2, C_in)
     c_out, l2, c_in = kp.shape
     hv = h.value
     if hv.shape[0] != c_in:
         raise ValueError(f"channel mismatch: latent has {hv.shape[0]} rows, kernels expect {c_in}")
-    t = hv.shape[1]
+    if hv.shape[1] % signals:
+        raise ValueError(f"{hv.shape[1]} frames do not split into {signals} equal signals")
+    t = hv.shape[1] // signals
     n = t if n_out is None else n_out
     pad = dilation * (l2 - 1)
-    hp = np.pad(hv, ((0, 0), (0, pad)))
-    out_val = np.zeros((c_out, n))
+    hp = np.pad(hv.reshape(c_in, signals, t), ((0, 0), (0, 0), (0, pad)))
+
+    def shifted(off):  # (C_in, signals*n): frames off .. off+n-1 of every signal
+        return hp[:, :, off : off + n].reshape(c_in, signals * n)
+
+    out_val = np.zeros((c_out, signals * n))
     for tap in range(l2):
-        off = tap * dilation
-        out_val += kp[:, tap, :] @ hp[:, off : off + n]
+        out_val += kp[:, tap, :] @ shifted(tap * dilation)
     out = Node(out_val)
 
     if tape is not None:
@@ -120,10 +138,10 @@ def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = Non
             dhp = np.zeros_like(hp)
             for tap in range(l2):
                 off = tap * dilation
-                dk[:, tap, :] = g @ hp[:, off : off + n].T
-                dhp[:, off : off + n] += kp[:, tap, :].T @ g
+                dk[:, tap, :] = g @ shifted(off).T
+                dhp[:, :, off : off + n] += (kp[:, tap, :].T @ g).reshape(c_in, signals, n)
             kernels.add_grad(dk)
-            h.add_grad(dhp[:, :t])
+            h.add_grad(dhp[:, :, :t].reshape(c_in, signals * t))
         tape.record(backward, out)
     return out
 
@@ -132,7 +150,8 @@ def relu_residual(h2: Node, h1: Node, tape: Tape | None = None, linear: bool = F
     """Residual add followed by ReLU; ``linear=True`` bypasses the ReLU.
 
     The linear mode is a diagnostic hook (it makes the whole encoder a linear
-    map); the subgradient at exactly zero is taken as zero.
+    map); the subgradient at exactly zero is taken as zero.  The op is
+    elementwise, so a stack of signals needs nothing more.
     """
     pre = h2.value + h1.value
     if linear:
@@ -158,7 +177,8 @@ def encode(
     linear: bool = False,
     nodes: Mapping[str, Node] | None = None,
 ) -> Node:
-    """Run the full analysis front end; returns the (C, T) representation.
+    """Run the full analysis front end on one signal or an (n, N) stack of
+    them; returns the (C, T) representation, or the (C, n*T) stack.
 
     ``nodes`` lets a training loop supply shared parameter nodes (keyed
     ``"kernels"`` / ``"dilated_kernels"``) so gradients accumulate there.
@@ -166,8 +186,9 @@ def encode(
     nodes = nodes or {}
     kn = nodes.get("kernels") or as_node(params.kernels)
     dn = nodes.get("dilated_kernels") or as_node(params.dilated_kernels)
+    x = _signals(x)
     h1 = conv1(x, kn, params.stride, tape)
-    h2 = conv2_dilated(h1, dn, params.dilation, tape)
+    h2 = conv2_dilated(h1, dn, params.dilation, tape, signals=len(x))
     return relu_residual(h2, h1, tape, linear=linear)
 
 
@@ -180,7 +201,7 @@ def encode_chunks(
     A block needs the first-layer frames of its ``dilation * (L2 - 1)``-frame
     right context; they are computed once and carried into the next block.
     """
-    x = _signal(x)
+    (x,) = _signals(x)  # one signal: the streaming path does not stack
     kn, dn = as_node(params.kernels), as_node(params.dilated_kernels)
     stride = params.stride
     total = num_frames(x.size, stride)

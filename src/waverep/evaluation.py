@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import as_node
 from .dataset import ACTIVITY_EPS, SAMPLE_RATE, frame, is_active, overlap_add, segment
 from .decoder import DecoderParameters, kernel_matrix, synthesize
-from .encoder import EncoderParameters, encode_values
+from .encoder import EncoderParameters, encode
 from .errors import DataError, NumericalError
 
 STFT_WINDOW = 2048
@@ -190,20 +190,27 @@ def evaluate(
     is the STFT with ``baseline=True`` (masked mixtures keep the mixture
     phase), otherwise the trained encoder/decoder pair.  Either way each
     segment's mixture, voice and accompaniment are analysed once, and every
-    metric is computed from those three representations.
+    metric is computed from those three representations; the model analyses
+    the three as one stack in one :func:`encoder.encode` pass and
+    resynthesizes both voice estimates in one :func:`decoder.synthesize` call.
     """
     if baseline:
-        analyze, resynthesize = stft, istft
+        def analyze(*signals):
+            return [stft(x) for x in signals]
+
+        def resynthesize(zs, n):
+            return [istft(z, n) for z in zs]
     elif enc is None or dec is None:
         raise ValueError("evaluate needs encoder+decoder parameters or baseline=True")
     else:
         kernels = as_node(kernel_matrix(dec))
 
-        def analyze(x):
-            return encode_values(x, enc)
+        def analyze(*signals):
+            return np.split(encode(np.stack(signals), enc).value, len(signals), axis=1)
 
-        def resynthesize(z, n):
-            return synthesize(as_node(z), kernels, dec.stride, n).value
+        def resynthesize(zs, n):
+            return synthesize(as_node(np.concatenate(zs, axis=1)), kernels, dec.stride, n,
+                              signals=len(zs)).value
 
     rows = []
     for name, voice, accomp in tracks:
@@ -213,14 +220,15 @@ def evaluate(
         for i, (x_v, x_ac) in enumerate(zip(v_segs, a_segs)):
             if not is_active(x_v):
                 continue
-            z_m, z_v, z_ac = analyze(x_v + x_ac), analyze(x_v), analyze(x_ac)
+            z_m, z_v, z_ac = analyze(x_v + x_ac, x_v, x_ac)
             a_m, a_v, a_ac = np.abs(z_m), np.abs(z_v), np.abs(z_ac)
             wdo, psr, sir = w_do(a_v, a_ac)
+            y_v, y_bm = resynthesize([z_v, oracle_separate(z_m, z_v, z_ac)], len(x_v))
             rows.append(SegmentMetrics(
                 track=name,
                 segment=i,
-                si_sdr=si_sdr(x_v, resynthesize(z_v, len(x_v))),
-                si_sdr_bm=si_sdr(x_v, resynthesize(oracle_separate(z_m, z_v, z_ac), len(x_v))),
+                si_sdr=si_sdr(x_v, y_v),
+                si_sdr_bm=si_sdr(x_v, y_bm),
                 additivity=additivity(a_m, a_v, a_ac),
                 w_do=wdo,
                 psr=psr,

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Node, Tape
+from .autodiff import Node, Tape, split_columns
 from .checkpoint import save_model
 from .dataset import TrainingPair, make_training_pairs
 from .decoder import DecoderParameters, build_kernels, kernel_matrix, synthesize
@@ -126,18 +126,14 @@ def _epoch_seed(seed: int, epoch: int) -> int:
     return (seed * 1_000_003 + epoch) % 2**63
 
 
-def _denoise(pair: TrainingPair, enc: EncoderParameters, kernels: Node, stride: int,
-             tape: Tape | None = None, nodes=None) -> Node:
-    """The noisy voice, encoded and resynthesized with ``kernels``."""
-    a_v = encode(pair.noisy_voice, enc, tape, nodes=nodes)
-    return synthesize(a_v, kernels, stride, len(pair.voice), tape)
-
-
 def _item_loss(pair: TrainingPair, enc: EncoderParameters, kernels: Node, stride: int,
                cfg: TrainConfig, tape: Tape | None = None, nodes=None) -> LossBreakdown:
-    """One item's objective: denoising with ``kernels``, plus the mixture's representation term."""
-    xhat = _denoise(pair, enc, kernels, stride, tape, nodes)
-    a_m = encode(pair.mixture, enc, tape, nodes=nodes)
+    """One item's objective: denoising with ``kernels``, plus the mixture's representation term.
+
+    The noisy voice and the mixture are encoded as one stack of two signals."""
+    stack = encode(np.stack([pair.noisy_voice, pair.mixture]), enc, tape, nodes=nodes)
+    a_v, a_m = split_columns(stack, 2, tape)
+    xhat = synthesize(a_v, kernels, stride, len(pair.voice), tape)
     return total_loss(pair.voice, xhat, a_m, cfg.loss, cfg.variant, tape)
 
 
@@ -147,7 +143,9 @@ def batch_gradients(items: Sequence[TrainingPair], enc: EncoderParameters, dec: 
 
     The kernels are built once, on a step-level tape replayed once per batch.
     Each item runs and is replayed (seed 1/B) on its own tape, so only one item's
-    activations are alive at a time, and adds its dL/dW to the shared kernels."""
+    activations are alive at a time, and adds its dL/dW to the shared kernels.
+    The batch is not stacked into one encode: all of its activations would
+    then be alive at once."""
     nodes = {name: Node(arr) for name, arr in _param_dict(enc, dec).items()}
     kernel_tape = Tape()
     w = build_kernels(nodes["freq"], nodes["phase"], nodes["modulator"], dec.square_freq, kernel_tape)
@@ -194,8 +192,10 @@ def train(
         # pre-training baseline over the first epoch's stream, no updates: it
         # reports the reconstruction term only, so only that term is computed
         w = Node(kernel_matrix(dec))
-        baseline = [float(neg_snr(pair.voice, _denoise(pair, enc, w, dec.stride)).value)
-                    for pair in pairs_for(1)]
+        baseline = []
+        for pair in pairs_for(1):
+            xhat = synthesize(encode(pair.noisy_voice, enc), w, dec.stride, len(pair.voice))
+            baseline.append(float(neg_snr(pair.voice, xhat).value))
         epoch_means = [float(np.mean(baseline))]
 
         early_stopped = False

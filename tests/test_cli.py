@@ -142,6 +142,23 @@ class TestExitCodes:
         if flags:
             assert reads == []
 
+    @pytest.mark.parametrize("command", ["encode", "reconstruct", "separate", "export", "evaluate"])
+    def test_missing_checkpoint_writes_nothing(self, stems_dir, tmp_path, command):
+        # the checkpoint and the inputs are read before the output directory is made
+        voice, accomp = (str(stems_dir / f"track00_{stem}.wav") for stem in ("voice", "accomp"))
+        inputs = {"separate": [voice, accomp], "evaluate": ["--stems", str(stems_dir)]}
+        out = tmp_path / "o"
+        assert run([command, "--checkpoint", str(tmp_path / "nope.bin"), "--out", str(out)]
+                   + inputs.get(command, [voice])) == 2
+        assert not out.exists()
+
+    def test_evaluate_missing_stems_writes_nothing(self, trained, tmp_path):
+        out = tmp_path / "o"
+        for source in (["--baseline", "stft"], ["--checkpoint", str(trained / "checkpoint.bin")]):
+            assert run(["evaluate", "--stems", str(tmp_path / "none"), "--out", str(out)]
+                       + source) == 2
+            assert not out.exists()
+
     def test_evaluate_needs_exactly_one_frontend(self, stems_dir, tmp_path):
         assert run(["evaluate", "--stems", str(stems_dir), "--out", str(tmp_path / "o")]) == 1
 
@@ -369,7 +386,8 @@ class TestConfigFile:
         assert f"lam={lam}\n" in text
         assert "kernel_len=64\n" in text
 
-    @pytest.mark.parametrize("line", ["p=3", "square-freq=maybe", "epochs=two"])
+    @pytest.mark.parametrize("line", ["p=3", "square-freq=maybe", "epochs=two", "no-early-stop=yes",
+                                      "no-early-stop="])
     def test_bad_config_value_names_file_and_line(self, stems_dir, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"# sweep point\n{line}\n")
@@ -378,6 +396,15 @@ class TestConfigFile:
                     "--config", str(cfg)]) == 2
         assert f"{cfg}:2: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value, no_early_stop", [("on", True), ("off", False)])
+    def test_switch_reads_on_or_off(self, stems_dir, tmp_path, value, no_early_stop):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"components=8\nkernel-len=32\nepochs=1\nno_early_stop={value}\n")
+        out = tmp_path / "out"
+        assert run(["train", "--stems", str(stems_dir), "--out", str(out),
+                    "--config", str(cfg)]) == 0
+        assert f"no_early_stop={no_early_stop}\n" in (out / "run_config.txt").read_text()
 
     def test_config_run_matches_flag_run(self, stems_dir, tmp_path):
         settings = {"components": "8", "kernel-len": "32", "epochs": "1", "batch": "3",

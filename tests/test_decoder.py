@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import waverep.encoder
-from waverep.autodiff import as_node
+from waverep.autodiff import Node, Tape, as_node
 from waverep.decoder import (
     DecoderParameters,
     build_kernels,
@@ -214,3 +214,45 @@ class TestStreaming:
         ref = synthesize(as_node(a), as_node(kernel_matrix(dec)), 4, 6).value
         got = decode_chunks([(0, a[:, :1]), (1, a[:, 1:])], dec, 6)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestSignalStack:
+    """``synthesize`` of n representations side by side gives each one's
+    own waveform, and its taped gradients are the sums of the one-signal ones."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    # natural length 3*4 + 8 = 20: truncated, exact, zero-extended; one frame shorter than a kernel
+    @pytest.mark.parametrize("frames, out_len", [(5, 14), (5, 20), (5, 26), (1, 5)])
+    def test_rows_match_single_signals(self, rng, n, frames, out_len):
+        a = rng.normal(size=(3, n * frames))
+        w = as_node(rng.normal(size=(3, 8)))
+        got = synthesize(as_node(a), w, 3, out_len, signals=n).value
+        assert got.shape == ((n, out_len) if n > 1 else (out_len,))
+        for k, row in enumerate(got.reshape(n, out_len)):
+            ref = synthesize(as_node(a[:, k * frames : (k + 1) * frames]), w, 3, out_len).value
+            np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+    @staticmethod
+    def _gradients(a, w, signals, weights):
+        an, wn = Node(a), Node(w)
+        tape = Tape()
+        y = synthesize(an, wn, 3, weights.shape[-1], tape, signals=signals)
+        loss = Node(float((y.value * weights).sum()))
+        tape.record(lambda: y.add_grad(float(loss.grad) * weights), loss)
+        tape.backward(loss)
+        return an.grad, wn.grad
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_gradients_are_sums_of_signal_gradients(self, rng, n):
+        a = rng.normal(size=(3, n * 5))
+        w = rng.normal(size=(3, 8))
+        weights = rng.normal(size=(n, 17))
+        da, dw = self._gradients(a, w, n, weights)
+        singles = [self._gradients(a[:, 5 * k : 5 * k + 5], w, 1, weights[k]) for k in range(n)]
+        np.testing.assert_allclose(da, np.concatenate([s[0] for s in singles], axis=1), rtol=1e-12)
+        np.testing.assert_allclose(dw, sum(s[1] for s in singles), rtol=1e-12)
+
+    def test_uneven_stack_rejected(self, rng):
+        with pytest.raises(ValueError, match="equal signals"):
+            synthesize(as_node(rng.normal(size=(3, 7))), as_node(rng.normal(size=(3, 4))), 2, 10,
+                       signals=2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import waverep.encoder
-from waverep.autodiff import as_node
+from waverep.autodiff import Node, Tape, as_node
 from waverep.encoder import (
     EncoderParameters,
     conv1,
@@ -220,3 +220,57 @@ class TestStreaming:
     def test_empty_signal_rejected(self):
         with pytest.raises(ValueError):
             encode_values(np.zeros(0), init_encoder(**self.PARAMS))
+
+
+class TestSignalStack:
+    """``encode`` of an (n, N) stack gives each signal's one-signal
+    representation in its own block of T columns, and its taped gradients
+    are the sums of the one-signal gradients."""
+
+    PARAMS = dict(n_components=4, kernel_len=16, kernel2_len=5, stride=4, dilation=10)
+
+    @pytest.mark.parametrize("linear", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    # 98 frames, the last one partial; and 2 frames of 6 samples, fewer than one kernel
+    @pytest.mark.parametrize("length", [4 * 97 + 3, 6])
+    def test_blocks_match_single_signals(self, rng, n, length, linear):
+        params = init_encoder(**self.PARAMS, seed=7)
+        xs = rng.uniform(-1, 1, (n, length))
+        t = num_frames(length, 4)
+        got = encode(xs, params, linear=linear).value
+        assert got.shape == (4, n * t)
+        for k, x in enumerate(xs):
+            ref = encode(x, params, linear=linear).value
+            np.testing.assert_allclose(got[:, k * t : (k + 1) * t], ref,
+                                       rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+    @staticmethod
+    def _gradients(x, params, weights):
+        """Kernel gradients of sum(weights * encode(x)), taped."""
+        nodes = {"kernels": Node(params.kernels), "dilated_kernels": Node(params.dilated_kernels)}
+        tape = Tape()
+        a = encode(x, params, tape, nodes=nodes)
+        loss = Node(float((a.value * weights).sum()))
+        tape.record(lambda: a.add_grad(float(loss.grad) * weights), loss)
+        tape.backward(loss)
+        return {name: node.grad for name, node in nodes.items()}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_gradients_are_sums_of_signal_gradients(self, rng, n):
+        params = init_encoder(**self.PARAMS, seed=8)
+        xs = rng.uniform(-1, 1, (n, 101))
+        t = num_frames(101, 4)
+        weights = rng.normal(size=(4, n * t))
+        got = self._gradients(xs, params, weights)
+        singles = [self._gradients(x, params, weights[:, k * t : (k + 1) * t]) for k, x in enumerate(xs)]
+        for name, g in got.items():
+            np.testing.assert_allclose(g, sum(s[name] for s in singles), rtol=1e-12)
+
+    def test_uneven_stack_rejected(self, rng):
+        with pytest.raises(ValueError, match="equal signals"):
+            conv2_dilated(as_node(rng.normal(size=(3, 7))), as_node(rng.normal(size=(3, 2, 3))), 2,
+                          signals=2)
+
+    def test_streaming_path_takes_one_signal(self, rng):
+        with pytest.raises(ValueError):
+            encode_values(rng.uniform(-1, 1, (2, 40)), init_encoder(**self.PARAMS))

@@ -294,21 +294,29 @@ class TestEvaluate:
 
     def test_each_signal_encoded_once_and_kernels_built_once(self, rng, monkeypatch):
         import waverep.decoder
-        import waverep.encoder
+        import waverep.evaluation
         from waverep.decoder import init_decoder
-        counts = {"encode_chunks": 0, "build_kernels": 0}
+        encoded, synthesized, built = [], [], []
+        real_encode, real_build = waverep.evaluation.encode, waverep.decoder.build_kernels
+        real_synthesize = waverep.evaluation.synthesize
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def encode(x, *args, **kwargs):
+            encoded.append(np.shape(x))
+            return real_encode(x, *args, **kwargs)
 
-        # encode_values streams every signal through one encode_chunks call
-        monkeypatch.setattr(waverep.encoder, "encode_chunks",
-                            counting("encode_chunks", waverep.encoder.encode_chunks))
-        monkeypatch.setattr(waverep.decoder, "build_kernels",
-                            counting("build_kernels", waverep.decoder.build_kernels))
+        def synthesize(*args, **kwargs):
+            synthesized.append(kwargs["signals"])
+            return real_synthesize(*args, **kwargs)
+
+        def build_kernels(*args, **kwargs):
+            built.append(1)
+            return real_build(*args, **kwargs)
+
+        # each active segment's mixture, voice and accompaniment go through one stacked
+        # encode, and both voice estimates through one stacked synthesis
+        monkeypatch.setattr(waverep.evaluation, "encode", encode)
+        monkeypatch.setattr(waverep.evaluation, "synthesize", synthesize)
+        monkeypatch.setattr(waverep.decoder, "build_kernels", build_kernels)
         enc = init_encoder(8, 64, 2, 64, 2, seed=0)
         dec = init_decoder(8, 64, 64)
         voice = 0.3 * np.sin(2 * np.pi * 300 * np.arange(3 * SAMPLE_RATE) / SAMPLE_RATE)
@@ -316,7 +324,9 @@ class TestEvaluate:
         accomp = 0.2 * rng.normal(size=3 * SAMPLE_RATE)
         report = evaluate([("t", voice, accomp)], enc, dec)
         assert [r.segment for r in report.rows] == [0, 2]
-        assert counts == {"encode_chunks": 3 * 2, "build_kernels": 1}
+        assert encoded == [(3, SAMPLE_RATE)] * 2
+        assert synthesized == [2, 2]
+        assert len(built) == 1
 
     def test_all_silent_rejected(self):
         with pytest.raises(DataError, match="active"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import waverep.training
-from waverep.autodiff import Node, Tape, as_node
+from waverep.autodiff import Node, Tape, as_node, split_columns
 from waverep.decoder import build_kernels
 from waverep.diagnostics import (
     GRAD_TOLERANCE,
@@ -33,6 +33,8 @@ def test_report_covers_every_op_and_input():
         + ["synthesize/kernels", "synthesize/representation", "neg_snr/estimate",
            "tv_loss/representation", "sinkhorn_loss_p1/representation",
            "sinkhorn_loss_p2/representation"]
+        + ["conv1_stack2/kernels", "conv2_stack2/kernels", "conv2_stack2/latent",
+           "synthesize_stack2/kernels", "synthesize_stack2/representation", "split_columns/stack"]
         + [f"total_{variant}/{name}" for variant in ("tv", "sinkhorn") for name in params])
 
 
@@ -125,6 +127,25 @@ def test_backward_skips_ops_whose_output_got_no_gradient():
     tape.record(lambda: reached.add_grad(root.grad), root)
     with pytest.raises(RuntimeError, match="backward ran"):
         tape.backward(root)
+
+
+def test_split_columns_routes_each_block_gradient_to_its_columns(rng):
+    a = Node(rng.normal(size=(2, 6)))
+    tape = Tape()
+    parts = split_columns(a, 3, tape)
+    for k, part in enumerate(parts):
+        np.testing.assert_array_equal(part.value, a.value[:, 2 * k : 2 * k + 2])
+    g0, g2 = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+    root = Node(0.0)
+
+    def backward():  # blocks 0 and 2 reach the root, block 1 does not
+        parts[0].add_grad(g0)
+        parts[2].add_grad(g2)
+    tape.record(backward, root)
+    tape.backward(root)
+    np.testing.assert_array_equal(a.grad, np.concatenate([g0, np.zeros((2, 2)), g2], axis=1))
+    with pytest.raises(ValueError, match="equal blocks"):
+        split_columns(a, 4)
 
 
 def test_empty_tape_rejected():
