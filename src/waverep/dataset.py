@@ -29,14 +29,12 @@ class TrainingPair(NamedTuple):
     """One denoising training example.
 
     ``mixture`` is built by pure addition (no clipping), so it may exceed
-    [-1, 1]; ``accomp`` is the exact segment that was added, kept so the
-    additive construction stays bit-checkable.
+    [-1, 1].
     """
 
     voice: np.ndarray        # clean voice segment
     noisy_voice: np.ndarray  # voice + i.i.d. Gaussian noise
     mixture: np.ndarray      # voice + shuffled accompaniment segment
-    accomp: np.ndarray       # the accompaniment segment used in `mixture`
 
 
 def load_and_downmix(path) -> np.ndarray:
@@ -142,5 +140,4 @@ def make_training_pairs(
             voice=voice,
             noisy_voice=voice + noise,
             mixture=voice + accomp,
-            accomp=accomp,
         )

@@ -235,7 +235,7 @@ def _end_to_end_check(seed: int, variant: str) -> dict[str, float]:
         bd = total_loss(x_v, xhat, encode(mixture, enc), cfg, variant, plan=plan)
         return float(bd.total.value)
 
-    pair = TrainingPair(x_v, noisy, mixture, mixture - x_v)
+    pair = TrainingPair(x_v, noisy, mixture)
     grads, _ = training.batch_gradients([pair], enc, dec, training.TrainConfig(variant=variant, loss=cfg))
 
     report = {}

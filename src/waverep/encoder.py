@@ -14,11 +14,13 @@ ones.  Each signal keeps its own right zero padding, so its columns equal
 its single-signal result to rounding; a 1-D signal is the n = 1 stack.
 
 Frame t of the output reads first-layer frames t .. t + dilation*(L2-1) only,
-so the forward-only path (:func:`encode_chunks`, and :func:`encode_values` on
-top of it) streams one signal in blocks of ``CHUNK_FRAMES`` frames and holds
-one block's latents at a time.  Blocks agree with the one-shot :func:`encode`
-to rounding; an input of at most ``CHUNK_FRAMES`` frames is one block,
-computed by the same arithmetic, bit for bit.
+and so samples ``t*stride .. (t + dilation*(L2-1))*stride + L - 1`` only.
+The forward-only path (:func:`encode_chunks`, and :func:`encode_values` on top
+of it) therefore streams one signal in blocks of ``CHUNK_FRAMES`` frames, each
+the plain :func:`encode` of its own overlapping sample window, and holds one
+block's latents at a time.  Blocks agree with the one-shot :func:`encode` to
+rounding; an input of at most ``CHUNK_FRAMES`` frames is one block, computed
+by the same call, bit for bit.
 """
 
 from __future__ import annotations
@@ -84,13 +86,12 @@ def _signals(x) -> np.ndarray:
     return x
 
 
-def conv1(x: np.ndarray, kernels: Node, stride: int, tape: Tape | None = None,
-          n_frames: int | None = None) -> Node:
+def conv1(x: np.ndarray, kernels: Node, stride: int, tape: Tape | None = None) -> Node:
     """First layer: cross-correlation of each signal of ``x`` with each kernel
-    at ``stride``, for its first ``n_frames`` frames (default: all
-    ``ceil(N / stride)``); signal k fills output columns ``k*T .. (k+1)*T - 1``."""
+    at ``stride``, for all ``ceil(N / stride)`` frames; signal k fills output
+    columns ``k*T .. (k+1)*T - 1``."""
     x = _signals(x)
-    frames = num_frames(x.shape[1], stride) if n_frames is None else n_frames
+    frames = num_frames(x.shape[1], stride)
     win = np.concatenate([frame(s, kernels.value.shape[1], stride, frames) for s in x])
     out = Node(kernels.value @ win.T)
 
@@ -102,14 +103,13 @@ def conv1(x: np.ndarray, kernels: Node, stride: int, tape: Tape | None = None,
 
 
 def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = None,
-                  n_out: int | None = None, signals: int = 1) -> Node:
+                  signals: int = 1) -> Node:
     """Second layer: unit-stride dilated convolution mixing all channels.
 
     Output frame t aggregates input frames t, t+d, t+2d, ...; the input is
-    zero-padded on the right so the output keeps exactly T frames, or the
-    first ``n_out`` of them.  ``h`` may hold ``signals`` equal-length latents
-    side by side; each gets its own padding and its own T (or ``n_out``)
-    output columns.
+    zero-padded on the right so the output keeps exactly T frames.  ``h`` may
+    hold ``signals`` equal-length latents side by side; each gets its own
+    padding and its own T output columns.
     """
     kp = kernels.value  # (C_out, L2, C_in)
     c_out, l2, c_in = kp.shape
@@ -119,14 +119,13 @@ def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = Non
     if hv.shape[1] % signals:
         raise ValueError(f"{hv.shape[1]} frames do not split into {signals} equal signals")
     t = hv.shape[1] // signals
-    n = t if n_out is None else n_out
     pad = dilation * (l2 - 1)
     hp = np.pad(hv.reshape(c_in, signals, t), ((0, 0), (0, 0), (0, pad)))
 
-    def shifted(off):  # (C_in, signals*n): frames off .. off+n-1 of every signal
-        return hp[:, :, off : off + n].reshape(c_in, signals * n)
+    def shifted(off):  # (C_in, signals*t): frames off .. off+t-1 of every signal
+        return hp[:, :, off : off + t].reshape(c_in, signals * t)
 
-    out_val = np.zeros((c_out, signals * n))
+    out_val = np.zeros((c_out, signals * t))
     for tap in range(l2):
         out_val += kp[:, tap, :] @ shifted(tap * dilation)
     out = Node(out_val)
@@ -139,7 +138,7 @@ def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = Non
             for tap in range(l2):
                 off = tap * dilation
                 dk[:, tap, :] = g @ shifted(off).T
-                dhp[:, :, off : off + n] += (kp[:, tap, :].T @ g).reshape(c_in, signals, n)
+                dhp[:, :, off : off + t] += (kp[:, tap, :].T @ g).reshape(c_in, signals, t)
             kernels.add_grad(dk)
             h.add_grad(dhp[:, :, :t].reshape(c_in, signals * t))
         tape.record(backward, out)
@@ -198,26 +197,18 @@ def encode_chunks(
     """Forward-only encode, yielding ``(t0, a[:, t0:t1])`` for consecutive
     blocks of ``CHUNK_FRAMES`` frames.
 
-    A block needs the first-layer frames of its ``dilation * (L2 - 1)``-frame
-    right context; they are computed once and carried into the next block.
+    Each block is :func:`encode` of the samples its frames read, truncated to
+    the block: the window reaches ``dilation * (L2 - 1)`` frames of right
+    context plus one kernel, and past the end of the signal it zero-pads
+    exactly as the one-shot encode does.
     """
     (x,) = _signals(x)  # one signal: the streaming path does not stack
-    kn, dn = as_node(params.kernels), as_node(params.dilated_kernels)
     stride = params.stride
-    total = num_frames(x.size, stride)
     context = params.dilation * (params.dilated_kernels.shape[1] - 1)
-    h1 = np.empty((params.n_components, 0))  # first-layer frames [t0, done)
-    done = 0
-    for t0 in range(0, total, CHUNK_FRAMES):
-        n = min(CHUNK_FRAMES, total - t0)
-        need = min(t0 + n + context, total)
-        if need > done:
-            fresh = conv1(x[done * stride :], kn, stride, n_frames=need - done).value
-            h1 = np.concatenate([h1, fresh], axis=1)
-            done = need
-        h2 = conv2_dilated(Node(h1), dn, params.dilation, n_out=n)
-        yield t0, relu_residual(h2, Node(h1[:, :n]), linear=linear).value
-        h1 = h1[:, n:]
+    span = (CHUNK_FRAMES + context - 1) * stride + params.kernel_len
+    for t0 in range(0, num_frames(x.size, stride), CHUNK_FRAMES):
+        window = x[t0 * stride : t0 * stride + span]
+        yield t0, encode(window, params, linear=linear).value[:, :CHUNK_FRAMES]
 
 
 def encode_values(x: np.ndarray, params: EncoderParameters, linear: bool = False) -> np.ndarray:

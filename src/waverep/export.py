@@ -19,15 +19,15 @@ def export_representation(a: np.ndarray, out_base, carrier_freq) -> tuple[Path, 
         raise ValueError("expected a (C, T) matrix")
     if not np.all(np.isfinite(a)):
         raise ValueError("representation contains non-finite values")
+    order = np.argsort(np.asarray(carrier_freq), kind="stable")
+    if order.size != a.shape[0]:
+        raise ValueError("carrier_freq length must match the number of rows")
     out_base = Path(out_base)
     out_base.parent.mkdir(parents=True, exist_ok=True)
 
     csv_path = out_base.with_suffix(".csv")
     np.savetxt(csv_path, a, delimiter=",", fmt="%.10g")
 
-    order = np.argsort(np.asarray(carrier_freq), kind="stable")
-    if order.size != a.shape[0]:
-        raise ValueError("carrier_freq length must match the number of rows")
     img = np.log1p(np.maximum(a[order], 0.0))
     lo, hi = img.min(), img.max()
     if hi > lo:
@@ -39,7 +39,3 @@ def export_representation(a: np.ndarray, out_base, carrier_freq) -> tuple[Path, 
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
     pgm_path.write_bytes(header + pixels.tobytes())
     return csv_path, pgm_path
-
-
-def read_representation_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))

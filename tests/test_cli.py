@@ -11,7 +11,6 @@ from waverep.dataset import SAMPLE_RATE, load_and_downmix
 from waverep.decoder import decode_values, init_decoder, kernel_matrix, synthesize
 from waverep.encoder import CHUNK_FRAMES, encode, encode_values, init_encoder
 from waverep.evaluation import oracle_separate
-from waverep.export import read_representation_csv
 from waverep.losses import LossConfig
 from waverep.synth import synth_data
 from waverep.training import TrainConfig
@@ -174,7 +173,7 @@ class TestCommands:
         write_wav(wav, 0.2 * np.sin(2 * np.pi * 440 * np.arange(SAMPLE_RATE) / SAMPLE_RATE))
         out = tmp_path / "enc"
         assert run(["encode", "--checkpoint", str(ckpt), "--out", str(out), str(wav)]) == 0
-        a = read_representation_csv(out / "one_second_rep.csv")
+        a = np.loadtxt(out / "one_second_rep.csv", delimiter=",", ndmin=2)
         assert a.shape == (800, 173)
 
     def test_train_outputs(self, trained):

@@ -165,19 +165,6 @@ class TestEncode:
         assert a.shape == (2, 11)
 
 
-def test_leading_frames_match_the_full_layers(rng):
-    x = rng.uniform(-1, 1, 50)
-    k = as_node(rng.normal(size=(3, 7)))
-    h = conv1(x, k, 3)
-    assert h.value.shape == (3, 17)
-    np.testing.assert_array_equal(conv1(x, k, 3, n_frames=5).value, h.value[:, :5])
-    k2 = as_node(rng.normal(size=(3, 3, 3)))
-    full = conv2_dilated(h, k2, 4).value
-    for n in (1, 8, 9, 17):
-        np.testing.assert_allclose(conv2_dilated(h, k2, 4, n_out=n).value, full[:, :n],
-                                   rtol=0, atol=1e-14)
-
-
 class TestStreaming:
     """``encode_values`` fills the representation from ``encode_chunks``
     blocks; it must agree with the one-shot taped ``encode``."""
@@ -186,11 +173,16 @@ class TestStreaming:
     # second layer
     PARAMS = dict(n_components=4, kernel_len=16, kernel2_len=5, stride=4, dilation=10)
     N = 4 * 97 + 3  # T = 98 frames
+    # (kernel_len, chunk): 4 overlapping first-layer frames, then the paper's 8
+    # (L = 2048 at stride 256), whose block window is 47 frames longer than
+    # the block
+    CASES = [(16, c) for c in (1, 7, 40, 41, 97, 98, 99)] + [(32, c) for c in (1, 40, 47, 97, 98)]
 
     @pytest.mark.parametrize("linear", [False, True])
-    @pytest.mark.parametrize("chunk", [1, 7, 40, 41, 97, 98, 99])
-    def test_matches_one_shot(self, rng, monkeypatch, chunk, linear):
-        params = init_encoder(**self.PARAMS, seed=4)
+    @pytest.mark.parametrize("kernel_len,chunk", CASES,
+                             ids=[f"{c}" if l == 16 else f"overlap8-{c}" for l, c in CASES])
+    def test_matches_one_shot(self, rng, monkeypatch, kernel_len, chunk, linear):
+        params = init_encoder(**{**self.PARAMS, "kernel_len": kernel_len}, seed=4)
         x = rng.uniform(-1, 1, self.N)
         ref = encode(x, params, linear=linear).value
         assert ref.shape[1] == 98

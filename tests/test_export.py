@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from waverep.export import export_representation, read_representation_csv
+from waverep.export import export_representation
+
+
+def _read_csv(path):
+    return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 def _rising(a):
@@ -12,13 +16,21 @@ def _rising(a):
 def test_csv_roundtrip_precision(rng, tmp_path):
     a = np.abs(rng.normal(size=(6, 9))) * 10.0 ** rng.integers(-4, 4, size=(6, 9))
     csv_path, _ = export_representation(a, tmp_path / "rep", _rising(a))
-    back = read_representation_csv(csv_path)
+    back = _read_csv(csv_path)
+    np.testing.assert_allclose(back, a, rtol=1e-6)
+
+
+def test_one_frame_roundtrip_keeps_its_shape(rng, tmp_path):
+    a = np.abs(rng.normal(size=(6, 1)))
+    csv_path, _ = export_representation(a, tmp_path / "rep", _rising(a))
+    back = _read_csv(csv_path)
+    assert back.shape == (6, 1)
     np.testing.assert_allclose(back, a, rtol=1e-6)
 
 
 def test_zero_matrix_black_image(tmp_path):
     csv_path, pgm_path = export_representation(np.zeros((4, 5)), tmp_path / "rep", np.zeros(4))
-    assert np.all(read_representation_csv(csv_path) == 0.0)
+    assert np.all(_read_csv(csv_path) == 0.0)
     blob = pgm_path.read_bytes()
     assert blob.startswith(b"P5\n5 4\n255\n")
     assert set(blob.split(b"255\n", 1)[1]) == {0}
@@ -52,4 +64,5 @@ def test_nonfinite_rejected(tmp_path):
 
 def test_carrier_count_must_match_rows(tmp_path):
     with pytest.raises(ValueError, match="carrier_freq"):
-        export_representation(np.ones((3, 4)), tmp_path / "rep", np.zeros(2))
+        export_representation(np.ones((3, 4)), tmp_path / "out" / "rep", np.zeros(2))
+    assert not (tmp_path / "out").exists()  # validated before anything is written
