@@ -95,7 +95,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
     p.add_argument("--gaussian-std", type=float, default=TrainConfig.gaussian_std)
-    p.add_argument("--no-early-stop", action="store_true")
+    p.add_argument("--early-stop", type=_on_off, default=TrainConfig.early_stop, metavar="{on,off}",
+                   help="stop once the epoch-mean reconstruction loss stops falling")
     p.add_argument("--config", help="key=value config file; flags override it")
     add_loss_flags(p)
     add_model_flags(p)
@@ -143,24 +144,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _switches(parser: _Parser, command: str) -> set[str]:
-    """The on/off flags (store-true actions, such as --no-early-stop) of ``command``."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {opt for action in sub.choices[command]._actions
-            if isinstance(action, argparse._StoreTrueAction) for opt in action.option_strings}
-
-
 def _parse_with_config(parser: _Parser, argv: list[str]):
     """Parse argv with each key=value line of its --config file read as a
-    --key=value flag placed before the command line, which therefore wins.
-    A switch reads ``on`` (the bare flag) or ``off`` (no flag)."""
+    --key=value flag placed before the command line, which therefore wins."""
     args = parser.parse_args(argv)
     if getattr(args, "config", None) is None:
         return args
     path = Path(args.config)
     if not path.is_file():
         raise DataError(f"config file not found: {path}")
-    switches = _switches(parser, args.command)
     flags = []
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         line = line.strip()
@@ -169,14 +161,7 @@ def _parse_with_config(parser: _Parser, argv: list[str]):
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        flag, value = f"--{key.strip().replace('_', '-')}", value.strip()
-        if flag in switches:
-            if value not in ("on", "off"):
-                raise DataError(f"{path}:{lineno}: switch {flag} expects on or off, got {value!r}")
-            if value == "off":
-                continue
-        else:
-            flag = f"{flag}={value}"
+        flag = f"--{key.strip().replace('_', '-')}={value.strip()}"
         try:
             parser.parse_args([argv[0], flag] + argv[1:])
         except UsageError as exc:
@@ -235,7 +220,7 @@ def cmd_train(args) -> int:
         loss=LossConfig(omega=args.omega, lam=args.lam, p=args.p,
                         max_iters=args.sinkhorn_iters, tau=args.tau),
         seed=args.seed,
-        early_stop=not args.no_early_stop,
+        early_stop=args.early_stop,
         lr=args.lr,
         gaussian_std=args.gaussian_std,
     )
@@ -295,9 +280,8 @@ def cmd_separate(args) -> int:
     out = _out_dir(args)
     n = min(len(voice), len(accomp))
     voice, accomp = voice[:n], accomp[:n]
-    streams = zip(*(encode_chunks(x, enc) for x in (voice + accomp, voice, accomp)))
-    sep = decode_chunks(((t0, oracle_separate(z_m, z_v, z_ac))
-                         for (t0, z_m), (_, z_v), (_, z_ac) in streams), dec, n)
+    streams = (encode_chunks(x, enc) for x in (voice + accomp, voice, accomp))
+    sep = decode_chunks(map(oracle_separate, *streams), dec, n)
     wav_path = out / (Path(args.voice).stem + "_separated.wav")
     write_wav(wav_path, sep)
     print(f"SI-SDR (masked separation): {_score_db(si_sdr, voice, sep)}")

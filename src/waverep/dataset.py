@@ -15,9 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
-from .wavio import read_wav
-
-SAMPLE_RATE = 44100
+from .wavio import SAMPLE_RATE, read_wav
 
 #: numerical-stability epsilon shared with the additivity metric
 ACTIVITY_EPS = 1e-24

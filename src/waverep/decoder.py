@@ -43,10 +43,6 @@ class DecoderParameters:
     square_freq: bool = True
 
     @property
-    def n_components(self) -> int:
-        return self.freq.shape[0]
-
-    @property
     def kernel_len(self) -> int:
         return self.modulator.shape[1]
 
@@ -155,18 +151,20 @@ def kernel_matrix(params: DecoderParameters) -> np.ndarray:
                          as_node(params.modulator), params.square_freq).value
 
 
-def decode_chunks(chunks: Iterable[tuple[int, np.ndarray]], params: DecoderParameters,
+def decode_chunks(chunks: Iterable[np.ndarray], params: DecoderParameters,
                   out_len: int) -> np.ndarray:
-    """Forward-only decode of ``(t0, a[:, t0:t1])`` blocks, such as
-    :func:`encoder.encode_chunks` yields: each block is synthesized and
-    overlap-added into the ``out_len``-sample output at sample ``t0 * stride``."""
+    """Forward-only decode of consecutive column blocks of a representation,
+    such as :func:`encoder.encode_chunks` yields: each block is synthesized
+    and overlap-added into the ``out_len``-sample output at its first frame's
+    sample offset."""
     w = as_node(kernel_matrix(params))
     y = np.zeros(out_len)
-    for t0, block in chunks:
-        start = t0 * params.stride
+    start = 0
+    for block in chunks:
         n = min((block.shape[1] - 1) * params.stride + params.kernel_len, out_len - start)
         if n > 0:
             y[start : start + n] += synthesize(as_node(block), w, params.stride, n).value
+        start += block.shape[1] * params.stride
     return y
 
 
@@ -174,5 +172,5 @@ def decode_values(a: np.ndarray, params: DecoderParameters, out_len: int) -> np.
     """Forward-only decode of a plain (C, T) array, ``CHUNK_FRAMES`` columns at a time."""
     a = np.asarray(a, dtype=np.float64)
     step = encoder.CHUNK_FRAMES
-    return decode_chunks(((t0, a[:, t0 : t0 + step]) for t0 in range(0, a.shape[1], step)),
+    return decode_chunks((a[:, t0 : t0 + step] for t0 in range(0, a.shape[1], step)),
                          params, out_len)

@@ -193,9 +193,9 @@ def encode(
 
 def encode_chunks(
     x: np.ndarray, params: EncoderParameters, linear: bool = False
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Forward-only encode, yielding ``(t0, a[:, t0:t1])`` for consecutive
-    blocks of ``CHUNK_FRAMES`` frames.
+) -> Iterator[np.ndarray]:
+    """Forward-only encode, yielding the representation in consecutive blocks
+    of ``CHUNK_FRAMES`` columns (the last one may be narrower).
 
     Each block is :func:`encode` of the samples its frames read, truncated to
     the block: the window reaches ``dilation * (L2 - 1)`` frames of right
@@ -208,13 +208,13 @@ def encode_chunks(
     span = (CHUNK_FRAMES + context - 1) * stride + params.kernel_len
     for t0 in range(0, num_frames(x.size, stride), CHUNK_FRAMES):
         window = x[t0 * stride : t0 * stride + span]
-        yield t0, encode(window, params, linear=linear).value[:, :CHUNK_FRAMES]
+        yield encode(window, params, linear=linear).value[:, :CHUNK_FRAMES]
 
 
 def encode_values(x: np.ndarray, params: EncoderParameters, linear: bool = False) -> np.ndarray:
     """Forward-only encode returning the (C, T) representation array,
     filled block by block from :func:`encode_chunks`."""
     a = np.empty((params.n_components, num_frames(np.size(x), params.stride)))
-    for t0, block in encode_chunks(x, params, linear):
-        a[:, t0 : t0 + block.shape[1]] = block
+    for i, block in enumerate(encode_chunks(x, params, linear)):
+        a[:, i * CHUNK_FRAMES : i * CHUNK_FRAMES + block.shape[1]] = block
     return a

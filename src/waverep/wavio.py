@@ -3,7 +3,8 @@
 Supported on read: little-endian PCM16, PCM24 and IEEE float32, any channel
 count (including the WAVE_FORMAT_EXTENSIBLE wrappers around those codecs).
 Integer PCM is scaled to [-1, 1) by dividing by 2^(bits-1).  The writer emits
-mono IEEE float32, which round-trips values exactly and never clips.
+mono IEEE float32 at ``SAMPLE_RATE``, which round-trips values exactly and never
+clips.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+
+#: the sample rate, in Hz, of every signal in this package
+SAMPLE_RATE = 44100
 
 _FMT_PCM = 0x0001
 _FMT_FLOAT = 0x0003
@@ -86,15 +90,15 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     return samples.reshape(-1, channels), int(rate)
 
 
-def write_wav(path, samples: np.ndarray, sample_rate: int = 44100) -> None:
-    """Write a mono float32 WAV file."""
+def write_wav(path, samples: np.ndarray) -> None:
+    """Write a mono float32 WAV file at ``SAMPLE_RATE``."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ValueError("write_wav expects a mono 1-D signal")
     payload = samples.astype("<f4").tobytes()
     n = samples.size
 
-    fmt = struct.pack("<HHIIHH", _FMT_FLOAT, 1, sample_rate, sample_rate * 4, 4, 32)
+    fmt = struct.pack("<HHIIHH", _FMT_FLOAT, 1, SAMPLE_RATE, SAMPLE_RATE * 4, 4, 32)
     fact = struct.pack("<I", n)
     body = (
         b"WAVE"

@@ -385,8 +385,8 @@ class TestConfigFile:
         assert f"lam={lam}\n" in text
         assert "kernel_len=64\n" in text
 
-    @pytest.mark.parametrize("line", ["p=3", "square-freq=maybe", "epochs=two", "no-early-stop=yes",
-                                      "no-early-stop="])
+    @pytest.mark.parametrize("line", ["p=3", "square-freq=maybe", "epochs=two", "early-stop=yes",
+                                      "early-stop=maybe", "early-stop="])
     def test_bad_config_value_names_file_and_line(self, stems_dir, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"# sweep point\n{line}\n")
@@ -396,24 +396,38 @@ class TestConfigFile:
         assert f"{cfg}:2: " in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value, no_early_stop", [("on", True), ("off", False)])
-    def test_switch_reads_on_or_off(self, stems_dir, tmp_path, value, no_early_stop):
+    @pytest.mark.parametrize("value, early_stop", [("on", True), ("off", False)])
+    def test_switch_reads_on_or_off(self, stems_dir, tmp_path, value, early_stop):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"components=8\nkernel-len=32\nepochs=1\nno_early_stop={value}\n")
+        cfg.write_text(f"components=8\nkernel-len=32\nepochs=1\nearly_stop={value}\n")
         out = tmp_path / "out"
         assert run(["train", "--stems", str(stems_dir), "--out", str(out),
                     "--config", str(cfg)]) == 0
-        assert f"no_early_stop={no_early_stop}\n" in (out / "run_config.txt").read_text()
+        assert f"early_stop={early_stop}\n" in (out / "run_config.txt").read_text()
+
+    @pytest.mark.parametrize("in_file, flag, early_stop", [("off", "on", True), ("on", "off", False)])
+    def test_switch_flag_overrides_file(self, stems_dir, tmp_path, in_file, flag, early_stop):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"components=8\nkernel-len=32\nepochs=1\nearly-stop={in_file}\n")
+        out = tmp_path / "out"
+        assert run(["train", "--stems", str(stems_dir), "--out", str(out),
+                    "--config", str(cfg), "--early-stop", flag]) == 0
+        assert f"early_stop={early_stop}\n" in (out / "run_config.txt").read_text()
+
+    def test_negative_switch_flag_is_usage_error(self, stems_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run(["train", "--stems", str(stems_dir), "--out", str(out), "--no-early-stop"]) == 1
+        assert not out.exists()
 
     def test_config_run_matches_flag_run(self, stems_dir, tmp_path):
         settings = {"components": "8", "kernel-len": "32", "epochs": "1", "batch": "3",
-                    "loss": "sinkhorn", "lambda": "0.3", "seed": "4"}
+                    "loss": "sinkhorn", "lambda": "0.3", "seed": "4", "early-stop": "off"}
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
         flags = [t for k, v in settings.items() for t in (f"--{k}", v)]
         for name, extra in (("flags", flags), ("config", ["--config", str(cfg)])):
-            assert run(["train", "--stems", str(stems_dir), "--out", str(tmp_path / name),
-                        "--no-early-stop"] + extra) == 0
+            assert run(["train", "--stems", str(stems_dir), "--out", str(tmp_path / name)]
+                       + extra) == 0
         for artifact in ("checkpoint.bin", "train_log.jsonl"):
             assert ((tmp_path / "flags" / artifact).read_bytes()
                     == (tmp_path / "config" / artifact).read_bytes())
@@ -422,9 +436,9 @@ class TestConfigFile:
         args = build_parser().parse_args(["train", "--stems", "s", "--out", "o"])
         train, loss = TrainConfig(), LossConfig()
         assert (args.epochs, args.batch, args.seed, args.lr, args.gaussian_std, args.loss,
-                not args.no_early_stop) == (train.epochs, train.batch_size, train.seed,
-                                            train.lr, train.gaussian_std, train.variant,
-                                            train.early_stop)
+                args.early_stop) == (train.epochs, train.batch_size, train.seed,
+                                     train.lr, train.gaussian_std, train.variant,
+                                     train.early_stop)
         assert (args.omega, args.lam, args.p, args.sinkhorn_iters, args.tau) == (
             loss.omega, loss.lam, loss.p, loss.max_iters, loss.tau)
 

@@ -212,7 +212,7 @@ class TestStreaming:
         dec = init_decoder(4, 16, 4)
         a = rng.uniform(0, 1, (4, 2))
         ref = synthesize(as_node(a), as_node(kernel_matrix(dec)), 4, 6).value
-        got = decode_chunks([(0, a[:, :1]), (1, a[:, 1:])], dec, 6)
+        got = decode_chunks([a[:, :1], a[:, 1:]], dec, 6)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 

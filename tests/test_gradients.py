@@ -6,13 +6,14 @@ import pytest
 
 import waverep.training
 from waverep.autodiff import Node, Tape, as_node, split_columns
-from waverep.decoder import build_kernels
+from waverep.decoder import build_kernels, synthesize
 from waverep.diagnostics import (
     GRAD_TOLERANCE,
     central_difference,
     grad_check_report,
     max_relative_error,
 )
+from waverep.encoder import conv1, conv2_dilated, num_frames
 from waverep.losses import LossConfig, neg_snr, sinkhorn_loss, tv_loss
 
 
@@ -190,3 +191,63 @@ def test_sinkhorn_gradient_with_fixed_plan_both_exponents(rng):
         numeric = central_difference(
             lambda: float(sinkhorn_loss(as_node(a), cfg, plan=plan)[0].value), a)
         assert max_relative_error(an.grad, numeric) < GRAD_TOLERANCE
+
+
+# (C, L, stride, L2, dilation, n, N) of an n-signal stack
+ADJOINT_SHAPES = {
+    # the paper configuration: N = 44100 is not a multiple of the stride, L/stride = 8
+    "paper": (800, 2048, 256, 5, 10, 3, 44100),
+    "ragged-N": (16, 64, 16, 5, 10, 3, 16 * 70 + 9),
+    "overlap8": (16, 128, 16, 5, 10, 3, 16 * 70),
+    # 13 frames per signal, fewer than the 40-frame right context of conv2
+    "short-stack": (800, 2048, 256, 5, 10, 3, 256 * 12 + 100),
+}
+ADJOINT_OPS = ["conv1/kernels", "conv2/latent", "conv2/kernels", "synthesize/representation",
+               "synthesize/kernels", "split_columns/stack"]
+
+
+def _linear_op(name, shape, rng):
+    """``(op, x)``: the op ``<op>/<input>`` as ``op(node, tape)``, linear in the
+    named input, with its other inputs fixed at random values of ``shape``."""
+    c, l, stride, l2, dilation, n, length = shape
+    signals = rng.uniform(-1, 1, (n, length))
+    latent = rng.normal(size=(c, n * num_frames(length, stride)))
+    kernels = rng.normal(size=(c, l))
+    if name == "conv1/kernels":
+        return lambda k, tape: conv1(signals, k, stride, tape), kernels
+    if name == "conv2/latent":
+        k2 = as_node(rng.normal(size=(c, l2, c)))
+        return lambda h, tape: conv2_dilated(h, k2, dilation, tape, signals=n), latent
+    if name == "conv2/kernels":
+        h = as_node(latent)
+        return (lambda k, tape: conv2_dilated(h, k, dilation, tape, signals=n),
+                rng.normal(size=(c, l2, c)))
+    if name == "synthesize/representation":
+        w = as_node(kernels)
+        return lambda a, tape: synthesize(a, w, stride, length, tape, signals=n), latent
+    if name == "synthesize/kernels":
+        a = as_node(latent)
+        return lambda w, tape: synthesize(a, w, stride, length, tape, signals=n), kernels
+    assert name == "split_columns/stack"
+    return lambda a, tape: split_columns(a, n, tape), latent
+
+
+@pytest.mark.parametrize("shape", ADJOINT_SHAPES.values(), ids=ADJOINT_SHAPES.keys())
+@pytest.mark.parametrize("name", ADJOINT_OPS)
+def test_backward_is_the_adjoint(rng, name, shape):
+    # Claerbout's dot-product test <A x, y> = <x, A^T y>, with A^T the op's own
+    # backward closure replayed from a taped functional <A x, y>
+    op, x = _linear_op(name, shape, rng)
+    node, tape = Node(x), Tape()
+    outs = op(node, tape)
+    outs = outs if isinstance(outs, list) else [outs]
+    ys = [rng.normal(size=out.shape) for out in outs]
+    root = Node(sum(float(np.vdot(out.value, y)) for out, y in zip(outs, ys)))
+
+    def backward():
+        for out, y in zip(outs, ys):
+            out.add_grad(float(root.grad) * y)
+    tape.record(backward, root)
+    tape.backward(root)
+    lhs, rhs = float(root.value), float(np.vdot(x, node.grad))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
