@@ -62,6 +62,6 @@ from .losses import (
     tv_loss,
 )
 from .synth import synth_data
-from .training import AdamState, TrainConfig, TrainResult, adam_step, backward, init_adam, train
+from .training import AdamState, TrainConfig, TrainResult, adam_step, init_adam, train
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import checkpoint, diagnostics, synth
 from .dataset import SAMPLE_RATE, load_and_downmix, segment
-from .decoder import decode_chunks, init_decoder
+from .decoder import DecoderParameters, decode_chunks, init_decoder
 from .encoder import encode_chunks, encode_values, init_encoder, num_frames
 from .errors import DataError, NumericalError
 from .evaluation import evaluate, oracle_separate, si_sdr
@@ -53,7 +53,8 @@ def _on_off(value: str) -> bool:
 
 
 def build_parser() -> _Parser:
-    # the train and loss defaults and choices are read from TrainConfig/LossConfig
+    # the train, loss and --square-freq defaults and choices are read from
+    # TrainConfig/LossConfig/DecoderParameters
     parser = _Parser(prog="waverep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -63,8 +64,10 @@ def build_parser() -> _Parser:
         p.add_argument("--kernel-len", type=int, default=2048, help="first-layer kernel length")
         p.add_argument("--kernel2-len", type=int, default=5, help="second-layer kernel length")
         p.add_argument("--dilation", type=int, default=10, help="second-layer dilation factor")
-        p.add_argument("--square-freq", type=_on_off, default=True, metavar="{on,off}",
-                       help="square the normalized carrier frequencies (default on)")
+        p.add_argument("--square-freq", type=_on_off, default=DecoderParameters.square_freq,
+                       metavar="{on,off}",
+                       help="square the normalized carrier frequencies (default "
+                            f"{'on' if DecoderParameters.square_freq else 'off'})")
 
     def add_loss_flags(p):
         p.add_argument("--loss", choices=LOSS_VARIANTS, default=TrainConfig.variant,
@@ -299,8 +302,9 @@ def cmd_evaluate(args) -> int:
         (name, load_and_downmix(vp), load_and_downmix(ap))
         for name, vp, ap in _discover_stems(args.stems)
     ]
-    out = _out_dir(args)
+    # a stem set with no active voice segment fails before any output
     report = evaluate(tracks, enc, dec, baseline=args.baseline is not None)
+    out = _out_dir(args)
     report.to_csv(out / "report.csv")
     (out / "summary.txt").write_text(report.summary() + "\n")
     print(report.summary())

@@ -44,6 +44,8 @@ def load_and_downmix(path) -> np.ndarray:
     frames, rate = read_wav(path)
     if rate != SAMPLE_RATE:
         raise DataError(f"{path}: sample rate {rate} != {SAMPLE_RATE} (resampling is unsupported)")
+    if not len(frames):
+        raise DataError(f"{path}: no samples")
     mono = frames.mean(axis=1)
     if not np.all(np.isfinite(mono)):
         raise DataError(f"{path}: non-finite samples")

@@ -72,7 +72,7 @@ def init_decoder(
     n_components: int,
     kernel_len: int,
     stride: int,
-    square_freq: bool = True,
+    square_freq: bool = DecoderParameters.square_freq,
 ) -> DecoderParameters:
     """Mel-spaced carriers, zero phases, constant 1/(C+L) modulators."""
     freq = mel_init_frequencies(n_components)
@@ -85,7 +85,7 @@ def build_kernels(
     freq: Node,
     phase: Node,
     modulator: Node,
-    square_freq: bool = True,
+    square_freq: bool,
     tape: Tape | None = None,
 ) -> Node:
     """Materialize the (C, L) synthesis kernels from their parameterization."""

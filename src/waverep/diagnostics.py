@@ -108,7 +108,7 @@ def _toy_model(seed: int) -> tuple[EncoderParameters, DecoderParameters, np.rand
     return enc, dec, rng
 
 
-def grad_check_report(seed: int = 0) -> dict[str, float]:
+def grad_check_report(seed: int) -> dict[str, float]:
     """Max relative error of analytic vs central-difference gradients, per op."""
     rng = np.random.default_rng(seed)
     report: dict[str, float] = {}
@@ -267,7 +267,7 @@ def random_cost_matrix(rng: np.random.Generator, t: int) -> np.ndarray:
     return rng.uniform(0.2, 2.0, (t, t))
 
 
-def ot_check_report(seed: int = 0) -> dict:
+def ot_check_report(seed: int) -> dict:
     """Sinkhorn solver vs the brute-force assignment oracle.
 
     Checks that (a) at strong regularization the transport cost matches the

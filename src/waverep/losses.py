@@ -148,7 +148,7 @@ def normalize_simplex(a, tape: Tape | None = None) -> Node:
     return out
 
 
-def pairwise_cost(ao: np.ndarray, p: int = 1) -> np.ndarray:
+def pairwise_cost(ao: np.ndarray, p: int) -> np.ndarray:
     """(T, T) Minkowski distance matrix between the columns of ``ao``.
 
     Each frame pair is computed once, so M is exactly symmetric with an
@@ -170,8 +170,8 @@ def pairwise_cost(ao: np.ndarray, p: int = 1) -> np.ndarray:
 def sinkhorn_plan(
     m: np.ndarray,
     lam: float,
-    max_iters: int = 100,
-    tau: float = 1e-6,
+    max_iters: int = LossConfig.max_iters,
+    tau: float = LossConfig.tau,
 ) -> TransportPlan:
     """Entropic-regularized transport plan between uniform marginals.
 
@@ -275,7 +275,7 @@ def total_loss(
     xhat_v,
     a_m,
     cfg: LossConfig,
-    variant: str = "tv",
+    variant: str,
     tape: Tape | None = None,
     plan: TransportPlan | None = None,
 ) -> LossBreakdown:

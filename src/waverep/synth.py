@@ -78,12 +78,7 @@ def accomp_stem(rng: np.random.Generator, n_samples: int) -> np.ndarray:
     return 0.45 * x / np.max(np.abs(x))
 
 
-def synth_data(
-    out_dir,
-    seed: int = 0,
-    n_tracks: int = 4,
-    duration: float = 6.0,
-) -> list[tuple[Path, Path]]:
+def synth_data(out_dir, seed: int, n_tracks: int, duration: float) -> list[tuple[Path, Path]]:
     """Write paired voice/accompaniment stems, returning the file paths."""
     if not math.isfinite(duration):
         raise ValueError(f"duration must be finite, got {duration}")

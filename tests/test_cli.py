@@ -8,7 +8,7 @@ from waverep.autodiff import as_node
 from waverep.checkpoint import load_arrays, load_model, save_arrays, save_model
 from waverep.cli import build_parser, run
 from waverep.dataset import SAMPLE_RATE, load_and_downmix
-from waverep.decoder import decode_values, init_decoder, kernel_matrix, synthesize
+from waverep.decoder import DecoderParameters, decode_values, init_decoder, kernel_matrix, synthesize
 from waverep.encoder import CHUNK_FRAMES, encode, encode_values, init_encoder
 from waverep.evaluation import oracle_separate
 from waverep.losses import LossConfig
@@ -34,6 +34,13 @@ def trained(tmp_path_factory, stems_dir):
                 "--epochs", "2", "--batch", "4", "--seed", "3", "--lr", "1e-3"])
     assert code == 0
     return out
+
+
+@pytest.fixture
+def small_checkpoint(tmp_path):
+    ckpt = tmp_path / "model.bin"
+    save_model(ckpt, init_encoder(8, 32, 2, 16, 2, seed=0), init_decoder(8, 32, 16))
+    return ckpt
 
 
 class TestExitCodes:
@@ -151,6 +158,38 @@ class TestExitCodes:
                    + inputs.get(command, [voice])) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["encode", "reconstruct", "export", "separate",
+                                         "evaluate", "train"])
+    def test_empty_audio_writes_nothing(self, small_checkpoint, tmp_path, capsys, command):
+        # a WAV file with no frames is refused when it is read, before any output
+        stems = tmp_path / "stems"
+        stems.mkdir()
+        empty, accomp = stems / "track00_voice.wav", stems / "track00_accomp.wav"
+        write_wav(empty, np.zeros(0))
+        write_wav(accomp, np.full(SAMPLE_RATE, 0.1))
+        model = ["--checkpoint", str(small_checkpoint)]
+        inputs = {"separate": model + [str(empty), str(accomp)],
+                  "evaluate": model + ["--stems", str(stems)],
+                  "train": ["--stems", str(stems)]}
+        out = tmp_path / "o"
+        assert run([command, "--out", str(out)] + inputs.get(command, model + [str(empty)])) == 2
+        assert f"{empty}: no samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["checkpoint", "baseline"])
+    def test_evaluate_without_active_segment_writes_nothing(self, small_checkpoint, tmp_path,
+                                                            capsys, source):
+        stems = tmp_path / "stems"
+        stems.mkdir()
+        write_wav(stems / "track00_voice.wav", np.zeros(2 * SAMPLE_RATE))
+        write_wav(stems / "track00_accomp.wav", np.full(2 * SAMPLE_RATE, 0.1))
+        frontend = {"checkpoint": ["--checkpoint", str(small_checkpoint)],
+                    "baseline": ["--baseline", "stft"]}
+        out = tmp_path / "o"
+        assert run(["evaluate", "--stems", str(stems), "--out", str(out)] + frontend[source]) == 2
+        assert "no active voice segments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_evaluate_missing_stems_writes_nothing(self, trained, tmp_path):
         out = tmp_path / "o"
         for source in (["--baseline", "stft"], ["--checkpoint", str(trained / "checkpoint.bin")]):
@@ -240,12 +279,10 @@ class TestSilentVoice:
     score, which has no meaning against a silent reference, reads n/a."""
 
     @pytest.fixture
-    def inputs(self, tmp_path):
-        ckpt = tmp_path / "model.bin"
-        save_model(ckpt, init_encoder(8, 32, 2, 16, 2, seed=0), init_decoder(8, 32, 16))
+    def inputs(self, tmp_path, small_checkpoint):
         write_wav(tmp_path / "voice.wav", np.zeros(SAMPLE_RATE))
         write_wav(tmp_path / "accomp.wav", np.full(SAMPLE_RATE, 0.1))
-        return tmp_path, ckpt
+        return tmp_path, small_checkpoint
 
     def test_reconstruct(self, inputs, capsys):
         tmp_path, ckpt = inputs
@@ -432,7 +469,7 @@ class TestConfigFile:
             assert ((tmp_path / "flags" / artifact).read_bytes()
                     == (tmp_path / "config" / artifact).read_bytes())
 
-    def test_train_defaults_are_the_config_defaults(self):
+    def test_train_defaults_are_the_config_defaults(self, monkeypatch, capsys):
         args = build_parser().parse_args(["train", "--stems", "s", "--out", "o"])
         train, loss = TrainConfig(), LossConfig()
         assert (args.epochs, args.batch, args.seed, args.lr, args.gaussian_std, args.loss,
@@ -441,6 +478,15 @@ class TestConfigFile:
                                      train.early_stop)
         assert (args.omega, args.lam, args.p, args.sinkhorn_iters, args.tau) == (
             loss.omega, loss.lam, loss.p, loss.max_iters, loss.tau)
+        # --square-freq, its help and init_decoder read DecoderParameters.square_freq
+        assert args.square_freq is DecoderParameters.square_freq
+        assert init_decoder(4, 8, 4).square_freq is DecoderParameters.square_freq
+        for default, name in ((True, "on"), (False, "off")):
+            monkeypatch.setattr(DecoderParameters, "square_freq", default)
+            args = build_parser().parse_args(["train", "--stems", "s", "--out", "o"])
+            assert args.square_freq is default
+            assert run(["train", "--help"]) == 0
+            assert f"(default {name})" in " ".join(capsys.readouterr().out.split())
 
 
 class TestDeterminism:

@@ -50,7 +50,7 @@ def test_zero_duration_rejected(tmp_path):
 ])
 def test_bad_setting_rejected_before_writing(tmp_path, kwargs, name):
     with pytest.raises(ValueError, match=name):
-        synth_data(tmp_path / "none", **kwargs)
+        synth_data(tmp_path / "none", **{"seed": 0, "n_tracks": 1, "duration": 1.0, **kwargs})
     assert not (tmp_path / "none").exists()
 
 

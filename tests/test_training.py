@@ -50,13 +50,13 @@ class TestAdam:
 
     def test_nonfinite_gradient_aborts(self):
         params = {"w": np.zeros(2)}
-        state = init_adam(params)
+        state = init_adam(params, lr=1e-4)
         with pytest.raises(NumericalError, match="w"):
             adam_step(params, {"w": np.array([1.0, np.nan])}, state)
 
     def test_shape_mismatch_rejected(self):
         params = {"w": np.zeros(2)}
-        state = init_adam(params)
+        state = init_adam(params, lr=1e-4)
         with pytest.raises(ValueError):
             adam_step(params, {"w": np.zeros(3)}, state)
 
