@@ -22,7 +22,7 @@ from .dataset import SAMPLE_RATE, load_and_downmix, segment
 from .decoder import DecoderParameters, decode_chunks, init_decoder
 from .encoder import encode_chunks, encode_values, init_encoder, num_frames
 from .errors import DataError, NumericalError
-from .evaluation import evaluate, oracle_separate, si_sdr
+from .evaluation import evaluate, mixture_and_sources, oracle_separate, si_sdr
 from .export import export_representation
 from .losses import DISTANCE_EXPONENTS, LOSS_VARIANTS, LossConfig, neg_snr
 from .training import TrainConfig, train
@@ -283,8 +283,9 @@ def cmd_separate(args) -> int:
     out = _out_dir(args)
     n = min(len(voice), len(accomp))
     voice, accomp = voice[:n], accomp[:n]
-    streams = (encode_chunks(x, enc) for x in (voice + accomp, voice, accomp))
-    sep = decode_chunks(map(oracle_separate, *streams), dec, n)
+    # the mixture is masked from its sources' pre-activations, block by block
+    blocks = zip(*(encode_chunks(x, enc, linear=True) for x in (voice, accomp)))
+    sep = decode_chunks((oracle_separate(*mixture_and_sources(*pair)) for pair in blocks), dec, n)
     wav_path = out / (Path(args.voice).stem + "_separated.wav")
     write_wav(wav_path, sep)
     print(f"SI-SDR (masked separation): {_score_db(si_sdr, voice, sep)}")

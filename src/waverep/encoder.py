@@ -4,7 +4,9 @@ A signal of N samples is mapped to a non-negative representation of shape
 (C, T) with T = ceil(N / stride): a strided cross-correlation against C
 kernels, a dilated channel-mixing convolution on top of it, a residual
 connection, and a ReLU.  Both layers zero-pad on the right, so frame t is
-aligned with sample ``t * stride``.
+aligned with sample ``t * stride``.  The encoder is linear up to its final
+ReLU, which ``linear=True`` skips: the pre-activation of a sum of signals is
+the sum of theirs, so a mixture's representation needs no encode of its own.
 
 The layers and :func:`encode` also take an (n, N) stack of n
 equal-length signals and return their representations side by side on the
@@ -148,9 +150,10 @@ def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = Non
 def relu_residual(h2: Node, h1: Node, tape: Tape | None = None, linear: bool = False) -> Node:
     """Residual add followed by ReLU; ``linear=True`` bypasses the ReLU.
 
-    The linear mode is a diagnostic hook (it makes the whole encoder a linear
-    map); the subgradient at exactly zero is taken as zero.  The op is
-    elementwise, so a stack of signals needs nothing more.
+    The linear mode makes the whole encoder a linear map and returns its
+    pre-activation; :func:`evaluation.mixture_and_sources` applies the ReLU
+    afterwards as this op does.  The subgradient at exactly zero is taken as
+    zero.  The op is elementwise, so a stack of signals needs nothing more.
     """
     pre = h2.value + h1.value
     if linear:

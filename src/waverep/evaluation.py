@@ -76,6 +76,13 @@ def oracle_separate(z_m: np.ndarray, z_v: np.ndarray, z_ac: np.ndarray) -> np.nd
     return binary_mask(np.abs(z_v), np.abs(z_ac)) * z_m
 
 
+def mixture_and_sources(p_v: np.ndarray, p_ac: np.ndarray) -> list[np.ndarray]:
+    """``[z_m, z_v, z_ac]`` of a mixture ``v + ac`` and its sources, from the
+    sources' ``encode(..., linear=True)``: the encoder is linear up to its final
+    ReLU, taken here as :func:`encoder.relu_residual` takes it."""
+    return [np.where(p > 0, p, 0.0) for p in (p_v + p_ac, p_v, p_ac)]
+
+
 def additivity(a_m: np.ndarray, a_v: np.ndarray, a_ac: np.ndarray) -> float:
     """1 - ||a_m - a_v - a_ac||_1 / (||a_m||_1 + eps) for the representations
     of a mixture and of its voice and accompaniment.
@@ -188,15 +195,16 @@ def evaluate(
     Tracks are cut into non-overlapping 1 s segments and silent-voice
     segments (below :func:`is_active`'s -10 dB) are discarded.  The front end
     is the STFT with ``baseline=True`` (masked mixtures keep the mixture
-    phase), otherwise the trained encoder/decoder pair.  Either way each
-    segment's mixture, voice and accompaniment are analysed once, and every
-    metric is computed from those three representations; the model analyses
-    the three as one stack in one :func:`encoder.encode` pass and
-    resynthesizes both voice estimates in one :func:`decoder.synthesize` call.
+    phase), otherwise the trained encoder/decoder pair.  Either way only each
+    segment's voice and accompaniment are analysed, the model's as one stack
+    in one linear :func:`encoder.encode` pass, and the mixture's representation
+    is composed from theirs (:func:`mixture_and_sources`; the STFT is linear).
+    Both voice estimates are resynthesized in one :func:`decoder.synthesize`.
     """
     if baseline:
-        def analyze(*signals):
-            return [stft(x) for x in signals]
+        def analyze(x_v, x_ac):
+            z_v, z_ac = stft(x_v), stft(x_ac)
+            return z_v + z_ac, z_v, z_ac
 
         def resynthesize(zs, n):
             return [istft(z, n) for z in zs]
@@ -205,8 +213,9 @@ def evaluate(
     else:
         kernels = as_node(kernel_matrix(dec))
 
-        def analyze(*signals):
-            return np.split(encode(np.stack(signals), enc).value, len(signals), axis=1)
+        def analyze(x_v, x_ac):
+            p = encode(np.stack([x_v, x_ac]), enc, linear=True).value
+            return mixture_and_sources(*np.split(p, 2, axis=1))
 
         def resynthesize(zs, n):
             return synthesize(as_node(np.concatenate(zs, axis=1)), kernels, dec.stride, n,
@@ -220,7 +229,7 @@ def evaluate(
         for i, (x_v, x_ac) in enumerate(zip(v_segs, a_segs)):
             if not is_active(x_v):
                 continue
-            z_m, z_v, z_ac = analyze(x_v + x_ac, x_v, x_ac)
+            z_m, z_v, z_ac = analyze(x_v, x_ac)
             a_m, a_v, a_ac = np.abs(z_m), np.abs(z_v), np.abs(z_ac)
             wdo, psr, sir = w_do(a_v, a_ac)
             y_v, y_bm = resynthesize([z_v, oracle_separate(z_m, z_v, z_ac)], len(x_v))

@@ -42,10 +42,11 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     fmt = None
     data = None
     pos = 12
+    view = memoryview(blob)  # chunk payloads are views, not copies, of the file bytes
     while pos + 8 <= len(blob):
         cid, size = struct.unpack_from("<4sI", blob, pos)
         pos += 8
-        payload = blob[pos : pos + size]
+        payload = view[pos : pos + size]
         if len(payload) < size:
             raise DataError(f"{path}: truncated '{cid.decode(errors='replace')}' chunk")
         if cid == b"fmt ":

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import waverep.cli
+import waverep.encoder
 from waverep.autodiff import as_node
 from waverep.checkpoint import load_arrays, load_model, save_arrays, save_model
 from waverep.cli import build_parser, run
 from waverep.dataset import SAMPLE_RATE, load_and_downmix
 from waverep.decoder import DecoderParameters, decode_values, init_decoder, kernel_matrix, synthesize
-from waverep.encoder import CHUNK_FRAMES, encode, encode_values, init_encoder
+from waverep.encoder import CHUNK_FRAMES, encode, encode_values, init_encoder, num_frames
 from waverep.evaluation import oracle_separate
 from waverep.losses import LossConfig
 from waverep.synth import synth_data
@@ -355,6 +356,25 @@ class TestStreaming:
         x_v, x_ac = load_and_downmix(tmp_path / "voice.wav"), load_and_downmix(tmp_path / "accomp.wav")
         z = [encode(x, enc).value for x in (x_v + x_ac, x_v, x_ac)]
         self._assert_close(written[0], self._one_shot(oracle_separate(*z), dec, len(x_v)))
+
+    def test_separate_encodes_two_signals_per_block(self, inputs, monkeypatch):
+        # the mixture is masked from its sources' pre-activations, so each block
+        # encodes the voice and the accompaniment, not the mixture as a third
+        tmp_path, ckpt = inputs
+        linear = []
+        real_encode = waverep.encoder.encode
+
+        def counting_encode(x, *args, **kwargs):
+            linear.append(kwargs.get("linear"))
+            return real_encode(x, *args, **kwargs)
+
+        monkeypatch.setattr(waverep.encoder, "encode", counting_encode)
+        assert run(["separate", "--checkpoint", str(ckpt), "--out", str(tmp_path / "sep"),
+                    str(tmp_path / "voice.wav"), str(tmp_path / "accomp.wav")]) == 0
+        n = load_and_downmix(tmp_path / "voice.wav").size
+        blocks = -(-num_frames(n, 16) // CHUNK_FRAMES)
+        assert blocks == 6
+        assert linear == [True] * (2 * blocks)
 
 
 def test_separate_memory_is_bounded_in_duration(tmp_path, rng):

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from waverep.dataset import SAMPLE_RATE
 from waverep.decoder import DecoderParameters
-from waverep.encoder import EncoderParameters, encode_values, init_encoder
+from waverep.encoder import EncoderParameters, encode, encode_values, init_encoder
 from waverep.errors import DataError, NumericalError
 from waverep.evaluation import (
     additivity,
     binary_mask,
     evaluate,
     istft,
+    mixture_and_sources,
     oracle_separate,
     si_sdr,
     stft,
@@ -176,6 +177,30 @@ class TestAdditivity:
             assert additivity(*_encode(enc, x_v + x_ac, x_v, x_ac)) <= 1.0
 
 
+class TestMixtureFromSources:
+    """The mixture's representation is composed from its sources' analyses:
+    the encoder is linear up to its final ReLU, and the STFT is linear."""
+
+    def test_encoder_mixture_from_source_preactivations(self, rng):
+        from waverep import synth
+        # the paper configuration (C=800, L=2048, stride 256, L2=5, dilation 10), 1 s
+        enc = init_encoder(800, 2048, 5, 256, 10, seed=0)
+        x_v, x_ac = synth.voice_stem(rng, SAMPLE_RATE), synth.accomp_stem(rng, SAMPLE_RATE)
+        stack = np.stack([x_v, x_ac])
+        z_m, z_v, z_ac = mixture_and_sources(*np.split(encode(stack, enc, linear=True).value, 2, axis=1))
+        # the sources' ReLU is the encoder's own, bit for bit
+        np.testing.assert_array_equal(np.concatenate([z_v, z_ac], axis=1), encode(stack, enc).value,
+                                      strict=True)
+        ref_m = encode(x_v + x_ac, enc).value
+        assert np.any(ref_m > 0) and np.any(ref_m == 0)
+        assert np.max(np.abs(z_m - ref_m)) <= 1e-12 * np.max(np.abs(ref_m))
+
+    def test_stft_of_mixture_is_sum_of_source_stfts(self, rng):
+        x_v, x_ac = rng.uniform(-1, 1, (2, SAMPLE_RATE))
+        ref = stft(x_v + x_ac)
+        assert np.max(np.abs(stft(x_v) + stft(x_ac) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestWdo:
     def test_disjoint_supports(self):
         y = np.array([[1.0, 0.0], [2.0, 0.0]])
@@ -278,7 +303,11 @@ class TestEvaluate:
         dec = init_decoder(8, 64, 64)
         voice = 0.3 * np.sin(2 * np.pi * 300 * np.arange(SAMPLE_RATE) / SAMPLE_RATE)
         accomp = 0.2 * rng.normal(size=SAMPLE_RATE)
-        z_m, z_v, z_ac = _encode(enc, voice + accomp, voice, accomp)
+        # the mixture's representation is the ReLU of its sources' summed
+        # pre-activations; the sources' are their plain encodings
+        p_v, p_ac = _encode(enc, voice, accomp, linear=True)
+        z_m = np.where(p_v + p_ac > 0, p_v + p_ac, 0.0)
+        z_v, z_ac = _encode(enc, voice, accomp)
         wdo, psr, sir = w_do(z_v, z_ac)
         expected = SegmentMetrics(
             track="t",
@@ -312,8 +341,9 @@ class TestEvaluate:
             built.append(1)
             return real_build(*args, **kwargs)
 
-        # each active segment's mixture, voice and accompaniment go through one stacked
-        # encode, and both voice estimates through one stacked synthesis
+        # each active segment's voice and accompaniment go through one stacked
+        # encode (the mixture is composed from them), and both voice estimates
+        # through one stacked synthesis
         monkeypatch.setattr(waverep.evaluation, "encode", encode)
         monkeypatch.setattr(waverep.evaluation, "synthesize", synthesize)
         monkeypatch.setattr(waverep.decoder, "build_kernels", build_kernels)
@@ -324,7 +354,7 @@ class TestEvaluate:
         accomp = 0.2 * rng.normal(size=3 * SAMPLE_RATE)
         report = evaluate([("t", voice, accomp)], enc, dec)
         assert [r.segment for r in report.rows] == [0, 2]
-        assert encoded == [(3, SAMPLE_RATE)] * 2
+        assert encoded == [(2, SAMPLE_RATE)] * 2
         assert synthesized == [2, 2]
         assert len(built) == 1
 

@@ -18,7 +18,7 @@ from waverep.diagnostics import (
     grad_check_report,
     max_relative_error,
 )
-from waverep.encoder import conv1, conv2_dilated, encode, init_encoder, num_frames
+from waverep.encoder import conv1, conv2_dilated, encode, init_encoder, num_frames, relu_residual
 from waverep.losses import LossConfig, neg_snr, sinkhorn_loss, total_loss, tv_loss
 from waverep.training import TrainConfig
 
@@ -213,6 +213,82 @@ def test_batch_gradients_match_a_directional_derivative(rng, variant, scale, tol
     numeric = (objective(step) - objective(-step)) / (2 * step)
     analytic = sum(float(np.vdot(grads[name], direction[name])) for name in params)
     assert abs(numeric - analytic) <= tolerance * abs(analytic)
+
+
+# (input, step, relative tolerance) of each input of each per-op directional-
+# derivative case at the paper configuration, set from the worst gap over
+# sixteen seeds: relu_residual 6.2e-12, build_kernels freq 4.0e-7, phase
+# 7.2e-8, modulator 1.3e-12, neg_snr 1.5e-8 and tv_loss 3.3e-12.  relu_residual
+# and tv_loss are piecewise linear with their inputs off the kinks, and
+# build_kernels is linear in the modulator, so only rounding is left there;
+# the 2048-tap carriers make the truncation error in freq steep in the step
+_BUILD_KERNELS_INPUTS = [("freq", 1e-8, 2e-6), ("phase", 1e-5, 1e-6), ("modulator", 1e-2, 1e-10)]
+NONLINEAR_OPS = {
+    "relu_residual": [("h2", 1e-2, 1e-10), ("h1", 1e-2, 1e-10)],
+    "build_kernels": _BUILD_KERNELS_INPUTS,
+    "build_kernels_nosquare": _BUILD_KERNELS_INPUTS,
+    "neg_snr": [("estimate", 1e-5, 1e-7)],
+    "tv_loss": [("representation", 1e-2, 1e-10)],
+}
+
+
+def _nonlinear_op(name, rng):
+    """``(op, inputs)``: the taped op ``name`` as ``op(nodes, tape)`` at the paper
+    configuration (C=800, L=2048, 1 s at stride 256, so T=173 frames per signal),
+    differentiable in each of ``inputs``."""
+    c, l, t = 800, 2048, num_frames(SAMPLE_RATE, 256)
+    if name == "relu_residual":
+        # the latents of a two-signal stack, as a training item encodes them,
+        # with every pre-activation at least 0.1 away from the ReLU's kink
+        h1 = rng.normal(size=(c, 2 * t))
+        pre = rng.choice([-1.0, 1.0], size=h1.shape) * rng.uniform(0.1, 1.0, h1.shape)
+        return lambda nodes, tape: relu_residual(*nodes, tape), [pre - h1, h1]
+    if name.startswith("build_kernels"):
+        square = name == "build_kernels"
+        dec = init_decoder(c, l, 256, square)
+        return (lambda nodes, tape: build_kernels(*nodes, square, tape),
+                [dec.freq, dec.phase + rng.uniform(-np.pi, np.pi, c), dec.modulator])
+    if name == "neg_snr":
+        voice = synth.voice_stem(rng, SAMPLE_RATE)
+        return (lambda nodes, tape: neg_snr(voice, nodes[0], tape),
+                [voice + 0.1 * rng.normal(size=SAMPLE_RATE)])
+    assert name == "tv_loss"
+    # a checkerboard of low and high cells: every neighbour difference along
+    # either axis is at least 0.1 away from the |.| kink
+    checker = np.add.outer(np.arange(c), np.arange(t)) % 2
+    return lambda nodes, tape: tv_loss(nodes[0], tape), [0.1 + 0.3 * checker + rng.uniform(0, 0.2, (c, t))]
+
+
+@pytest.mark.parametrize("name", NONLINEAR_OPS)
+def test_nonlinear_op_matches_a_directional_derivative(rng, name):
+    # for each input, a central difference of <op(x), y> along a random
+    # direction of that input against <grad, direction>, the gradient replayed
+    # by the op's own backward closure from a taped functional as in the
+    # adjoint test
+    op, inputs = _nonlinear_op(name, rng)
+    nodes, tape = [Node(x.copy()) for x in inputs], Tape()
+    out = op(nodes, tape)
+    y = rng.normal(size=np.shape(out.value))
+    root = Node(float(np.vdot(out.value, y)))
+
+    def backward():
+        out.add_grad(float(root.grad) * y)
+    tape.record(backward, root)
+    tape.backward(root)
+    failures = []
+    for i, (label, step, tolerance) in enumerate(NONLINEAR_OPS[name]):
+        direction = rng.standard_normal(inputs[i].shape)
+
+        def functional(h):
+            moved = [as_node(x + h * direction if j == i else x) for j, x in enumerate(inputs)]
+            return float(np.vdot(op(moved, None).value, y))
+
+        numeric = (functional(step) - functional(-step)) / (2 * step)
+        analytic = float(np.vdot(nodes[i].grad, direction))
+        gap = abs(numeric - analytic) / abs(analytic)
+        if not gap <= tolerance:
+            failures.append(f"{label}: {gap:.2e} > {tolerance:g}")
+    assert not failures, failures
 
 
 def test_backward_seed_scales_gradient(rng):
