@@ -9,6 +9,7 @@ round-trip every value bit-for-bit.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decoder import DecoderParameters
+from .decoder import DecoderParameters, check_pair
 from .encoder import EncoderParameters
 from .errors import CheckpointError
 
@@ -77,7 +78,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
             pos += 4
             dims = struct.unpack_from(f"<{rank}Q", blob, pos)
             pos += 8 * rank
-            size = int(np.prod(dims, dtype=np.int64)) if rank else 1
+            size = math.prod(dims)  # Python integers: a huge product cannot wrap
             payload = blob[pos : pos + 8 * size]
             if len(payload) < 8 * size:
                 raise CheckpointError(f"{path}: truncated array payload for {name!r}")
@@ -85,12 +86,16 @@ def load_arrays(path) -> dict[str, np.ndarray]:
             pos += 8 * size
     except struct.error as exc:
         raise CheckpointError(f"{path}: truncated checkpoint") from exc
+    except ValueError as exc:  # a name that is not UTF-8, or dims numpy cannot take
+        raise CheckpointError(f"{path}: malformed array header: {exc}") from exc
     if pos != end:
         raise CheckpointError(f"{path}: trailing bytes after the last array")
     return arrays
 
 
 def save_model(path, enc: EncoderParameters, dec: DecoderParameters) -> None:
+    """Write ``enc`` and ``dec``, refusing a pair that :func:`decoder.check_pair` rejects."""
+    check_pair(enc, dec)
     save_arrays(path, {
         "encoder/kernels": enc.kernels,
         "encoder/dilated_kernels": enc.dilated_kernels,
@@ -122,12 +127,10 @@ def load_model(path) -> tuple[EncoderParameters, DecoderParameters]:
             raise CheckpointError(f"{path}: {name} must be a positive integer, got {value}")
     if square_freq.shape != () or square_freq not in (0.0, 1.0):
         raise CheckpointError(f"{path}: meta/square_freq must be 0 or 1, got {square_freq}")
-    c, length = kernels.shape if kernels.ndim == 2 else (-1, -1)
-    l2 = dilated.shape[1] if dilated.ndim == 3 else -1
-    shapes = [a.shape for a in (kernels, dilated, freq, phase, modulator)]
-    if shapes != [(c, length), (c, l2, c), (c,), (c,), (c, length)]:
-        raise CheckpointError(
-            f"{path}: inconsistent array shapes {shapes}; expected encoder (C, L), (C, L2, C) "
-            "and decoder (C,), (C,), (C, L)")
     enc = EncoderParameters(kernels, dilated, int(stride), int(dilation))
-    return enc, DecoderParameters(freq, phase, modulator, int(stride), bool(square_freq))
+    dec = DecoderParameters(freq, phase, modulator, int(stride), bool(square_freq))
+    try:
+        check_pair(enc, dec)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    return enc, dec

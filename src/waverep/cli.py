@@ -264,31 +264,31 @@ def cmd_encode(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    # the output is scored before anything is written, so a failing score leaves no output
     enc, dec = checkpoint.load_model(args.checkpoint)
     x = load_and_downmix(args.input)
-    out = _out_dir(args)
     xhat = decode_chunks(encode_chunks(x, enc), dec, len(x))
-    wav_path = out / (Path(args.input).stem + "_recon.wav")
-    write_wav(wav_path, xhat)
     print(f"neg-SNR: {_score_db(lambda r, e: neg_snr(r, e).value, x, xhat)}")
     print(f"SI-SDR: {_score_db(si_sdr, x, xhat)}")
+    wav_path = _out_dir(args) / (Path(args.input).stem + "_recon.wav")
+    write_wav(wav_path, xhat)
     print(f"wrote {wav_path}")
     return 0
 
 
 def cmd_separate(args) -> int:
+    # scored before anything is written, as in cmd_reconstruct
     enc, dec = checkpoint.load_model(args.checkpoint)
     voice = load_and_downmix(args.voice)
     accomp = load_and_downmix(args.accomp)
-    out = _out_dir(args)
     n = min(len(voice), len(accomp))
     voice, accomp = voice[:n], accomp[:n]
     # the mixture is masked from its sources' pre-activations, block by block
     blocks = zip(*(encode_chunks(x, enc, linear=True) for x in (voice, accomp)))
     sep = decode_chunks((oracle_separate(*mixture_and_sources(*pair)) for pair in blocks), dec, n)
-    wav_path = out / (Path(args.voice).stem + "_separated.wav")
-    write_wav(wav_path, sep)
     print(f"SI-SDR (masked separation): {_score_db(si_sdr, voice, sep)}")
+    wav_path = _out_dir(args) / (Path(args.voice).stem + "_separated.wav")
+    write_wav(wav_path, sep)
     print(f"wrote {wav_path}")
     return 0
 

@@ -81,6 +81,21 @@ def init_decoder(
     return DecoderParameters(freq, phase, modulator, int(stride), square_freq)
 
 
+def check_pair(enc: encoder.EncoderParameters, dec: DecoderParameters) -> None:
+    """Raise ``ValueError`` unless ``enc`` and ``dec`` describe one model:
+    one stride, encoder arrays of shapes (C, L), (C, L2, C) and decoder arrays
+    of shapes (C,), (C,), (C, L)."""
+    shapes = [np.shape(a) for a in (enc.kernels, enc.dilated_kernels, dec.freq, dec.phase,
+                                    dec.modulator)]
+    c, length = shapes[0] if len(shapes[0]) == 2 else (-1, -1)
+    l2 = shapes[1][1] if len(shapes[1]) == 3 else -1
+    if shapes != [(c, length), (c, l2, c), (c,), (c,), (c, length)]:
+        raise ValueError(f"inconsistent array shapes {shapes}; expected encoder (C, L), "
+                         "(C, L2, C) and decoder (C,), (C,), (C, L)")
+    if enc.stride != dec.stride:
+        raise ValueError(f"encoder stride {enc.stride} != decoder stride {dec.stride}")
+
+
 def build_kernels(
     freq: Node,
     phase: Node,

@@ -18,7 +18,8 @@ from . import training
 from .autodiff import Node, Tape, as_node, split_columns
 from .dataset import TrainingPair
 from .decoder import DecoderParameters, build_kernels, decode_values, mel_init_frequencies, synthesize
-from .encoder import EncoderParameters, conv1, conv2_dilated, encode, init_encoder, relu_residual
+from .encoder import (EncoderParameters, conv1, conv2_dilated, encode, init_encoder, relu,
+                      relu_residual)
 from .losses import (
     LossConfig,
     neg_snr,
@@ -217,7 +218,7 @@ def _end_to_end_check(seed: int, variant: str) -> dict[str, float]:
         pre_m = encode(mixture, enc, linear=True).value
         if min(np.min(np.abs(pre_v)), np.min(np.abs(pre_m))) < 1e-3:
             continue  # too close to a ReLU kink for finite differences
-        a_m = np.maximum(pre_m, 0.0)
+        a_m = relu(pre_m)
         d_comp = np.abs(np.diff(a_m, axis=0))
         d_time = np.abs(np.diff(a_m, axis=1))
         active_gaps = np.concatenate([d_comp[d_comp > 0], d_time[d_time > 0]])

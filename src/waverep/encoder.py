@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -42,8 +42,11 @@ CHUNK_FRAMES = 1024
 
 @dataclass
 class EncoderParameters:
-    kernels: np.ndarray          # (C, L) first-layer analysis kernels
-    dilated_kernels: np.ndarray  # (C, L2, C) second-layer channel-mixing kernels
+    """The encoder's two kernel tensors are arrays, or, inside a training
+    step, the step's tape nodes, which then collect their gradients."""
+
+    kernels: np.ndarray | Node          # (C, L) first-layer analysis kernels
+    dilated_kernels: np.ndarray | Node  # (C, L2, C) second-layer channel-mixing kernels
     stride: int
     dilation: int
 
@@ -147,50 +150,42 @@ def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = Non
     return out
 
 
+def relu(p: np.ndarray) -> np.ndarray:
+    """The encoder's final nonlinearity, elementwise; NaN maps to zero."""
+    return np.where(p > 0, p, 0.0)
+
+
 def relu_residual(h2: Node, h1: Node, tape: Tape | None = None, linear: bool = False) -> Node:
-    """Residual add followed by ReLU; ``linear=True`` bypasses the ReLU.
+    """Residual add followed by :func:`relu`; ``linear=True`` bypasses the ReLU.
 
     The linear mode makes the whole encoder a linear map and returns its
-    pre-activation; :func:`evaluation.mixture_and_sources` applies the ReLU
-    afterwards as this op does.  The subgradient at exactly zero is taken as
+    pre-activation; :func:`evaluation.mixture_and_sources` applies
+    :func:`relu` afterwards.  The subgradient at exactly zero is taken as
     zero.  The op is elementwise, so a stack of signals needs nothing more.
     """
     pre = h2.value + h1.value
-    if linear:
-        out = Node(pre)
-        mask = None
-    else:
-        mask = pre > 0
-        out = Node(np.where(mask, pre, 0.0))
+    out = Node(pre if linear else relu(pre))
 
     if tape is not None:
         def backward():
-            g = out.grad if mask is None else out.grad * mask
+            # relu(pre) > 0 exactly where pre > 0
+            g = out.grad if linear else out.grad * (out.value > 0)
             h1.add_grad(g)
             h2.add_grad(g)
         tape.record(backward, out)
     return out
 
 
-def encode(
-    x: np.ndarray,
-    params: EncoderParameters,
-    tape: Tape | None = None,
-    linear: bool = False,
-    nodes: Mapping[str, Node] | None = None,
-) -> Node:
+def encode(x: np.ndarray, params: EncoderParameters, tape: Tape | None = None,
+           linear: bool = False) -> Node:
     """Run the full analysis front end on one signal or an (n, N) stack of
     them; returns the (C, T) representation, or the (C, n*T) stack.
 
-    ``nodes`` lets a training loop supply shared parameter nodes (keyed
-    ``"kernels"`` / ``"dilated_kernels"``) so gradients accumulate there.
+    Kernels given as nodes (a training step's) collect their gradients there.
     """
-    nodes = nodes or {}
-    kn = nodes.get("kernels") or as_node(params.kernels)
-    dn = nodes.get("dilated_kernels") or as_node(params.dilated_kernels)
     x = _signals(x)
-    h1 = conv1(x, kn, params.stride, tape)
-    h2 = conv2_dilated(h1, dn, params.dilation, tape, signals=len(x))
+    h1 = conv1(x, as_node(params.kernels), params.stride, tape)
+    h2 = conv2_dilated(h1, as_node(params.dilated_kernels), params.dilation, tape, signals=len(x))
     return relu_residual(h2, h1, tape, linear=linear)
 
 

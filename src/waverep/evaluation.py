@@ -17,8 +17,8 @@ import numpy as np
 
 from .autodiff import as_node
 from .dataset import ACTIVITY_EPS, SAMPLE_RATE, frame, is_active, overlap_add, segment
-from .decoder import DecoderParameters, kernel_matrix, synthesize
-from .encoder import EncoderParameters, encode
+from .decoder import DecoderParameters, check_pair, kernel_matrix, synthesize
+from .encoder import EncoderParameters, encode, relu
 from .errors import DataError, NumericalError
 
 STFT_WINDOW = 2048
@@ -34,7 +34,7 @@ def si_sdr(ref: np.ndarray, est: np.ndarray) -> float:
     so the measure is invariant to (nonzero) rescaling of the estimate.  The
     result is clamped to [-SI_SDR_CAP_DB, SI_SDR_CAP_DB]: a vanishing residual
     scores the cap, and a silent or orthogonal estimate (zero projection)
-    scores its negative.  A non-finite estimate raises :class:`NumericalError`.
+    scores its negative.  A non-finite estimate or energy raises :class:`NumericalError`.
     """
     ref = np.asarray(ref, dtype=np.float64)
     est = np.asarray(est, dtype=np.float64)
@@ -50,6 +50,8 @@ def si_sdr(ref: np.ndarray, est: np.ndarray) -> float:
     resid = target - est
     num = float(target @ target)
     den = float(resid @ resid)
+    if not (math.isfinite(num) and math.isfinite(den)):  # they overflowed
+        raise NumericalError("si_sdr: the target or residual energy is not finite")
     if num == 0.0:
         return -SI_SDR_CAP_DB
     if den == 0.0:
@@ -79,8 +81,8 @@ def oracle_separate(z_m: np.ndarray, z_v: np.ndarray, z_ac: np.ndarray) -> np.nd
 def mixture_and_sources(p_v: np.ndarray, p_ac: np.ndarray) -> list[np.ndarray]:
     """``[z_m, z_v, z_ac]`` of a mixture ``v + ac`` and its sources, from the
     sources' ``encode(..., linear=True)``: the encoder is linear up to its final
-    ReLU, taken here as :func:`encoder.relu_residual` takes it."""
-    return [np.where(p > 0, p, 0.0) for p in (p_v + p_ac, p_v, p_ac)]
+    :func:`encoder.relu`."""
+    return [relu(p) for p in (p_v + p_ac, p_v, p_ac)]
 
 
 def additivity(a_m: np.ndarray, a_v: np.ndarray, a_ac: np.ndarray) -> float:
@@ -211,6 +213,7 @@ def evaluate(
     elif enc is None or dec is None:
         raise ValueError("evaluate needs encoder+decoder parameters or baseline=True")
     else:
+        check_pair(enc, dec)
         kernels = as_node(kernel_matrix(dec))
 
         def analyze(x_v, x_ac):

@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import Node, Tape, split_columns
 from .checkpoint import save_model
 from .dataset import TrainingPair, make_training_pairs
-from .decoder import DecoderParameters, build_kernels, kernel_matrix, synthesize
+from .decoder import DecoderParameters, build_kernels, check_pair, kernel_matrix, synthesize
 from .encoder import EncoderParameters, encode
 from .errors import NumericalError
 from .losses import LOSS_VARIANTS, LossBreakdown, LossConfig, neg_snr, total_loss
@@ -114,11 +114,11 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 
 
 def _item_loss(pair: TrainingPair, enc: EncoderParameters, kernels: Node, stride: int,
-               cfg: TrainConfig, tape: Tape | None = None, nodes=None) -> LossBreakdown:
+               cfg: TrainConfig, tape: Tape | None = None) -> LossBreakdown:
     """One item's objective: denoising with ``kernels``, plus the mixture's representation term.
 
     The noisy voice and the mixture are encoded as one stack of two signals."""
-    stack = encode(np.stack([pair.noisy_voice, pair.mixture]), enc, tape, nodes=nodes)
+    stack = encode(np.stack([pair.noisy_voice, pair.mixture]), enc, tape)
     a_v, a_m = split_columns(stack, 2, tape)
     xhat = synthesize(a_v, kernels, stride, len(pair.voice), tape)
     return total_loss(pair.voice, xhat, a_m, cfg.loss, cfg.variant, tape)
@@ -134,12 +134,13 @@ def batch_gradients(items: Sequence[TrainingPair], enc: EncoderParameters, dec: 
     The batch is not stacked into one encode: all of its activations would
     then be alive at once."""
     nodes = {name: Node(arr) for name, arr in _param_dict(enc, dec).items()}
+    enc_nodes = EncoderParameters(nodes["kernels"], nodes["dilated_kernels"], enc.stride, enc.dilation)
     kernel_tape = Tape()
     w = build_kernels(nodes["freq"], nodes["phase"], nodes["modulator"], dec.square_freq, kernel_tape)
     breakdowns = []
     for pair in items:
         tape = Tape()
-        bd = _item_loss(pair, enc, w, dec.stride, cfg, tape, nodes)
+        bd = _item_loss(pair, enc_nodes, w, dec.stride, cfg, tape)
         tape.backward(bd.total, 1.0 / len(items))
         breakdowns.append(bd)
     # w.grad already holds the batch-mean dL/dW: a zero seed adds nothing to it,
@@ -170,6 +171,7 @@ def train(
     """
     if not len(voice_segments) or not len(accomp_segments):
         raise ValueError("training needs non-empty voice and accompaniment segment pools")
+    check_pair(enc, dec)
     params = _param_dict(enc, dec)
     adam = init_adam(params, lr=cfg.lr)
     history: list[dict] = []

@@ -92,20 +92,25 @@ def read_wav(path) -> tuple[np.ndarray, int]:
 
 
 def write_wav(path, samples: np.ndarray) -> None:
-    """Write a mono float32 WAV file at ``SAMPLE_RATE``."""
+    """Write a mono float32 WAV file at ``SAMPLE_RATE``: the header, then the
+    samples.  A sample that is not finite in float32 raises ``ValueError``
+    before the file is opened."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ValueError("write_wav expects a mono 1-D signal")
-    payload = samples.astype("<f4").tobytes()
-    n = samples.size
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        payload = samples.astype("<f4")
+    if not np.all(np.isfinite(payload)):
+        raise ValueError(f"{path}: refusing to write samples that are not finite in float32")
 
     fmt = struct.pack("<HHIIHH", _FMT_FLOAT, 1, SAMPLE_RATE, SAMPLE_RATE * 4, 4, 32)
-    fact = struct.pack("<I", n)
-    body = (
+    fact = struct.pack("<I", payload.size)
+    header = (
         b"WAVE"
         + b"fmt " + struct.pack("<I", len(fmt)) + fmt
         + b"fact" + struct.pack("<I", len(fact)) + fact
-        + b"data" + struct.pack("<I", len(payload)) + payload
+        + b"data" + struct.pack("<I", payload.nbytes)
     )
     with open(path, "wb") as f:
-        f.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+        f.write(b"RIFF" + struct.pack("<I", len(header) + payload.nbytes) + header)
+        f.write(payload)

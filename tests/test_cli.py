@@ -191,6 +191,22 @@ class TestExitCodes:
         assert "no active voice segments" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["reconstruct", "separate", "evaluate"])
+    def test_overflowing_output_writes_nothing(self, stems_dir, tmp_path, capsys, command):
+        # one huge but finite kernel entry: the output overflows its scores,
+        # which are computed before anything is written
+        enc = init_encoder(8, 32, 2, 16, 2, seed=0)
+        enc.kernels[0, 0] = 1e200
+        ckpt = tmp_path / "huge.bin"
+        save_model(ckpt, enc, init_decoder(8, 32, 16))
+        voice, accomp = (str(stems_dir / f"track00_{stem}.wav") for stem in ("voice", "accomp"))
+        inputs = {"reconstruct": [voice], "separate": [voice, accomp],
+                  "evaluate": ["--stems", str(stems_dir)]}
+        out = tmp_path / "o"
+        assert run([command, "--checkpoint", str(ckpt), "--out", str(out)] + inputs[command]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_evaluate_missing_stems_writes_nothing(self, trained, tmp_path):
         out = tmp_path / "o"
         for source in (["--baseline", "stft"], ["--checkpoint", str(trained / "checkpoint.bin")]):
@@ -230,6 +246,21 @@ class TestCommands:
         assert run(["reconstruct", "--checkpoint", str(trained / "checkpoint.bin"),
                     "--out", str(out), str(wav)]) == 0
         assert (out / f"{wav.stem}_recon.wav").is_file()
+
+    def test_streaming_commands_print_their_scores_then_the_path(self, trained, stems_dir,
+                                                                 tmp_path, capsys):
+        voice = stems_dir / "track00_voice.wav"
+        ckpt = str(trained / "checkpoint.bin")
+        assert run(["reconstruct", "--checkpoint", ckpt, "--out", str(tmp_path / "rec"),
+                    str(voice)]) == 0
+        assert run(["separate", "--checkpoint", ckpt, "--out", str(tmp_path / "sep"), str(voice),
+                    str(stems_dir / "track00_accomp.wav")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:2] + lines[3:4]] == [
+            "neg-SNR", "SI-SDR", "SI-SDR (masked separation)"]
+        assert all(line.endswith(" dB") for line in lines[:2] + lines[3:4])
+        assert lines[2] == f"wrote {tmp_path / 'rec' / 'track00_voice_recon.wav'}"
+        assert lines[4] == f"wrote {tmp_path / 'sep' / 'track00_voice_separated.wav'}"
 
     def test_separate(self, trained, stems_dir, tmp_path):
         voice = next(stems_dir.glob("*_voice.wav"))

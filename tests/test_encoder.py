@@ -241,7 +241,8 @@ class TestSignalStack:
         """Kernel gradients of sum(weights * encode(x)), taped."""
         nodes = {"kernels": Node(params.kernels), "dilated_kernels": Node(params.dilated_kernels)}
         tape = Tape()
-        a = encode(x, params, tape, nodes=nodes)
+        taped = EncoderParameters(**nodes, stride=params.stride, dilation=params.dilation)
+        a = encode(x, taped, tape)
         loss = Node(float((a.value * weights).sum()))
         tape.record(lambda: a.add_grad(float(loss.grad) * weights), loss)
         tape.backward(loss)

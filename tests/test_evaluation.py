@@ -62,6 +62,13 @@ class TestSiSdr:
         with pytest.raises(NumericalError, match="not finite"):
             si_sdr(x, est)
 
+    def test_overflowing_energies_raise_instead_of_scoring_the_cap(self, rng):
+        # a finite estimate whose energies overflow would give inf/inf = NaN,
+        # which min(cap, NaN) turns into the cap
+        x = rng.uniform(-1, 1, 100)
+        with pytest.raises(NumericalError, match="not finite"):
+            si_sdr(x, 1e160 * rng.normal(size=100))
+
 
 class TestBinaryMask:
     def test_equal_positive_representations_keep_everything(self, rng):
@@ -357,6 +364,15 @@ class TestEvaluate:
         assert encoded == [(2, SAMPLE_RATE)] * 2
         assert synthesized == [2, 2]
         assert len(built) == 1
+
+    @pytest.mark.parametrize("stride, kernel_len, match", [(32, 64, "stride"), (64, 32, "shapes")])
+    def test_mismatched_pair_rejected(self, rng, stride, kernel_len, match):
+        from waverep.decoder import init_decoder
+        enc = init_encoder(8, 64, 2, 64, 2, seed=0)
+        voice = 0.3 * np.sin(2 * np.pi * 300 * np.arange(SAMPLE_RATE) / SAMPLE_RATE)
+        with pytest.raises(ValueError, match=match):
+            evaluate([("t", voice, 0.2 * rng.normal(size=SAMPLE_RATE))], enc,
+                     init_decoder(8, kernel_len, stride))
 
     def test_all_silent_rejected(self):
         with pytest.raises(DataError, match="active"):

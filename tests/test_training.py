@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import re
 import struct
 import tracemalloc
 import zlib
@@ -15,7 +16,7 @@ from waverep.autodiff import Node, Tape
 from waverep.checkpoint import load_arrays, load_model, save_arrays, save_model
 from waverep.dataset import make_training_pairs
 from waverep.decoder import DecoderParameters, build_kernels, init_decoder, kernel_matrix, synthesize
-from waverep.encoder import encode, init_encoder
+from waverep.encoder import EncoderParameters, encode, init_encoder
 from waverep.errors import CheckpointError, NumericalError
 from waverep.losses import LossConfig, total_loss
 from waverep.training import TrainConfig, adam_step, batch_gradients, init_adam, train
@@ -156,11 +157,12 @@ class TestTrainLoop:
 def _per_item_gradients(pair, enc, dec, cfg):
     """One item's gradients on its own tape, with its own kernels."""
     nodes = {name: Node(arr) for name, arr in waverep.training._param_dict(enc, dec).items()}
+    enc_nodes = EncoderParameters(nodes["kernels"], nodes["dilated_kernels"], enc.stride, enc.dilation)
     tape = Tape()
-    a_v = encode(pair.noisy_voice, enc, tape, nodes=nodes)
+    a_v = encode(pair.noisy_voice, enc_nodes, tape)
     w = build_kernels(nodes["freq"], nodes["phase"], nodes["modulator"], dec.square_freq, tape)
     xhat = synthesize(a_v, w, dec.stride, len(pair.voice), tape)
-    a_m = encode(pair.mixture, enc, tape, nodes=nodes)
+    a_m = encode(pair.mixture, enc_nodes, tape)
     bd = total_loss(pair.voice, xhat, a_m, cfg.loss, cfg.variant, tape)
     tape.backward(bd.total)
     return {name: node.grad for name, node in nodes.items()}, bd
@@ -336,6 +338,55 @@ class TestCheckpoint:
         np.testing.assert_array_equal(arrays["a"], np.arange(1 << 20, dtype=np.float64))
         assert arrays["a"].flags.writeable and arrays["a"].flags.owndata
         assert peak <= 2.1 * size
+
+    def _first_array_mutated(self, tmp_path, offset, data):
+        # one array named "a" of shape (2, 2): its name byte is at 14, its dims at 19
+        path = tmp_path / "c.bin"
+        save_arrays(path, {"a": np.ones((2, 2))})
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + len(data)] = data
+        path.write_bytes(_with_crc(blob))
+        return path
+
+    def test_huge_dims_name_the_file(self, tmp_path):
+        # 2**40 * 2**40 wraps to 0 in int64, which would pass the length check
+        path = self._first_array_mutated(tmp_path, 19, struct.pack("<2Q", 2**40, 2**40))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: truncated array payload")):
+            load_arrays(path)
+
+    def test_non_utf8_name_names_the_file(self, tmp_path):
+        path = self._first_array_mutated(tmp_path, 14, b"\xff")
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_arrays(path)
+
+
+def _mismatched_pair(kind):
+    enc = init_encoder(6, 16, 2, 16, 2, seed=0)
+    dec = init_decoder(6, 16, 8) if kind == "stride" else init_decoder(6, 17, 16)
+    return enc, dec
+
+
+@pytest.mark.parametrize("kind, match", [("stride", "stride 16 != decoder stride 8"),
+                                         ("kernel-length", "shapes")])
+class TestPairContract:
+    """An encoder and a decoder that cannot form one model are refused before
+    anything is written: at save, and at the start of training."""
+
+    def test_save_refuses(self, tmp_path, kind, match):
+        path = tmp_path / "m.bin"
+        with pytest.raises(ValueError, match=match):
+            save_model(path, *_mismatched_pair(kind))
+        assert not path.exists()
+
+    def test_train_refuses_before_the_baseline(self, rng, tmp_path, monkeypatch, kind, match):
+        voices, accomps = _toy_problem(rng, n_segments=2)
+        monkeypatch.setattr(waverep.training, "make_training_pairs",
+                            lambda *args: pytest.fail("the baseline pass started"))
+        with pytest.raises(ValueError, match=match):
+            train(voices, accomps, *_mismatched_pair(kind), TrainConfig(epochs=1),
+                  log_path=tmp_path / "log.jsonl", checkpoint_path=tmp_path / "m.bin")
+        assert not (tmp_path / "log.jsonl").exists()
+        assert not (tmp_path / "m.bin").exists()
 
 
 class TestLoadModelValidation:

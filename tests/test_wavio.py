@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -87,6 +88,24 @@ def test_writer_is_deterministic(tmp_path, rng):
     write_wav(tmp_path / "a.wav", x)
     write_wav(tmp_path / "b.wav", x)
     assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
+
+
+def test_writer_layout(tmp_path, rng):
+    # RIFF header, fmt, fact and data chunks, then the float32 samples
+    x = rng.uniform(-1, 1, 7)
+    write_wav(tmp_path / "w.wav", x)
+    fmt = struct.pack("<HHIIHH", 3, 1, 44100, 4 * 44100, 4, 32)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt + b"fact" + struct.pack("<II", 4, 7)
+            + b"data" + struct.pack("<I", 28) + x.astype("<f4").tobytes())
+    assert (tmp_path / "w.wav").read_bytes() == b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("bad", [1e39, -1e39, np.inf, np.nan])
+def test_writer_refuses_samples_not_finite_in_float32(tmp_path, bad):
+    path = tmp_path / "bad.wav"
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        write_wav(path, np.array([0.0, bad, 0.5]))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("blob", [
