@@ -21,12 +21,16 @@ import numpy as np
 
 
 class Node:
-    """A value in the computation graph plus its gradient accumulator."""
+    """A value in the computation graph plus its gradient accumulator.
+
+    A float32 value stays float32, so that a forward pass over float32
+    parameters runs in float32; any other value is held as float64."""
 
     __slots__ = ("value", "grad")
 
     def __init__(self, value):
-        self.value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value)
+        self.value = value if value.dtype == np.float32 else value.astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
 
     def add_grad(self, g) -> None:

@@ -60,7 +60,7 @@ def frame(x: np.ndarray, length: int, hop: int, n_frames: int) -> np.ndarray:
     """
     needed = (n_frames - 1) * hop + length
     if needed > x.size:
-        x = np.concatenate([x, np.zeros(needed - x.size)])
+        x = np.concatenate([x, np.zeros(needed - x.size, dtype=x.dtype)])
     return sliding_window_view(x, length)[::hop][:n_frames]
 
 
@@ -75,7 +75,7 @@ def overlap_add(frames: np.ndarray, hop: int, out_len: int) -> np.ndarray:
     """
     n_frames, length = frames.shape
     chunks = -(-length // hop)
-    y = np.zeros(max((n_frames + chunks - 1) * hop, out_len))
+    y = np.zeros(max((n_frames + chunks - 1) * hop, out_len), dtype=frames.dtype)
     for k in reversed(range(chunks)):
         cols = frames[:, k * hop : (k + 1) * hop]
         y[k * hop : (k + n_frames) * hop].reshape(n_frames, hop)[:, : cols.shape[1]] += cols

@@ -171,9 +171,13 @@ def decode_chunks(chunks: Iterable[np.ndarray], params: DecoderParameters,
     """Forward-only decode of consecutive column blocks of a representation,
     such as :func:`encoder.encode_chunks` yields: each block is synthesized
     and overlap-added into the ``out_len``-sample output at its first frame's
-    sample offset."""
-    w = as_node(kernel_matrix(params))
-    y = np.zeros(out_len)
+    sample offset.
+
+    The output has the modulators' dtype.  The carriers' phase reaches
+    ``2*pi*f*L`` radians, so the kernels are computed in float64 and then
+    cast once."""
+    w = as_node(kernel_matrix(params).astype(params.modulator.dtype, copy=False))
+    y = np.zeros(out_len, dtype=w.value.dtype)
     start = 0
     for block in chunks:
         n = min((block.shape[1] - 1) * params.stride + params.kernel_len, out_len - start)
@@ -185,7 +189,7 @@ def decode_chunks(chunks: Iterable[np.ndarray], params: DecoderParameters,
 
 def decode_values(a: np.ndarray, params: DecoderParameters, out_len: int) -> np.ndarray:
     """Forward-only decode of a plain (C, T) array, ``CHUNK_FRAMES`` columns at a time."""
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(a)
     step = encoder.CHUNK_FRAMES
     return decode_chunks((a[:, t0 : t0 + step] for t0 in range(0, a.shape[1], step)),
                          params, out_len)

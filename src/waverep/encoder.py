@@ -82,8 +82,9 @@ def num_frames(n_samples: int, stride: int) -> int:
 
 
 def _signals(x) -> np.ndarray:
-    """``x`` as an (n, N) stack: a 1-D signal is a stack of one."""
-    x = np.asarray(x, dtype=np.float64)
+    """``x`` as an (n, N) stack: a 1-D signal is a stack of one.  The samples
+    keep their dtype; :func:`conv1` casts only the windows it reads."""
+    x = np.asarray(x)
     if x.ndim == 1:
         x = x[None]
     if x.ndim != 2 or x.size == 0:
@@ -94,10 +95,11 @@ def _signals(x) -> np.ndarray:
 def conv1(x: np.ndarray, kernels: Node, stride: int, tape: Tape | None = None) -> Node:
     """First layer: cross-correlation of each signal of ``x`` with each kernel
     at ``stride``, for all ``ceil(N / stride)`` frames; signal k fills output
-    columns ``k*T .. (k+1)*T - 1``."""
+    columns ``k*T .. (k+1)*T - 1``.  The result has the kernels' dtype."""
     x = _signals(x)
     frames = num_frames(x.shape[1], stride)
-    win = np.concatenate([frame(s, kernels.value.shape[1], stride, frames) for s in x])
+    win = np.concatenate([frame(s, kernels.value.shape[1], stride, frames) for s in x],
+                         dtype=kernels.value.dtype)
     out = Node(kernels.value @ win.T)
 
     if tape is not None:
@@ -130,7 +132,7 @@ def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = Non
     def shifted(off):  # (C_in, signals*t): frames off .. off+t-1 of every signal
         return hp[:, :, off : off + t].reshape(c_in, signals * t)
 
-    out_val = np.zeros((c_out, signals * t))
+    out_val = np.zeros((c_out, signals * t), dtype=hv.dtype)
     for tap in range(l2):
         out_val += kp[:, tap, :] @ shifted(tap * dilation)
     out = Node(out_val)
@@ -210,9 +212,10 @@ def encode_chunks(
 
 
 def encode_values(x: np.ndarray, params: EncoderParameters, linear: bool = False) -> np.ndarray:
-    """Forward-only encode returning the (C, T) representation array,
-    filled block by block from :func:`encode_chunks`."""
-    a = np.empty((params.n_components, num_frames(np.size(x), params.stride)))
+    """Forward-only encode returning the (C, T) representation array in the
+    kernels' dtype, filled block by block from :func:`encode_chunks`."""
+    a = np.empty((params.n_components, num_frames(np.size(x), params.stride)),
+                 dtype=params.kernels.dtype)
     for i, block in enumerate(encode_chunks(x, params, linear)):
         a[:, i * CHUNK_FRAMES : i * CHUNK_FRAMES + block.shape[1]] = block
     return a

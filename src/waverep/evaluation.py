@@ -62,12 +62,13 @@ def si_sdr(ref: np.ndarray, est: np.ndarray) -> float:
 def binary_mask(a_target: np.ndarray, a_interf: np.ndarray) -> np.ndarray:
     """Oracle {0,1} mask: 1 where the target representation is at least half
     the interferer's.  The multiplicative comparison avoids 0/0; a cell where
-    both are zero is kept (the mixture carries no energy there anyway)."""
-    a_target = np.asarray(a_target, dtype=np.float64)
-    a_interf = np.asarray(a_interf, dtype=np.float64)
+    both are zero is kept (the mixture carries no energy there anyway).  The
+    mask has the inputs' floating dtype, at least float32."""
+    dtype = np.result_type(np.asarray(a_target), np.asarray(a_interf), np.float32)
+    a_target, a_interf = np.asarray(a_target, dtype=dtype), np.asarray(a_interf, dtype=dtype)
     if a_target.shape != a_interf.shape:
         raise ValueError("mask inputs must have the same shape")
-    return (a_target >= 0.5 * a_interf).astype(np.float64)
+    return (a_target >= 0.5 * a_interf).astype(dtype)
 
 
 def oracle_separate(z_m: np.ndarray, z_v: np.ndarray, z_ac: np.ndarray) -> np.ndarray:
