@@ -206,6 +206,29 @@ def _score_db(metric, ref: np.ndarray, est: np.ndarray) -> str:
     return f"{float(metric(ref, est)):.3f} dB"
 
 
+def _load_float32(path):
+    """The model at ``path`` for the streaming commands: the arrays that their
+    GEMMs read (encoder kernels, decoder modulators) are cast to float32, so
+    the forward pass runs in float32.  A parameter that is not finite in
+    float32 raises :class:`NumericalError`."""
+    enc, dec = checkpoint.load_model(path)
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        arrays = [a.astype(np.float32) for a in (enc.kernels, enc.dilated_kernels, dec.modulator)]
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise NumericalError(f"{path}: the model's parameters are not finite in float32")
+    enc.kernels, enc.dilated_kernels, dec.modulator = arrays
+    return enc, dec
+
+
+def _decode(chunks, dec: DecoderParameters, out_len: int) -> np.ndarray:
+    """:func:`decode_chunks`, refusing an output that is not finite in float32."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        y = decode_chunks(chunks, dec, out_len)
+    if not np.all(np.isfinite(y)):
+        raise NumericalError("the decoded output is not finite in float32")
+    return y
+
+
 def cmd_synth_data(args) -> int:
     # synth_data checks its settings before it makes the directory
     pairs = synth.synth_data(args.out, seed=args.seed, n_tracks=args.tracks, duration=args.duration)
@@ -264,10 +287,10 @@ def cmd_encode(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    # the output is scored before anything is written, so a failing score leaves no output
-    enc, dec = checkpoint.load_model(args.checkpoint)
+    # the output is checked and scored before anything is written, so a failure leaves no output
+    enc, dec = _load_float32(args.checkpoint)
     x = load_and_downmix(args.input)
-    xhat = decode_chunks(encode_chunks(x, enc), dec, len(x))
+    xhat = _decode(encode_chunks(x, enc), dec, len(x))
     print(f"neg-SNR: {_score_db(lambda r, e: neg_snr(r, e).value, x, xhat)}")
     print(f"SI-SDR: {_score_db(si_sdr, x, xhat)}")
     wav_path = _out_dir(args) / (Path(args.input).stem + "_recon.wav")
@@ -277,15 +300,15 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    # scored before anything is written, as in cmd_reconstruct
-    enc, dec = checkpoint.load_model(args.checkpoint)
+    # checked and scored before anything is written, as in cmd_reconstruct
+    enc, dec = _load_float32(args.checkpoint)
     voice = load_and_downmix(args.voice)
     accomp = load_and_downmix(args.accomp)
     n = min(len(voice), len(accomp))
     voice, accomp = voice[:n], accomp[:n]
     # the mixture is masked from its sources' pre-activations, block by block
     blocks = zip(*(encode_chunks(x, enc, linear=True) for x in (voice, accomp)))
-    sep = decode_chunks((oracle_separate(*mixture_and_sources(*pair)) for pair in blocks), dec, n)
+    sep = _decode((oracle_separate(*mixture_and_sources(*pair)) for pair in blocks), dec, n)
     print(f"SI-SDR (masked separation): {_score_db(si_sdr, voice, sep)}")
     wav_path = _out_dir(args) / (Path(args.voice).stem + "_separated.wav")
     write_wav(wav_path, sep)

@@ -25,6 +25,7 @@ STFT_WINDOW = 2048
 STFT_HOP = 256
 SEGMENT_LEN = SAMPLE_RATE  # evaluation cuts non-overlapping 1 s segments
 SI_SDR_CAP_DB = 120.0      # si_sdr never leaves [-SI_SDR_CAP_DB, SI_SDR_CAP_DB]
+SI_SDR_BLOCK = 1 << 16     # si_sdr sums blocks this long; >= SEGMENT_LEN, so a segment is one
 
 
 def si_sdr(ref: np.ndarray, est: np.ndarray) -> float:
@@ -35,21 +36,34 @@ def si_sdr(ref: np.ndarray, est: np.ndarray) -> float:
     result is clamped to [-SI_SDR_CAP_DB, SI_SDR_CAP_DB]: a vanishing residual
     scores the cap, and a silent or orthogonal estimate (zero projection)
     scores its negative.  A non-finite estimate or energy raises :class:`NumericalError`.
+
+    The energies are summed in float64 over blocks of ``SI_SDR_BLOCK``
+    samples, each cast on its own, so no signal-length temporary is made.
     """
-    ref = np.asarray(ref, dtype=np.float64)
-    est = np.asarray(est, dtype=np.float64)
+    ref, est = np.asarray(ref), np.asarray(est)
     if ref.shape != est.shape:
         raise ValueError("signals must have equal length")
-    if not np.all(np.isfinite(est)):
-        raise NumericalError("si_sdr: the estimate is not finite")
-    energy = float(ref @ ref)
-    if energy == 0.0:
-        raise ValueError("si_sdr reference signal is all-zero")
-    alpha = float(est @ ref) / energy
-    target = alpha * ref
-    resid = target - est
-    num = float(target @ target)
-    den = float(resid @ resid)
+
+    def blocks():
+        for i in range(0, ref.size, SI_SDR_BLOCK):
+            yield (np.asarray(ref[i : i + SI_SDR_BLOCK], dtype=np.float64),
+                   np.asarray(est[i : i + SI_SDR_BLOCK], dtype=np.float64))
+
+    energy = dot = num = den = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # num and den are checked below
+        for r, e in blocks():
+            if not np.all(np.isfinite(e)):
+                raise NumericalError("si_sdr: the estimate is not finite")
+            energy += float(r @ r)
+            dot += float(e @ r)
+        if energy == 0.0:
+            raise ValueError("si_sdr reference signal is all-zero")
+        alpha = dot / energy
+        for r, e in blocks():
+            target = alpha * r
+            num += float(target @ target)
+            target -= e  # now the residual
+            den += float(target @ target)
     if not (math.isfinite(num) and math.isfinite(den)):  # they overflowed
         raise NumericalError("si_sdr: the target or residual energy is not finite")
     if num == 0.0:
@@ -103,21 +117,25 @@ def w_do(y_target: np.ndarray, y_interf: np.ndarray) -> tuple[float, float, floa
     (masked-to-total squared L1 norms of |target|), SIR the ratio of the
     masked target to the masked interferer, and W-DO = PSR - PSR/SIR.
     Disjoint supports give (1, 1, inf); identical magnitudes give (0, 1, 1).
+    Representations whose squared L1 norms are not finite raise
+    :class:`NumericalError`.
     """
     yt = np.abs(np.asarray(y_target, dtype=np.float64))
     yi = np.abs(np.asarray(y_interf, dtype=np.float64))
     if yt.shape != yi.shape:
         raise ValueError("representations must have the same shape")
-    total = yt.sum()
+    mask = binary_mask(yt, yi)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below; kept_t <= total
+        total, kept_t, kept_i = yt.sum(), (mask * yt).sum(), (mask * yi).sum()
+        total_sq, kept_t_sq, kept_i_sq = total ** 2, kept_t ** 2, kept_i ** 2
+    if not (math.isfinite(total_sq) and math.isfinite(kept_i_sq)):
+        raise NumericalError("w_do: the representations' squared L1 norms are not finite")
     if total == 0.0:
         raise ValueError("target representation is identically zero, PSR undefined")
-    mask = binary_mask(yt, yi)
-    kept_t = (mask * yt).sum()
-    kept_i = (mask * yi).sum()
-    psr = (kept_t ** 2) / (total ** 2)
+    psr = kept_t_sq / total_sq
     if kept_i == 0.0:
         return psr, psr, math.inf
-    sir = (kept_t ** 2) / (kept_i ** 2)
+    sir = kept_t_sq / kept_i_sq
     return psr - psr / sir, psr, sir
 
 
@@ -233,7 +251,11 @@ def evaluate(
         for i, (x_v, x_ac) in enumerate(zip(v_segs, a_segs)):
             if not is_active(x_v):
                 continue
-            z_m, z_v, z_ac = analyze(x_v, x_ac)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                zs = analyze(x_v, x_ac)
+            if not all(np.all(np.isfinite(z)) for z in zs):
+                raise NumericalError(f"{name}, segment {i}: the representations are not finite")
+            z_m, z_v, z_ac = zs
             a_m, a_v, a_ac = np.abs(z_m), np.abs(z_v), np.abs(z_ac)
             wdo, psr, sir = w_do(a_v, a_ac)
             y_v, y_bm = resynthesize([z_v, oracle_separate(z_m, z_v, z_ac)], len(x_v))

@@ -84,8 +84,9 @@ def neg_snr(x: np.ndarray, est, tape: Tape | None = None) -> Node:
     energy = float(x @ x)
     if energy == 0.0:
         raise ValueError("neg_snr reference signal is all-zero")
-    diff = x - est_node.value
-    resid = float(diff @ diff)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        diff = x - est_node.value
+        resid = float(diff @ diff)
     if not math.isfinite(resid):
         raise NumericalError(f"neg_snr: the estimate is not finite (residual energy {resid})")
     raw = -10.0 * math.log10(energy / resid) if resid > 0.0 else -math.inf

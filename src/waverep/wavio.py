@@ -95,11 +95,11 @@ def write_wav(path, samples: np.ndarray) -> None:
     """Write a mono float32 WAV file at ``SAMPLE_RATE``: the header, then the
     samples.  A sample that is not finite in float32 raises ``ValueError``
     before the file is opened."""
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = np.asarray(samples)
     if samples.ndim != 1:
         raise ValueError("write_wav expects a mono 1-D signal")
     with np.errstate(over="ignore"):  # an overflow to inf is refused below
-        payload = samples.astype("<f4")
+        payload = np.ascontiguousarray(samples, dtype="<f4")
     if not np.all(np.isfinite(payload)):
         raise ValueError(f"{path}: refusing to write samples that are not finite in float32")
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +10,33 @@ from waverep.autodiff import as_node
 from waverep.checkpoint import load_arrays, load_model, save_arrays, save_model
 from waverep.cli import build_parser, run
 from waverep.dataset import SAMPLE_RATE, load_and_downmix
-from waverep.decoder import DecoderParameters, decode_values, init_decoder, kernel_matrix, synthesize
-from waverep.encoder import CHUNK_FRAMES, encode, encode_values, init_encoder, num_frames
-from waverep.evaluation import oracle_separate
+from waverep.decoder import (
+    DecoderParameters,
+    decode_chunks,
+    decode_values,
+    init_decoder,
+    kernel_matrix,
+    synthesize,
+)
+from waverep.encoder import (
+    CHUNK_FRAMES,
+    encode,
+    encode_chunks,
+    encode_values,
+    init_encoder,
+    num_frames,
+)
+from waverep.evaluation import binary_mask, mixture_and_sources, oracle_separate
 from waverep.losses import LossConfig
 from waverep.synth import synth_data
 from waverep.training import TrainConfig
 from waverep.wavio import write_wav
 
 from conftest import _wav_bytes, write_pcm16
+
+#: largest gap (max abs over max) allowed between the float32 streaming
+#: commands and the float64 path, for representations and output signals
+FLOAT32_GAP = 1e-6
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +226,47 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["kernel-1e200", "kernels-1e308", "modulator-1e40"])
+    @pytest.mark.parametrize("command", ["reconstruct", "separate", "evaluate"])
+    def test_overflow_paths_are_typed_and_silent(self, stems_dir, tmp_path, capsys, model,
+                                                 command):
+        # The kernels are not finite in float32, so the streaming commands refuse
+        # the model when they cast it; modulator-1e40 is (2.5e38 at C=8, L=32),
+        # but their output overflows float32.  evaluate runs in float64:
+        # kernel-1e200 overflows its W-DO norms, kernels-1e308 the encoder, and
+        # modulator-1e40 scores normally.  No numpy warning is printed on the way.
+        enc, dec = init_encoder(8, 32, 2, 16, 2, seed=0), init_decoder(8, 32, 16)
+        if model == "kernel-1e200":
+            enc.kernels[0, 0] = 1e200
+        elif model == "kernels-1e308":
+            enc.kernels[0] = 1e308
+        else:
+            dec.modulator *= 1e40
+        ckpt = tmp_path / "huge.bin"
+        save_model(ckpt, enc, dec)
+        voice, accomp = (str(stems_dir / f"track00_{stem}.wav") for stem in ("voice", "accomp"))
+        inputs = {"reconstruct": [voice], "separate": [voice, accomp],
+                  "evaluate": ["--stems", str(stems_dir)]}
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run([command, "--checkpoint", str(ckpt), "--out", str(out)] + inputs[command])
+        assert [str(w.message) for w in caught] == []
+        if command == "evaluate" and model == "modulator-1e40":
+            assert code == 0
+            return
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        if command == "evaluate":
+            assert {"kernel-1e200": "w_do: the representations' squared L1 norms are not finite",
+                    "kernels-1e308": "track00, segment 0: the representations are not finite",
+                    }[model] in err
+        elif model == "modulator-1e40":
+            assert "the decoded output is not finite in float32" in err
+        else:
+            assert f"{ckpt}: the model's parameters are not finite in float32" in err
+
     def test_evaluate_missing_stems_writes_nothing(self, trained, tmp_path):
         out = tmp_path / "o"
         for source in (["--baseline", "stft"], ["--checkpoint", str(trained / "checkpoint.bin")]):
@@ -269,10 +329,11 @@ class TestCommands:
         assert run(["separate", "--checkpoint", str(trained / "checkpoint.bin"),
                     "--out", str(out), str(voice), str(accomp)]) == 0
         assert (out / f"{voice.stem}_separated.wav").is_file()
-        # the WAV is the oracle mask applied to the three encodings, decoded
-        enc, dec = load_model(trained / "checkpoint.bin")
+        # the WAV is the oracle mask applied to the float32 model's encodings
+        # of the mixture and its sources, decoded
+        enc, dec = waverep.cli._load_float32(trained / "checkpoint.bin")
         x_v, x_ac = load_and_downmix(voice), load_and_downmix(accomp)
-        z = [encode_values(x, enc) for x in (x_v + x_ac, x_v, x_ac)]
+        z = mixture_and_sources(*(encode_values(x, enc, linear=True) for x in (x_v, x_ac)))
         write_wav(tmp_path / "expected.wav", decode_values(oracle_separate(*z), dec, len(x_v)))
         assert ((out / f"{voice.stem}_separated.wav").read_bytes()
                 == (tmp_path / "expected.wav").read_bytes())
@@ -335,7 +396,10 @@ class TestSilentVoice:
 
 class TestStreaming:
     """``reconstruct`` and ``separate`` stream the input in blocks of
-    ``CHUNK_FRAMES`` frames; their output matches one-shot encode/decode."""
+    ``CHUNK_FRAMES`` frames through ``encode_chunks`` and ``decode_chunks``.
+    With float64 parameters that path matches one-shot encode/decode to
+    1e-12; the commands run it with the model cast to float32, within
+    ``FLOAT32_GAP`` of float64."""
 
     @pytest.fixture
     def inputs(self, tmp_path, rng):
@@ -365,28 +429,72 @@ class TestStreaming:
         return synthesize(as_node(z), as_node(kernel_matrix(dec)), dec.stride, n).value
 
     @staticmethod
-    def _assert_close(got, ref):
+    def _gap(got, ref):
         assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
-    def test_reconstruct(self, inputs, monkeypatch):
-        tmp_path, ckpt = inputs
-        written = self._written(monkeypatch)
-        assert run(["reconstruct", "--checkpoint", str(ckpt), "--out", str(tmp_path / "rec"),
-                    str(tmp_path / "voice.wav")]) == 0
-        enc, dec = load_model(ckpt)
-        x = load_and_downmix(tmp_path / "voice.wav")
-        self._assert_close(written[0], self._one_shot(encode(x, enc).value, dec, len(x)))
+    @staticmethod
+    def _streamed(command, x_v, x_ac, enc, dec):
+        """The block pipeline of ``command``: ``reconstruct`` decodes the voice's
+        blocks, ``separate`` their oracle-masked mixture with the accompaniment."""
+        if command == "reconstruct":
+            return decode_chunks(encode_chunks(x_v, enc), dec, len(x_v))
+        blocks = zip(*(encode_chunks(x, enc, linear=True) for x in (x_v, x_ac)))
+        return decode_chunks((oracle_separate(*mixture_and_sources(*pair)) for pair in blocks),
+                             dec, len(x_v))
 
-    def test_separate(self, inputs, monkeypatch):
+    @staticmethod
+    def _signals(tmp_path):
+        return load_and_downmix(tmp_path / "voice.wav"), load_and_downmix(tmp_path / "accomp.wav")
+
+    def test_reconstruct(self, inputs):
         tmp_path, ckpt = inputs
-        written = self._written(monkeypatch)
-        assert run(["separate", "--checkpoint", str(ckpt), "--out", str(tmp_path / "sep"),
-                    str(tmp_path / "voice.wav"), str(tmp_path / "accomp.wav")]) == 0
         enc, dec = load_model(ckpt)
-        x_v, x_ac = load_and_downmix(tmp_path / "voice.wav"), load_and_downmix(tmp_path / "accomp.wav")
+        x, x_ac = self._signals(tmp_path)
+        ref = self._one_shot(encode(x, enc).value, dec, len(x))
+        assert self._gap(self._streamed("reconstruct", x, x_ac, enc, dec), ref) <= 1e-12
+
+    def test_separate(self, inputs):
+        tmp_path, ckpt = inputs
+        enc, dec = load_model(ckpt)
+        x_v, x_ac = self._signals(tmp_path)
         z = [encode(x, enc).value for x in (x_v + x_ac, x_v, x_ac)]
-        self._assert_close(written[0], self._one_shot(oracle_separate(*z), dec, len(x_v)))
+        ref = self._one_shot(oracle_separate(*z), dec, len(x_v))
+        assert self._gap(self._streamed("separate", x_v, x_ac, enc, dec), ref) <= 1e-12
+
+    @pytest.mark.parametrize("command", ["reconstruct", "separate"])
+    def test_command_runs_float32_within_the_gap(self, inputs, monkeypatch, command):
+        tmp_path, ckpt = inputs
+        written = self._written(monkeypatch)
+        wavs = [str(tmp_path / "voice.wav"), str(tmp_path / "accomp.wav")]
+        assert run([command, "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")]
+                   + wavs[: 1 + (command == "separate")]) == 0
+        assert written[0].dtype == np.float32
+        enc, dec = load_model(ckpt)
+        ref = self._streamed(command, *self._signals(tmp_path), enc, dec)
+        assert 0.0 < self._gap(written[0], ref) <= FLOAT32_GAP
+
+    def test_float32_representations_and_masks(self, inputs):
+        tmp_path, ckpt = inputs
+        (enc64, _), (enc32, _) = load_model(ckpt), waverep.cli._load_float32(ckpt)
+        x_v, x_ac = self._signals(tmp_path)
+        z64, z32 = (mixture_and_sources(*(encode_values(x, enc, linear=True) for x in (x_v, x_ac)))
+                    for enc in (enc64, enc32))
+        for got, ref in zip(z32, z64):
+            assert self._gap(got, ref) <= FLOAT32_GAP
+        masks = [binary_mask(np.abs(z[1]), np.abs(z[2])) for z in (z64, z32)]
+        assert np.mean(masks[0] != masks[1]) <= 1e-6
+
+    def test_commands_repeat_bit_for_bit(self, inputs):
+        tmp_path, ckpt = inputs
+        voice, accomp = str(tmp_path / "voice.wav"), str(tmp_path / "accomp.wav")
+        for out in ("a", "b"):
+            assert run(["reconstruct", "--checkpoint", str(ckpt), "--out", str(tmp_path / out),
+                        voice]) == 0
+            assert run(["separate", "--checkpoint", str(ckpt), "--out", str(tmp_path / out),
+                        voice, accomp]) == 0
+        for name in ("voice_recon.wav", "voice_separated.wav"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_separate_encodes_two_signals_per_block(self, inputs, monkeypatch):
         # the mixture is masked from its sources' pre-activations, so each block

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from waverep.decoder import DecoderParameters
 from waverep.encoder import EncoderParameters, encode, encode_values, init_encoder
 from waverep.errors import DataError, NumericalError
 from waverep.evaluation import (
+    SEGMENT_LEN,
+    SI_SDR_BLOCK,
     additivity,
     binary_mask,
     evaluate,
@@ -68,6 +71,35 @@ class TestSiSdr:
         x = rng.uniform(-1, 1, 100)
         with pytest.raises(NumericalError, match="not finite"):
             si_sdr(x, 1e160 * rng.normal(size=100))
+
+    @pytest.mark.parametrize("n", [SEGMENT_LEN, SI_SDR_BLOCK])
+    def test_one_block_is_the_single_pass_formula_bit_for_bit(self, rng, n):
+        # an evaluate segment is one block, so its scores keep their digits
+        assert SEGMENT_LEN <= SI_SDR_BLOCK
+        ref = rng.uniform(-1, 1, n)
+        est = ref + 0.3 * rng.normal(size=n)
+        target = float(est @ ref) / float(ref @ ref) * ref
+        resid = target - est
+        assert si_sdr(ref, est) == 10.0 * math.log10(float(target @ target) / float(resid @ resid))
+
+    def test_long_estimate_sums_blocks(self, rng):
+        # a float32 estimate of 16 blocks: no signal-length float64 copy or
+        # temporary (each would be 8 MiB), and the single-pass value to rounding
+        n = 16 * SI_SDR_BLOCK
+        ref = rng.uniform(-1, 1, n)
+        est = (ref + 0.3 * rng.normal(size=n)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            got = si_sdr(ref, est)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * SI_SDR_BLOCK * 8
+        e = est.astype(np.float64)
+        target = float(e @ ref) / float(ref @ ref) * ref
+        resid = target - e
+        assert got == pytest.approx(10.0 * math.log10((target @ target) / (resid @ resid)),
+                                    rel=1e-12)
 
 
 class TestBinaryMask:
@@ -231,6 +263,13 @@ class TestWdo:
     def test_zero_target_rejected(self):
         with pytest.raises(ValueError):
             w_do(np.zeros((2, 2)), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("target, interf", [(1e200, 1.0), (1e200, 1e200), (np.inf, 1.0),
+                                                (1e307, 1e307)])
+    def test_overflowing_norms_raise(self, target, interf):
+        # finite representations whose squared L1 norms overflow, and infinite ones
+        with pytest.raises(NumericalError, match="squared L1 norms are not finite"):
+            w_do(np.full((2, 3), target), np.full((2, 3), interf))
 
     def test_range_properties(self, rng):
         for _ in range(30):
