@@ -156,8 +156,12 @@ def _parse_with_config(parser: _Parser, argv: list[str]):
     path = Path(args.config)
     if not path.is_file():
         raise DataError(f"config file not found: {path}")
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a UTF-8 text file ({exc})") from exc
     flags = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -207,10 +211,11 @@ def _score_db(metric, ref: np.ndarray, est: np.ndarray) -> str:
 
 
 def _load_float32(path):
-    """The model at ``path`` for the streaming commands: the arrays that their
-    GEMMs read (encoder kernels, decoder modulators) are cast to float32, so
-    the forward pass runs in float32.  A parameter that is not finite in
-    float32 raises :class:`NumericalError`."""
+    """The model at ``path`` for the forward-only commands (``reconstruct``,
+    ``separate`` and ``evaluate``): the arrays that their GEMMs read (encoder
+    kernels, decoder modulators) are cast to float32, so the forward pass runs
+    in float32.  A parameter that is not finite in float32 raises
+    :class:`NumericalError`."""
     enc, dec = checkpoint.load_model(path)
     with np.errstate(over="ignore"):  # an overflow to inf is refused below
         arrays = [a.astype(np.float32) for a in (enc.kernels, enc.dilated_kernels, dec.modulator)]
@@ -220,12 +225,13 @@ def _load_float32(path):
     return enc, dec
 
 
-def _decode(chunks, dec: DecoderParameters, out_len: int) -> np.ndarray:
-    """:func:`decode_chunks`, refusing an output that is not finite in float32."""
+def _decode(chunks, dec: DecoderParameters, out_len: int, source: str) -> np.ndarray:
+    """:func:`decode_chunks`, refusing an output that is not finite in float32
+    with an error that names ``source``, the files the output is made from."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         y = decode_chunks(chunks, dec, out_len)
     if not np.all(np.isfinite(y)):
-        raise NumericalError("the decoded output is not finite in float32")
+        raise NumericalError(f"{source}: the decoded output is not finite in float32")
     return y
 
 
@@ -290,7 +296,7 @@ def cmd_reconstruct(args) -> int:
     # the output is checked and scored before anything is written, so a failure leaves no output
     enc, dec = _load_float32(args.checkpoint)
     x = load_and_downmix(args.input)
-    xhat = _decode(encode_chunks(x, enc), dec, len(x))
+    xhat = _decode(encode_chunks(x, enc), dec, len(x), f"{args.checkpoint} on {args.input}")
     print(f"neg-SNR: {_score_db(lambda r, e: neg_snr(r, e).value, x, xhat)}")
     print(f"SI-SDR: {_score_db(si_sdr, x, xhat)}")
     wav_path = _out_dir(args) / (Path(args.input).stem + "_recon.wav")
@@ -308,7 +314,8 @@ def cmd_separate(args) -> int:
     voice, accomp = voice[:n], accomp[:n]
     # the mixture is masked from its sources' pre-activations, block by block
     blocks = zip(*(encode_chunks(x, enc, linear=True) for x in (voice, accomp)))
-    sep = _decode((oracle_separate(*mixture_and_sources(*pair)) for pair in blocks), dec, n)
+    sep = _decode((oracle_separate(*mixture_and_sources(*pair)) for pair in blocks), dec, n,
+                  f"{args.checkpoint} on {args.voice} and {args.accomp}")
     print(f"SI-SDR (masked separation): {_score_db(si_sdr, voice, sep)}")
     wav_path = _out_dir(args) / (Path(args.voice).stem + "_separated.wav")
     write_wav(wav_path, sep)
@@ -321,7 +328,7 @@ def cmd_evaluate(args) -> int:
         raise UsageError("evaluate needs exactly one of --checkpoint or --baseline")
     enc = dec = None
     if args.checkpoint is not None:
-        enc, dec = checkpoint.load_model(args.checkpoint)
+        enc, dec = _load_float32(args.checkpoint)
     tracks = [
         (name, load_and_downmix(vp), load_and_downmix(ap))
         for name, vp, ap in _discover_stems(args.stems)

@@ -161,9 +161,12 @@ def synthesize(
 
 
 def kernel_matrix(params: DecoderParameters) -> np.ndarray:
-    """Forward-only (C, L) kernel matrix for the current parameters."""
-    return build_kernels(as_node(params.freq), as_node(params.phase),
-                         as_node(params.modulator), params.square_freq).value
+    """Forward-only (C, L) kernel matrix for the current parameters, in the
+    modulators' dtype.  The carriers' phase reaches ``2*pi*f*L`` radians, so
+    the kernels are computed in float64 and then cast once."""
+    w = build_kernels(as_node(params.freq), as_node(params.phase),
+                      as_node(params.modulator), params.square_freq).value
+    return w.astype(params.modulator.dtype, copy=False)
 
 
 def decode_chunks(chunks: Iterable[np.ndarray], params: DecoderParameters,
@@ -173,10 +176,8 @@ def decode_chunks(chunks: Iterable[np.ndarray], params: DecoderParameters,
     and overlap-added into the ``out_len``-sample output at its first frame's
     sample offset.
 
-    The output has the modulators' dtype.  The carriers' phase reaches
-    ``2*pi*f*L`` radians, so the kernels are computed in float64 and then
-    cast once."""
-    w = as_node(kernel_matrix(params).astype(params.modulator.dtype, copy=False))
+    The output has the modulators' dtype, as :func:`kernel_matrix` has."""
+    w = as_node(kernel_matrix(params))
     y = np.zeros(out_len, dtype=w.value.dtype)
     start = 0
     for block in chunks:

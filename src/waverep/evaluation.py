@@ -105,8 +105,10 @@ def additivity(a_m: np.ndarray, a_v: np.ndarray, a_ac: np.ndarray) -> float:
     of a mixture and of its voice and accompaniment.
 
     Equals 1 exactly for a linear encoder on an additive mixture; <= 1 always.
+    Both L1 norms are summed in float64, whatever the representations' dtype.
     """
-    return float(1.0 - np.abs(a_m - a_v - a_ac).sum() / (np.abs(a_m).sum() + ACTIVITY_EPS))
+    resid = np.abs(a_m - a_v - a_ac).sum(dtype=np.float64)
+    return float(1.0 - resid / (np.abs(a_m).sum(dtype=np.float64) + ACTIVITY_EPS))
 
 
 def w_do(y_target: np.ndarray, y_interf: np.ndarray) -> tuple[float, float, float]:
@@ -205,6 +207,16 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def _finite(where: str, what: str, compute) -> Sequence[np.ndarray]:
+    """The arrays ``compute()`` returns, with no numpy warning on the way;
+    :class:`NumericalError` if one of them is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        arrays = compute()
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise NumericalError(f"{where}: {what} are not finite")
+    return arrays
+
+
 def evaluate(
     tracks: Sequence[tuple[str, np.ndarray, np.ndarray]],
     enc: EncoderParameters | None = None,
@@ -221,6 +233,11 @@ def evaluate(
     in one linear :func:`encoder.encode` pass, and the mixture's representation
     is composed from theirs (:func:`mixture_and_sources`; the STFT is linear).
     Both voice estimates are resynthesized in one :func:`decoder.synthesize`.
+
+    The model path runs in its parameters' dtype: float32 parameters (as the
+    ``evaluate`` command loads them) encode and synthesize in float32, and the
+    scores are summed in float64 either way.  Representations or voice
+    estimates that are not finite raise :class:`NumericalError`.
     """
     if baseline:
         def analyze(x_v, x_ac):
@@ -251,14 +268,12 @@ def evaluate(
         for i, (x_v, x_ac) in enumerate(zip(v_segs, a_segs)):
             if not is_active(x_v):
                 continue
-            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-                zs = analyze(x_v, x_ac)
-            if not all(np.all(np.isfinite(z)) for z in zs):
-                raise NumericalError(f"{name}, segment {i}: the representations are not finite")
-            z_m, z_v, z_ac = zs
+            where = f"{name}, segment {i}"
+            z_m, z_v, z_ac = _finite(where, "the representations", lambda: analyze(x_v, x_ac))
             a_m, a_v, a_ac = np.abs(z_m), np.abs(z_v), np.abs(z_ac)
             wdo, psr, sir = w_do(a_v, a_ac)
-            y_v, y_bm = resynthesize([z_v, oracle_separate(z_m, z_v, z_ac)], len(x_v))
+            y_v, y_bm = _finite(where, "the voice estimates", lambda: resynthesize(
+                [z_v, oracle_separate(z_m, z_v, z_ac)], len(x_v)))
             rows.append(SegmentMetrics(
                 track=name,
                 segment=i,

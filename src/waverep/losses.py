@@ -7,6 +7,19 @@ The transport plan is treated as a constant during backpropagation (the usual
 envelope treatment for Sinkhorn losses); gradients flow only through the cost
 matrix and the simplex normalization that feeds it.  The reconstruction term
 is capped at ``SNR_FLOOR_DB``.
+
+The Sinkhorn term transports the frames onto themselves over a cost M with a
+zero diagonal, so its plan P has closed forms at both ends of lambda.  As
+lambda -> 0, P tends to the independent coupling 11^T/T (unit marginals), and
+to first order
+
+    <P, M> ~= sum(M)/T - (lambda/T) * <M_c, M>,
+
+where M_c is M double-centred (minus its row and column means, plus its grand
+mean); the error of this expansion falls as lambda^2.  As lambda grows, P
+tends to the identity and <P, M> to 0: the diagonal of exp(-lambda*M) stays 1,
+so no row underflows and this cost never raises :class:`SaturationError`.
+The tests use both limits as oracles; the solver does not use the formula.
 """
 
 from __future__ import annotations
@@ -18,6 +31,7 @@ import numpy as np
 
 from .autodiff import Node, Tape, as_node
 from .errors import NumericalError, SaturationError
+from .evaluation import SI_SDR_BLOCK
 
 _LN10 = math.log(10.0)
 
@@ -76,17 +90,29 @@ def neg_snr(x: np.ndarray, est, tape: Tape | None = None) -> Node:
     Clamped at ``SNR_FLOOR_DB`` when the residual (nearly) vanishes; on the
     clamped plateau the gradient is zero.  A non-finite estimate raises
     :class:`NumericalError` rather than scoring as perfect.
+
+    Without a tape the residual energy is summed over blocks of
+    ``SI_SDR_BLOCK`` samples, as in :func:`evaluation.si_sdr`, so no
+    signal-length residual is made; a signal of one block gets the
+    single-pass value bit for bit.  The backward needs the whole residual.
     """
     x = np.asarray(x, dtype=np.float64)
     est_node = as_node(est)
-    if x.shape != est_node.value.shape:
+    est_value = est_node.value
+    if x.shape != est_value.shape:
         raise ValueError("signals must have equal length")
     energy = float(x @ x)
     if energy == 0.0:
         raise ValueError("neg_snr reference signal is all-zero")
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        diff = x - est_node.value
-        resid = float(diff @ diff)
+        if tape is None:
+            resid = 0.0
+            for i in range(0, x.size, SI_SDR_BLOCK):
+                diff = x[i : i + SI_SDR_BLOCK] - est_value[i : i + SI_SDR_BLOCK]
+                resid += float(diff @ diff)
+        else:
+            diff = x - est_value
+            resid = float(diff @ diff)
     if not math.isfinite(resid):
         raise NumericalError(f"neg_snr: the estimate is not finite (residual energy {resid})")
     raw = -10.0 * math.log10(energy / resid) if resid > 0.0 else -math.inf

@@ -45,16 +45,23 @@ def init_adam(params: dict[str, np.ndarray], lr: float) -> AdamState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState) -> None:
-    """Bias-corrected Adam update, applied to the parameter arrays in place."""
+    """Bias-corrected Adam update, applied to the parameter arrays in place.
+
+    Every gradient is checked before anything changes: a gradient of the
+    wrong shape, or one that is not finite, leaves the parameters and the
+    state as they were."""
+    gs = {name: np.asarray(grads[name], dtype=np.float64) for name in params}
+    for name, p in params.items():
+        g = gs[name]
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
+        if not np.all(np.isfinite(g)):
+            raise NumericalError(f"non-finite gradient for {name!r} at step {state.step + 1}")
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
     for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for {name!r} at step {state.step}")
+        g = gs[name]
         m = state.m[name]
         v = state.v[name]
         m *= ADAM_BETA1

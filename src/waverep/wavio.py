@@ -81,7 +81,8 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         raw = (raw ^ 0x800000) - 0x800000  # sign-extend 24 -> 32 bits
         samples = raw.astype(np.float64) / 2.0**23
     elif tag == _FMT_FLOAT and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a NaN sample is refused by load_and_downmix
+            samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
     else:
         raise DataError(
             f"{path}: unsupported encoding (format tag {tag}, {bits} bits); "

@@ -37,6 +37,10 @@ from conftest import _wav_bytes, write_pcm16
 #: largest gap (max abs over max) allowed between the float32 streaming
 #: commands and the float64 path, for representations and output signals
 FLOAT32_GAP = 1e-6
+#: largest absolute gap allowed between float32 ``evaluate`` report columns and
+#: the float64 path (``sir``, a ratio, is held to 1e-5 relative instead)
+REPORT_TOLERANCES = {"si_sdr": 1e-4, "si_sdr_bm": 1e-4, "additivity": 1e-6, "w_do": 1e-6,
+                     "psr": 1e-6}
 
 
 @pytest.fixture(scope="module")
@@ -230,11 +234,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["reconstruct", "separate", "evaluate"])
     def test_overflow_paths_are_typed_and_silent(self, stems_dir, tmp_path, capsys, model,
                                                  command):
-        # The kernels are not finite in float32, so the streaming commands refuse
+        # The kernels are not finite in float32, so all three commands refuse
         # the model when they cast it; modulator-1e40 is (2.5e38 at C=8, L=32),
-        # but their output overflows float32.  evaluate runs in float64:
-        # kernel-1e200 overflows its W-DO norms, kernels-1e308 the encoder, and
-        # modulator-1e40 scores normally.  No numpy warning is printed on the way.
+        # but their resynthesis overflows float32.  No numpy warning is printed
+        # on the way.  (The float64 library path: TestEvaluate in test_evaluation.)
         enc, dec = init_encoder(8, 32, 2, 16, 2, seed=0), init_decoder(8, 32, 16)
         if model == "kernel-1e200":
             enc.kernels[0, 0] = 1e200
@@ -252,18 +255,12 @@ class TestExitCodes:
             warnings.simplefilter("always")
             code = run([command, "--checkpoint", str(ckpt), "--out", str(out)] + inputs[command])
         assert [str(w.message) for w in caught] == []
-        if command == "evaluate" and model == "modulator-1e40":
-            assert code == 0
-            return
         assert code == 3
         assert not out.exists()
         err = capsys.readouterr().err
-        if command == "evaluate":
-            assert {"kernel-1e200": "w_do: the representations' squared L1 norms are not finite",
-                    "kernels-1e308": "track00, segment 0: the representations are not finite",
-                    }[model] in err
-        elif model == "modulator-1e40":
-            assert "the decoded output is not finite in float32" in err
+        if model == "modulator-1e40":
+            assert ("track00, segment 0: the voice estimates are not finite" if command == "evaluate"
+                    else "the decoded output is not finite in float32") in err
         else:
             assert f"{ckpt}: the model's parameters are not finite in float32" in err
 
@@ -344,6 +341,46 @@ class TestCommands:
                     "--checkpoint", str(trained / "checkpoint.bin"), "--out", str(out)]) == 0
         assert (out / "report.csv").is_file()
         assert (out / "summary.txt").is_file()
+
+    def test_evaluate_runs_float32_within_the_report_tolerances(self, trained, stems_dir,
+                                                                tmp_path, monkeypatch):
+        # the command casts the model as reconstruct and separate do; its report
+        # stays within REPORT_TOLERANCES of the float64 library path, and each
+        # summary value within one unit of its last printed digit (1e-4)
+        ckpt = trained / "checkpoint.bin"
+        dtypes = []
+        real_evaluate = waverep.cli.evaluate
+
+        def spy(tracks, enc, dec, **kwargs):
+            dtypes.append({a.dtype for a in (enc.kernels, enc.dilated_kernels, dec.modulator)})
+            return real_evaluate(tracks, enc, dec, **kwargs)
+
+        monkeypatch.setattr(waverep.cli, "evaluate", spy)
+        out = tmp_path / "ev"
+        assert run(["evaluate", "--stems", str(stems_dir), "--checkpoint", str(ckpt),
+                    "--out", str(out)]) == 0
+        assert dtypes == [{np.dtype(np.float32)}]
+        tracks = [(name, load_and_downmix(v), load_and_downmix(a))
+                  for name, v, a in waverep.cli._discover_stems(stems_dir)]
+        ref = real_evaluate(tracks, *load_model(ckpt))
+        header, *lines = (out / "report.csv").read_text().splitlines()
+        names = header.split(",")[2:]
+        assert len(lines) == len(ref.rows)
+        for line, row in zip(lines, ref.rows):
+            for name, value in zip(names, map(float, line.split(",")[2:])):
+                want = getattr(row, name)
+                if name in REPORT_TOLERANCES:
+                    assert abs(value - want) <= REPORT_TOLERANCES[name], (name, value, want)
+                else:
+                    assert value == pytest.approx(want, rel=1e-5), (name, value, want)
+
+        def numbers(text):
+            return [float(t.split("=")[-1]) for t in text.replace(":", " ").split()
+                    if "=" in t]
+
+        got, want = numbers((out / "summary.txt").read_text()), numbers(ref.summary())
+        assert len(got) == len(want) == 18
+        assert max(round(abs(g - w) * 1e4) for g, w in zip(got, want)) <= 1
 
     def test_evaluate_baseline(self, stems_dir, tmp_path):
         out = tmp_path / "evb"

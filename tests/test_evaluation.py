@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -412,6 +413,63 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=match):
             evaluate([("t", voice, 0.2 * rng.normal(size=SAMPLE_RATE))], enc,
                      init_decoder(8, kernel_len, stride))
+
+    @pytest.mark.parametrize("model, message", [
+        ("kernel-1e200", "w_do: the representations' squared L1 norms are not finite"),
+        ("kernels-1e308", "t, segment 0: the representations are not finite"),
+        ("modulator-1e40", None),
+    ])
+    def test_float64_overflow_paths_are_typed_and_silent(self, rng, model, message):
+        # With float64 parameters, kernel-1e200 overflows the W-DO norms,
+        # kernels-1e308 the encoder, and modulator-1e40 (2.5e38 at C=8, L=32)
+        # scores normally; no numpy warning either way.  The CLI casts all
+        # three to float32: TestExitCodes in test_cli.
+        from waverep.decoder import init_decoder
+        enc, dec = init_encoder(8, 32, 2, 16, 2, seed=0), init_decoder(8, 32, 16)
+        if model == "kernel-1e200":
+            enc.kernels[0, 0] = 1e200
+        elif model == "kernels-1e308":
+            enc.kernels[0] = 1e308
+        else:
+            dec.modulator *= 1e40
+        voice = 0.3 * np.sin(2 * np.pi * 300 * np.arange(SAMPLE_RATE) / SAMPLE_RATE)
+        tracks = [("t", voice, 0.2 * rng.normal(size=SAMPLE_RATE))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if message is None:
+                (row,) = evaluate(tracks, enc, dec).rows
+                assert all(math.isfinite(v) for v in row[2:])
+            else:
+                with pytest.raises(NumericalError, match=message):
+                    evaluate(tracks, enc, dec)
+
+    def test_float32_parameters_run_in_float32(self, rng, monkeypatch):
+        # the model path keeps its parameters' dtype: the kernels are cast once,
+        # and the representations and the voice estimates are float32
+        import waverep.evaluation
+        from waverep.decoder import init_decoder
+        seen = []
+        real_w_do, real_si_sdr = waverep.evaluation.w_do, waverep.evaluation.si_sdr
+        monkeypatch.setattr(waverep.evaluation, "w_do",
+                            lambda a, b: seen.append(a.dtype) or real_w_do(a, b))
+        monkeypatch.setattr(waverep.evaluation, "si_sdr",
+                            lambda x, y: seen.append(y.dtype) or real_si_sdr(x, y))
+        enc, dec = init_encoder(8, 64, 2, 64, 2, seed=0), init_decoder(8, 64, 64)
+        voice = 0.3 * np.sin(2 * np.pi * 300 * np.arange(SAMPLE_RATE) / SAMPLE_RATE)
+        tracks = [("t", voice, 0.2 * rng.normal(size=SAMPLE_RATE))]
+        ref = evaluate(tracks, enc, dec).rows
+        assert seen == [np.float64] * 3
+        seen.clear()
+        enc.kernels, enc.dilated_kernels, dec.modulator = (
+            a.astype(np.float32) for a in (enc.kernels, enc.dilated_kernels, dec.modulator))
+        (got,) = evaluate(tracks, enc, dec).rows
+        assert seen == [np.float32] * 3
+        assert got != ref[0]
+        for name in ("si_sdr", "si_sdr_bm"):
+            assert getattr(got, name) == pytest.approx(getattr(ref[0], name), abs=1e-4)
+        for name in ("additivity", "w_do", "psr"):
+            assert getattr(got, name) == pytest.approx(getattr(ref[0], name), abs=1e-6)
+        assert got.sir == pytest.approx(ref[0].sir, rel=1e-5)
 
     def test_all_silent_rejected(self):
         with pytest.raises(DataError, match="active"):

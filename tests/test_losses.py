@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 from waverep.autodiff import as_node
 from waverep.diagnostics import assignment_cost, random_cost_matrix
 from waverep.errors import NumericalError, SaturationError
+from waverep.evaluation import SEGMENT_LEN, SI_SDR_BLOCK
 from waverep.autodiff import Tape
+from waverep.encoder import encode_values, init_encoder
 from waverep.losses import (
+    DISTANCE_EXPONENTS,
     LossConfig,
     _plan_cost_inner,
     neg_snr,
@@ -52,6 +56,32 @@ class TestNegSnr:
         est[7] = bad
         with pytest.raises(NumericalError, match="not finite"):
             neg_snr(x, est)
+
+    @pytest.mark.parametrize("n", [SEGMENT_LEN, SI_SDR_BLOCK])
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_one_block_is_the_single_pass_formula_bit_for_bit(self, rng, n, taped):
+        # a training segment is one block, so every training signal keeps its bits
+        x = rng.uniform(-1, 1, n)
+        est = x + 0.3 * rng.normal(size=n)
+        resid = x - est
+        want = -10.0 * math.log10(float(x @ x) / float(resid @ resid))
+        assert float(neg_snr(x, est, Tape() if taped else None).value) == want
+
+    def test_long_estimate_sums_blocks(self, rng):
+        # a float32 estimate of 16 blocks: no signal-length float64 residual
+        # (8 MiB), and the single-pass value to rounding
+        n = 16 * SI_SDR_BLOCK
+        x = rng.uniform(-1, 1, n)
+        est = (x + 0.3 * rng.normal(size=n)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            got = float(neg_snr(x, est).value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * SI_SDR_BLOCK * 8
+        resid = x - est.astype(np.float64)
+        assert got == pytest.approx(-10.0 * math.log10((x @ x) / (resid @ resid)), rel=1e-12)
 
 
 class TestTvLoss:
@@ -289,6 +319,53 @@ class TestSinkhornLoss:
         loss, plan = sinkhorn_loss(as_node(a), cfg)
         m = pairwise_cost(normalize_simplex(as_node(a)).value, 1)
         assert float(loss.value) <= 0.01 * m[m > 0].mean()
+
+
+class TestSinkhornClosedForm:
+    """The loss transports a representation's frames onto themselves over a
+    zero-diagonal cost M, so its plan has closed forms at both ends of lambda:
+    the independent coupling 11^T/T plus a first-order correction as
+    lambda -> 0, and the identity (no transport, zero cost) as lambda grows."""
+
+    @staticmethod
+    def _cost(p):
+        # a fixed encoding: 24 frames of a seeded init encoder on a seeded input
+        enc = init_encoder(16, 32, 2, 16, 2, seed=1)
+        x = np.random.default_rng(0).uniform(-1, 1, 16 * 24)
+        return pairwise_cost(normalize_simplex(encode_values(x, enc)).value, p)
+
+    @pytest.mark.parametrize("p", DISTANCE_EXPONENTS)
+    def test_first_order_error_falls_with_lambda_squared(self, p):
+        # <P,M> ~= sum(M)/T - (lambda/T) <M_c, M>, M_c the double-centred M:
+        # the error falls about 100x for each 10x smaller lambda
+        m = self._cost(p)
+        t = m.shape[0]
+        m_c = m - m.mean(axis=0) - m.mean(axis=1, keepdims=True) + m.mean()
+        errors = []
+        for lam in (0.05, 0.005, 0.0005):
+            plan = sinkhorn_plan(m, lam, max_iters=1000, tau=1e-13)
+            assert plan.converged
+            first_order = m.sum() / t - (lam / t) * float((m_c * m).sum())
+            errors.append(abs(float((plan.plan * m).sum()) - first_order))
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert all(80.0 <= r <= 125.0 for r in ratios), ratios
+
+    @pytest.mark.parametrize("p", DISTANCE_EXPONENTS)
+    def test_large_lambda_keeps_every_frame_in_place(self, p):
+        # exp(-lambda*M) keeps its unit diagonal, so no row underflows and no
+        # SaturationError is raised: the plan tends to I and <P,M> to 0, and
+        # once every off-diagonal entry underflows they are reached exactly
+        m = self._cost(p)
+        t = m.shape[0]
+        costs, gaps = [], []
+        for lam in (0.5, 50.0, 500.0, 5000.0):
+            plan = sinkhorn_plan(m, lam)
+            costs.append(float((plan.plan * m).sum()))
+            gaps.append(float(np.max(np.abs(plan.plan - np.eye(t)))))
+        assert all(a > b for a, b in zip(costs, costs[1:])), costs
+        assert all(a > b for a, b in zip(gaps[:-1], gaps[1:-1])), gaps
+        assert costs[-1] == gaps[-1] == 0.0
+        assert plan.saturation == (t - 1) / t
 
 
 class TestTotalLoss:

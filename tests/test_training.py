@@ -61,6 +61,27 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(params, {"w": np.zeros(3)}, state)
 
+    @pytest.mark.parametrize("bad", ["nan", "shape"])
+    def test_bad_last_gradient_changes_nothing(self, rng, bad):
+        # every gradient is checked before any array or the step count moves
+        enc, dec = _toy_model()
+        params = waverep.training._param_dict(enc, dec)
+        state = init_adam(params, lr=1e-3)
+        adam_step(params, {name: rng.normal(size=p.shape) for name, p in params.items()}, state)
+        grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+        assert list(grads)[-1] == "modulator"
+        if bad == "nan":
+            grads["modulator"][0, 0] = np.nan
+        else:
+            grads["modulator"] = grads["modulator"][:, 1:]
+        before = [{name: a.copy() for name, a in d.items()} for d in (params, state.m, state.v)]
+        with pytest.raises(NumericalError if bad == "nan" else ValueError, match="modulator"):
+            adam_step(params, grads, state)
+        assert state.step == 1
+        for saved, now in zip(before, (params, state.m, state.v)):
+            for name in saved:
+                np.testing.assert_array_equal(now[name], saved[name], strict=True)
+
 
 def _toy_problem(rng, n_segments=6, seg_len=256):
     t = np.arange(seg_len) / seg_len
