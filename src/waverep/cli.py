@@ -157,7 +157,7 @@ def _parse_with_config(parser: _Parser, argv: list[str]):
     if not path.is_file():
         raise DataError(f"config file not found: {path}")
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not a UTF-8 text file ({exc})") from exc
     flags = []

@@ -21,6 +21,8 @@ from .wavio import SAMPLE_RATE, read_wav
 ACTIVITY_EPS = 1e-24
 #: energy gate of :func:`is_active`, in dB
 ACTIVE_THRESHOLD_DB = -10.0
+#: signal energies are summed over blocks this long; >= SAMPLE_RATE, so a 1 s segment is one
+ENERGY_BLOCK = 1 << 16
 
 
 class TrainingPair(NamedTuple):
@@ -94,6 +96,13 @@ def segment(x: np.ndarray, length: int, hop: int) -> list[np.ndarray]:
     if length <= 0 or hop <= 0:
         raise ValueError("segment length and hop must be positive")
     return list(frame(x, length, hop, -(-x.size // hop)))
+
+
+def float64_blocks(*signals: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The signals' aligned blocks of ``ENERGY_BLOCK`` samples, each cast to
+    float64 on its own, so no signal-length float64 copy is made."""
+    for i in range(0, np.size(signals[0]), ENERGY_BLOCK):
+        yield tuple(np.asarray(x[i : i + ENERGY_BLOCK], dtype=np.float64) for x in signals)
 
 
 def is_active(x: np.ndarray) -> bool:

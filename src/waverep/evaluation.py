@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .autodiff import as_node
-from .dataset import ACTIVITY_EPS, SAMPLE_RATE, frame, is_active, overlap_add, segment
+from .dataset import (ACTIVITY_EPS, SAMPLE_RATE, float64_blocks, frame, is_active, overlap_add,
+                      segment)
 from .decoder import DecoderParameters, check_pair, kernel_matrix, synthesize
 from .encoder import EncoderParameters, encode, relu
 from .errors import DataError, NumericalError
@@ -25,7 +26,6 @@ STFT_WINDOW = 2048
 STFT_HOP = 256
 SEGMENT_LEN = SAMPLE_RATE  # evaluation cuts non-overlapping 1 s segments
 SI_SDR_CAP_DB = 120.0      # si_sdr never leaves [-SI_SDR_CAP_DB, SI_SDR_CAP_DB]
-SI_SDR_BLOCK = 1 << 16     # si_sdr sums blocks this long; >= SEGMENT_LEN, so a segment is one
 
 
 def si_sdr(ref: np.ndarray, est: np.ndarray) -> float:
@@ -37,21 +37,16 @@ def si_sdr(ref: np.ndarray, est: np.ndarray) -> float:
     scores the cap, and a silent or orthogonal estimate (zero projection)
     scores its negative.  A non-finite estimate or energy raises :class:`NumericalError`.
 
-    The energies are summed in float64 over blocks of ``SI_SDR_BLOCK``
-    samples, each cast on its own, so no signal-length temporary is made.
+    The energies are summed in float64 over :func:`dataset.float64_blocks`,
+    so no signal-length temporary is made.
     """
     ref, est = np.asarray(ref), np.asarray(est)
     if ref.shape != est.shape:
         raise ValueError("signals must have equal length")
 
-    def blocks():
-        for i in range(0, ref.size, SI_SDR_BLOCK):
-            yield (np.asarray(ref[i : i + SI_SDR_BLOCK], dtype=np.float64),
-                   np.asarray(est[i : i + SI_SDR_BLOCK], dtype=np.float64))
-
     energy = dot = num = den = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # num and den are checked below
-        for r, e in blocks():
+        for r, e in float64_blocks(ref, est):
             if not np.all(np.isfinite(e)):
                 raise NumericalError("si_sdr: the estimate is not finite")
             energy += float(r @ r)
@@ -59,7 +54,7 @@ def si_sdr(ref: np.ndarray, est: np.ndarray) -> float:
         if energy == 0.0:
             raise ValueError("si_sdr reference signal is all-zero")
         alpha = dot / energy
-        for r, e in blocks():
+        for r, e in float64_blocks(ref, est):
             target = alpha * r
             num += float(target @ target)
             target -= e  # now the residual
@@ -207,6 +202,30 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def active_segments(
+    tracks: Sequence[tuple[str, np.ndarray, np.ndarray]],
+) -> Iterator[tuple[str, int, np.ndarray, np.ndarray]]:
+    """``(name, index, voice, accompaniment)`` of each 1 s segment that
+    :func:`evaluate` scores: the tracks cut to their shorter stem, and the
+    segments whose voice is silent (below :func:`is_active`) left out."""
+    for name, voice, accomp in tracks:
+        n = min(len(voice), len(accomp))
+        v_segs = segment(voice[:n], SEGMENT_LEN, SEGMENT_LEN)
+        a_segs = segment(accomp[:n], SEGMENT_LEN, SEGMENT_LEN)
+        for i, (x_v, x_ac) in enumerate(zip(v_segs, a_segs)):
+            if is_active(x_v):
+                yield name, i, x_v, x_ac
+
+
+def model_representations(x_v: np.ndarray, x_ac: np.ndarray,
+                          enc: EncoderParameters) -> list[np.ndarray]:
+    """``[z_m, z_v, z_ac]`` of one segment, as :func:`evaluate` analyses it:
+    the voice and accompaniment as one stack in one linear
+    :func:`encoder.encode` pass, the mixture composed from them."""
+    p = encode(np.stack([x_v, x_ac]), enc, linear=True).value
+    return mixture_and_sources(*np.split(p, 2, axis=1))
+
+
 def _finite(where: str, what: str, compute) -> Sequence[np.ndarray]:
     """The arrays ``compute()`` returns, with no numpy warning on the way;
     :class:`NumericalError` if one of them is not finite."""
@@ -225,13 +244,12 @@ def evaluate(
 ) -> EvalReport:
     """Segment-level evaluation over (name, voice, accompaniment) tracks.
 
-    Tracks are cut into non-overlapping 1 s segments and silent-voice
-    segments (below :func:`is_active`'s -10 dB) are discarded.  The front end
+    The segments scored are those of :func:`active_segments`.  The front end
     is the STFT with ``baseline=True`` (masked mixtures keep the mixture
     phase), otherwise the trained encoder/decoder pair.  Either way only each
-    segment's voice and accompaniment are analysed, the model's as one stack
-    in one linear :func:`encoder.encode` pass, and the mixture's representation
-    is composed from theirs (:func:`mixture_and_sources`; the STFT is linear).
+    segment's voice and accompaniment are analysed, the model's by
+    :func:`model_representations`, and the mixture's representation is
+    composed from theirs (:func:`mixture_and_sources`; the STFT is linear).
     Both voice estimates are resynthesized in one :func:`decoder.synthesize`.
 
     The model path runs in its parameters' dtype: float32 parameters (as the
@@ -253,37 +271,30 @@ def evaluate(
         kernels = as_node(kernel_matrix(dec))
 
         def analyze(x_v, x_ac):
-            p = encode(np.stack([x_v, x_ac]), enc, linear=True).value
-            return mixture_and_sources(*np.split(p, 2, axis=1))
+            return model_representations(x_v, x_ac, enc)
 
         def resynthesize(zs, n):
             return synthesize(as_node(np.concatenate(zs, axis=1)), kernels, dec.stride, n,
                               signals=len(zs)).value
 
     rows = []
-    for name, voice, accomp in tracks:
-        n = min(len(voice), len(accomp))
-        v_segs = segment(voice[:n], SEGMENT_LEN, SEGMENT_LEN)
-        a_segs = segment(accomp[:n], SEGMENT_LEN, SEGMENT_LEN)
-        for i, (x_v, x_ac) in enumerate(zip(v_segs, a_segs)):
-            if not is_active(x_v):
-                continue
-            where = f"{name}, segment {i}"
-            z_m, z_v, z_ac = _finite(where, "the representations", lambda: analyze(x_v, x_ac))
-            a_m, a_v, a_ac = np.abs(z_m), np.abs(z_v), np.abs(z_ac)
-            wdo, psr, sir = w_do(a_v, a_ac)
-            y_v, y_bm = _finite(where, "the voice estimates", lambda: resynthesize(
-                [z_v, oracle_separate(z_m, z_v, z_ac)], len(x_v)))
-            rows.append(SegmentMetrics(
-                track=name,
-                segment=i,
-                si_sdr=si_sdr(x_v, y_v),
-                si_sdr_bm=si_sdr(x_v, y_bm),
-                additivity=additivity(a_m, a_v, a_ac),
-                w_do=wdo,
-                psr=psr,
-                sir=sir,
-            ))
+    for name, i, x_v, x_ac in active_segments(tracks):
+        where = f"{name}, segment {i}"
+        z_m, z_v, z_ac = _finite(where, "the representations", lambda: analyze(x_v, x_ac))
+        a_m, a_v, a_ac = np.abs(z_m), np.abs(z_v), np.abs(z_ac)
+        wdo, psr, sir = w_do(a_v, a_ac)
+        y_v, y_bm = _finite(where, "the voice estimates", lambda: resynthesize(
+            [z_v, oracle_separate(z_m, z_v, z_ac)], len(x_v)))
+        rows.append(SegmentMetrics(
+            track=name,
+            segment=i,
+            si_sdr=si_sdr(x_v, y_v),
+            si_sdr_bm=si_sdr(x_v, y_bm),
+            additivity=additivity(a_m, a_v, a_ac),
+            w_do=wdo,
+            psr=psr,
+            sir=sir,
+        ))
     if not rows:
         raise DataError("no active voice segments to evaluate")
     return EvalReport(rows)

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Node, Tape, as_node
+from .dataset import float64_blocks
 from .errors import NumericalError, SaturationError
-from .evaluation import SI_SDR_BLOCK
 
 _LN10 = math.log(10.0)
 
@@ -91,28 +91,23 @@ def neg_snr(x: np.ndarray, est, tape: Tape | None = None) -> Node:
     clamped plateau the gradient is zero.  A non-finite estimate raises
     :class:`NumericalError` rather than scoring as perfect.
 
-    Without a tape the residual energy is summed over blocks of
-    ``SI_SDR_BLOCK`` samples, as in :func:`evaluation.si_sdr`, so no
-    signal-length residual is made; a signal of one block gets the
-    single-pass value bit for bit.  The backward needs the whole residual.
+    The residual energy is summed over :func:`dataset.float64_blocks`, as in
+    :func:`evaluation.si_sdr`, so no signal-length residual is made; a
+    training segment is one block, which gets the single-pass value bit for
+    bit.  The backward makes the whole residual only when it runs.
     """
     x = np.asarray(x, dtype=np.float64)
     est_node = as_node(est)
-    est_value = est_node.value
-    if x.shape != est_value.shape:
+    if x.shape != est_node.value.shape:
         raise ValueError("signals must have equal length")
     energy = float(x @ x)
     if energy == 0.0:
         raise ValueError("neg_snr reference signal is all-zero")
+    resid = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        if tape is None:
-            resid = 0.0
-            for i in range(0, x.size, SI_SDR_BLOCK):
-                diff = x[i : i + SI_SDR_BLOCK] - est_value[i : i + SI_SDR_BLOCK]
-                resid += float(diff @ diff)
-        else:
-            diff = x - est_value
-            resid = float(diff @ diff)
+        for xb, eb in float64_blocks(x, est_node.value):
+            diff = xb - eb
+            resid += float(diff @ diff)
     if not math.isfinite(resid):
         raise NumericalError(f"neg_snr: the estimate is not finite (residual energy {resid})")
     raw = -10.0 * math.log10(energy / resid) if resid > 0.0 else -math.inf
@@ -123,6 +118,7 @@ def neg_snr(x: np.ndarray, est, tape: Tape | None = None) -> Node:
         def backward():
             if capped:
                 return
+            diff = x - est_node.value
             est_node.add_grad(float(out.grad) * (-20.0 / _LN10) * diff / resid)
         tape.record(backward, out)
     return out

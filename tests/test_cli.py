@@ -32,15 +32,12 @@ from waverep.synth import synth_data
 from waverep.training import TrainConfig
 from waverep.wavio import write_wav
 
+import report_check
 from conftest import _wav_bytes, write_pcm16
 
 #: largest gap (max abs over max) allowed between the float32 streaming
 #: commands and the float64 path, for representations and output signals
 FLOAT32_GAP = 1e-6
-#: largest absolute gap allowed between float32 ``evaluate`` report columns and
-#: the float64 path (``sir``, a ratio, is held to 1e-5 relative instead)
-REPORT_TOLERANCES = {"si_sdr": 1e-4, "si_sdr_bm": 1e-4, "additivity": 1e-6, "w_do": 1e-6,
-                     "psr": 1e-6}
 
 
 @pytest.fixture(scope="module")
@@ -345,8 +342,7 @@ class TestCommands:
     def test_evaluate_runs_float32_within_the_report_tolerances(self, trained, stems_dir,
                                                                 tmp_path, monkeypatch):
         # the command casts the model as reconstruct and separate do; its report
-        # stays within REPORT_TOLERANCES of the float64 library path, and each
-        # summary value within one unit of its last printed digit (1e-4)
+        # stays within report_check's bounds of the float64 library path
         ckpt = trained / "checkpoint.bin"
         dtypes = []
         real_evaluate = waverep.cli.evaluate
@@ -360,27 +356,8 @@ class TestCommands:
         assert run(["evaluate", "--stems", str(stems_dir), "--checkpoint", str(ckpt),
                     "--out", str(out)]) == 0
         assert dtypes == [{np.dtype(np.float32)}]
-        tracks = [(name, load_and_downmix(v), load_and_downmix(a))
-                  for name, v, a in waverep.cli._discover_stems(stems_dir)]
-        ref = real_evaluate(tracks, *load_model(ckpt))
-        header, *lines = (out / "report.csv").read_text().splitlines()
-        names = header.split(",")[2:]
-        assert len(lines) == len(ref.rows)
-        for line, row in zip(lines, ref.rows):
-            for name, value in zip(names, map(float, line.split(",")[2:])):
-                want = getattr(row, name)
-                if name in REPORT_TOLERANCES:
-                    assert abs(value - want) <= REPORT_TOLERANCES[name], (name, value, want)
-                else:
-                    assert value == pytest.approx(want, rel=1e-5), (name, value, want)
-
-        def numbers(text):
-            return [float(t.split("=")[-1]) for t in text.replace(":", " ").split()
-                    if "=" in t]
-
-        got, want = numbers((out / "summary.txt").read_text()), numbers(ref.summary())
-        assert len(got) == len(want) == 18
-        assert max(round(abs(g - w) * 1e4) for g, w in zip(got, want)) <= 1
+        result = report_check.compare(ckpt, stems_dir, out)
+        assert result.ok(), str(result)
 
     def test_evaluate_baseline(self, stems_dir, tmp_path):
         out = tmp_path / "evb"
@@ -605,6 +582,16 @@ class TestConfigFile:
         cfg.write_text("warp-speed=9\n")
         assert run(["train", "--stems", str(stems_dir), "--out", str(tmp_path / "o"),
                     "--config", str(cfg)]) == 2
+
+    def test_non_utf8_config_names_the_file(self, stems_dir, tmp_path, capsys):
+        # 0xe9 is latin-1 "e acute" but no UTF-8 sequence, whatever the locale
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# caf\xe9 sweep\nepochs=1\n")
+        out = tmp_path / "o"
+        assert run(["train", "--stems", str(stems_dir), "--out", str(out),
+                    "--config", str(cfg)]) == 2
+        assert f"{cfg}: not a UTF-8 text file" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, lam", [([], "0.1"), (["--lambda", "0.3"], "0.3")],
                              ids=["file", "flag-wins"])

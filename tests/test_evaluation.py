@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waverep.dataset import SAMPLE_RATE
+from waverep.dataset import ENERGY_BLOCK, SAMPLE_RATE
 from waverep.decoder import DecoderParameters
 from waverep.encoder import EncoderParameters, encode, encode_values, init_encoder
 from waverep.errors import DataError, NumericalError
 from waverep.evaluation import (
     SEGMENT_LEN,
-    SI_SDR_BLOCK,
     additivity,
     binary_mask,
     evaluate,
@@ -73,10 +72,10 @@ class TestSiSdr:
         with pytest.raises(NumericalError, match="not finite"):
             si_sdr(x, 1e160 * rng.normal(size=100))
 
-    @pytest.mark.parametrize("n", [SEGMENT_LEN, SI_SDR_BLOCK])
+    @pytest.mark.parametrize("n", [SEGMENT_LEN, ENERGY_BLOCK])
     def test_one_block_is_the_single_pass_formula_bit_for_bit(self, rng, n):
         # an evaluate segment is one block, so its scores keep their digits
-        assert SEGMENT_LEN <= SI_SDR_BLOCK
+        assert SEGMENT_LEN <= ENERGY_BLOCK
         ref = rng.uniform(-1, 1, n)
         est = ref + 0.3 * rng.normal(size=n)
         target = float(est @ ref) / float(ref @ ref) * ref
@@ -86,7 +85,7 @@ class TestSiSdr:
     def test_long_estimate_sums_blocks(self, rng):
         # a float32 estimate of 16 blocks: no signal-length float64 copy or
         # temporary (each would be 8 MiB), and the single-pass value to rounding
-        n = 16 * SI_SDR_BLOCK
+        n = 16 * ENERGY_BLOCK
         ref = rng.uniform(-1, 1, n)
         est = (ref + 0.3 * rng.normal(size=n)).astype(np.float32)
         tracemalloc.start()
@@ -95,7 +94,7 @@ class TestSiSdr:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * SI_SDR_BLOCK * 8
+        assert peak <= 4 * ENERGY_BLOCK * 8
         e = est.astype(np.float64)
         target = float(e @ ref) / float(ref @ ref) * ref
         resid = target - e

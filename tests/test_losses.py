@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waverep.autodiff import as_node
+from waverep.autodiff import Node, Tape, as_node
+from waverep.dataset import ENERGY_BLOCK
 from waverep.diagnostics import assignment_cost, random_cost_matrix
-from waverep.errors import NumericalError, SaturationError
-from waverep.evaluation import SEGMENT_LEN, SI_SDR_BLOCK
-from waverep.autodiff import Tape
 from waverep.encoder import encode_values, init_encoder
+from waverep.errors import NumericalError, SaturationError
+from waverep.evaluation import SEGMENT_LEN
 from waverep.losses import (
     DISTANCE_EXPONENTS,
     LossConfig,
@@ -57,7 +57,7 @@ class TestNegSnr:
         with pytest.raises(NumericalError, match="not finite"):
             neg_snr(x, est)
 
-    @pytest.mark.parametrize("n", [SEGMENT_LEN, SI_SDR_BLOCK])
+    @pytest.mark.parametrize("n", [SEGMENT_LEN, ENERGY_BLOCK])
     @pytest.mark.parametrize("taped", [False, True])
     def test_one_block_is_the_single_pass_formula_bit_for_bit(self, rng, n, taped):
         # a training segment is one block, so every training signal keeps its bits
@@ -67,10 +67,25 @@ class TestNegSnr:
         want = -10.0 * math.log10(float(x @ x) / float(resid @ resid))
         assert float(neg_snr(x, est, Tape() if taped else None).value) == want
 
+    def test_taped_long_estimate_keeps_its_values_and_gets_the_residual_gradient(self, rng):
+        # the backward makes the residual itself; the forward's blocks never
+        # write into the estimate
+        n = 3 * ENERGY_BLOCK
+        x = rng.uniform(-1, 1, n)
+        est = Node(x + 0.3 * rng.normal(size=n))
+        kept = est.value.copy()
+        tape = Tape()
+        loss = neg_snr(x, est, tape)
+        tape.backward(loss)
+        np.testing.assert_array_equal(est.value, kept)
+        resid = x - kept
+        np.testing.assert_allclose(est.grad, (-20.0 / math.log(10.0)) * resid / float(resid @ resid),
+                                   rtol=1e-12)
+
     def test_long_estimate_sums_blocks(self, rng):
         # a float32 estimate of 16 blocks: no signal-length float64 residual
         # (8 MiB), and the single-pass value to rounding
-        n = 16 * SI_SDR_BLOCK
+        n = 16 * ENERGY_BLOCK
         x = rng.uniform(-1, 1, n)
         est = (x + 0.3 * rng.normal(size=n)).astype(np.float32)
         tracemalloc.start()
@@ -79,7 +94,7 @@ class TestNegSnr:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * SI_SDR_BLOCK * 8
+        assert peak <= 4 * ENERGY_BLOCK * 8
         resid = x - est.astype(np.float64)
         assert got == pytest.approx(-10.0 * math.log10((x @ x) / (resid @ resid)), rel=1e-12)
 
