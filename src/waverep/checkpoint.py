@@ -4,7 +4,9 @@ Layout (all little-endian): magic ``WREP``, format version (u32), array count
 (u32), then per array: name length (u16) + UTF-8 name, rank (u32), dims (u64
 each), float64 payload in C order; the file ends with a CRC32 (u32) of all
 preceding bytes.  Files are written atomically (temp file + rename) and
-round-trip every value bit-for-bit.
+round-trip every value bit-for-bit.  Both directions stream: a save or a load
+holds the arrays and at most ``CRC_CHUNK`` more bytes, never a copy of the
+file.
 """
 
 from __future__ import annotations
@@ -23,73 +25,88 @@ from .errors import CheckpointError
 
 MAGIC = b"WREP"
 FORMAT_VERSION = 1
+#: bytes per read of the checksum pass of :func:`load_arrays`
+CRC_CHUNK = 1 << 20
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    """Write named float64 arrays; insertion order is preserved."""
-    parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(arrays))]
-    for name, arr in arrays.items():
-        # ascontiguousarray would promote 0-d scalars to 1-d; keep ranks as-is
-        arr = np.asarray(arr, dtype="<f8", order="C")
-        encoded = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        parts.append(arr.tobytes())
-    blob = b"".join(parts)
-    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
-
+    """Write named float64 arrays; insertion order is preserved.  The headers
+    and each array's own buffer are written one after another and folded into
+    the running CRC, so no copy of the file is built in memory."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
+    crc = 0
+    with open(tmp, "wb") as f:
+        def put(piece) -> None:
+            nonlocal crc
+            f.write(piece)
+            crc = zlib.crc32(piece, crc)
+
+        put(MAGIC + struct.pack("<II", FORMAT_VERSION, len(arrays)))
+        for name, arr in arrays.items():
+            # ascontiguousarray would promote 0-d scalars to 1-d; keep ranks as-is
+            arr = np.asarray(arr, dtype="<f8", order="C")
+            encoded = name.encode("utf-8")
+            put(struct.pack(f"<H{len(encoded)}sI{arr.ndim}Q",
+                            len(encoded), encoded, arr.ndim, *arr.shape))
+            put(arr)
+        f.write(struct.pack("<I", crc))
     os.replace(tmp, path)
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
-    """Read the arrays written by :func:`save_arrays`.  The file is read once
-    and every payload is copied out of it once; the checksum and the headers
-    are read in place."""
-    path = Path(path)
-    blob = memoryview(path.read_bytes())
-    if len(blob) < 16:
-        raise CheckpointError(f"{path}: truncated checkpoint")
-    if blob[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint)")
-    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise CheckpointError(f"{path}: checksum mismatch, file is corrupted")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {version} is not supported (expected {FORMAT_VERSION})"
-        )
+    """Read the arrays written by :func:`save_arrays`.
 
-    arrays: dict[str, np.ndarray] = {}
-    pos = 12
-    end = len(blob) - 4
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, pos)
-            pos += 2
-            name = str(blob[pos : pos + name_len], "utf-8")
-            pos += name_len
-            (rank,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            dims = struct.unpack_from(f"<{rank}Q", blob, pos)
-            pos += 8 * rank
-            size = math.prod(dims)  # Python integers: a huge product cannot wrap
-            payload = blob[pos : pos + 8 * size]
-            if len(payload) < 8 * size:
-                raise CheckpointError(f"{path}: truncated array payload for {name!r}")
-            arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-            pos += 8 * size
-    except struct.error as exc:
-        raise CheckpointError(f"{path}: truncated checkpoint") from exc
-    except ValueError as exc:  # a name that is not UTF-8, or dims numpy cannot take
-        raise CheckpointError(f"{path}: malformed array header: {exc}") from exc
-    if pos != end:
-        raise CheckpointError(f"{path}: trailing bytes after the last array")
+    A first pass checks the CRC through one ``CRC_CHUNK``-byte buffer, so no
+    header is trusted before the checksum is; a second pass parses the headers
+    and reads each payload straight into its array.  Nothing is allocated for
+    a header or a payload that claims more bytes than the file has left."""
+    path = Path(path)
+    with open(path, "rb") as f:
+        end = os.fstat(f.fileno()).st_size - 4  # the CRC's offset
+        if end < 12:
+            raise CheckpointError(f"{path}: truncated checkpoint")
+        if f.read(4) != MAGIC:
+            raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint)")
+        f.seek(0)
+        crc, buf = 0, memoryview(bytearray(CRC_CHUNK))
+        while f.tell() < end:
+            n = f.readinto(buf[: min(CRC_CHUNK, end - f.tell())])
+            if not n:  # the file shrank under us
+                raise CheckpointError(f"{path}: truncated checkpoint")
+            crc = zlib.crc32(buf[:n], crc)
+        if struct.unpack("<I", f.read(4)) != (crc,):
+            raise CheckpointError(f"{path}: checksum mismatch, file is corrupted")
+
+        def take(n: int) -> bytes:  # the next n header bytes, which must lie before the CRC
+            if n > end - f.tell():
+                raise CheckpointError(f"{path}: truncated checkpoint")
+            return f.read(n)
+
+        f.seek(4)
+        version, count = struct.unpack("<II", take(8))
+        if version != FORMAT_VERSION:
+            raise CheckpointError(
+                f"{path}: format version {version} is not supported (expected {FORMAT_VERSION})"
+            )
+        arrays: dict[str, np.ndarray] = {}
+        try:
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", take(2))
+                name = str(take(name_len), "utf-8")
+                (rank,) = struct.unpack("<I", take(4))
+                dims = struct.unpack(f"<{rank}Q", take(8 * rank))
+                nbytes = 8 * math.prod(dims)  # Python integers: a huge product cannot wrap
+                if nbytes > end - f.tell():
+                    raise CheckpointError(f"{path}: truncated array payload for {name!r}")
+                arr = np.empty(dims, dtype="<f8")
+                if f.readinto(arr) != nbytes:
+                    raise CheckpointError(f"{path}: truncated array payload for {name!r}")
+                arrays[name] = arr
+        except ValueError as exc:  # a name that is not UTF-8, or dims numpy cannot take
+            raise CheckpointError(f"{path}: malformed array header: {exc}") from exc
+        if f.tell() != end:
+            raise CheckpointError(f"{path}: trailing bytes after the last array")
     return arrays
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import checkpoint, diagnostics, synth
 from .dataset import SAMPLE_RATE, load_and_downmix, segment
-from .decoder import DecoderParameters, decode_chunks, init_decoder
+from .decoder import DecoderParameters, check_pair, decode_chunks, init_decoder
 from .encoder import encode_chunks, encode_values, init_encoder, num_frames
 from .errors import DataError, NumericalError
 from .evaluation import evaluate, mixture_and_sources, oracle_separate, si_sdr
@@ -259,6 +259,10 @@ def cmd_train(args) -> int:
     enc = init_encoder(args.components, args.kernel_len, args.kernel2_len,
                        args.stride, args.dilation, seed=args.seed)
     dec = init_decoder(args.components, args.kernel_len, args.stride, args.square_freq)
+    try:
+        check_pair(enc, dec)
+    except ValueError as exc:  # flags that do not describe one model
+        raise UsageError(str(exc)) from exc
     voice_segs, accomp_segs = [], []
     for _, vp, ap in _discover_stems(args.stems):
         voice_segs.extend(segment(load_and_downmix(vp), TRAIN_SEGMENT_LEN, TRAIN_HOP))

@@ -83,8 +83,11 @@ def init_decoder(
 
 def check_pair(enc: encoder.EncoderParameters, dec: DecoderParameters) -> None:
     """Raise ``ValueError`` unless ``enc`` and ``dec`` describe one model:
-    one stride, encoder arrays of shapes (C, L), (C, L2, C) and decoder arrays
-    of shapes (C,), (C,), (C, L)."""
+    one stride, no longer than the kernel length L, encoder arrays of shapes
+    (C, L), (C, L2, C) and decoder arrays of shapes (C,), (C,), (C, L).
+
+    A stride longer than L would leave the samples between frames unread by
+    any kernel, and would size the overlap-add buffers by the stride alone."""
     shapes = [np.shape(a) for a in (enc.kernels, enc.dilated_kernels, dec.freq, dec.phase,
                                     dec.modulator)]
     c, length = shapes[0] if len(shapes[0]) == 2 else (-1, -1)
@@ -94,6 +97,8 @@ def check_pair(enc: encoder.EncoderParameters, dec: DecoderParameters) -> None:
                          "(C, L2, C) and decoder (C,), (C,), (C, L)")
     if enc.stride != dec.stride:
         raise ValueError(f"encoder stride {enc.stride} != decoder stride {dec.stride}")
+    if enc.stride > length:
+        raise ValueError(f"stride {enc.stride} is longer than the kernel length {length}")
 
 
 def build_kernels(
@@ -103,11 +108,20 @@ def build_kernels(
     square_freq: bool,
     tape: Tape | None = None,
 ) -> Node:
-    """Materialize the (C, L) synthesis kernels from their parameterization."""
+    """Materialize the (C, L) synthesis kernels from their parameterization,
+    in the modulators' dtype.
+
+    The carrier phase reaches ``2*pi*f*L``, about 3.2e3 rad at L = 2048,
+    where float32 would be off by about 2e-4 rad; so the phase is formed in
+    float64.  For float32 modulators it is then reduced to [-pi, pi] and its
+    cosine taken in float32, which rounds the reduced angle only (about 1e-7
+    rad); float64 modulators take the cosine of the unreduced phase."""
     f = freq.value[:, None]
     carrier = f * f if square_freq else f
     l_idx = np.arange(modulator.value.shape[1], dtype=np.float64)[None, :]
     theta = 2.0 * np.pi * carrier * l_idx + phase.value[:, None]
+    if modulator.value.dtype != theta.dtype:
+        theta = (theta - 2.0 * np.pi * np.rint(theta / (2.0 * np.pi))).astype(modulator.value.dtype)
     cos_t = np.cos(theta)
     out = Node(cos_t * modulator.value)
 
@@ -162,11 +176,9 @@ def synthesize(
 
 def kernel_matrix(params: DecoderParameters) -> np.ndarray:
     """Forward-only (C, L) kernel matrix for the current parameters, in the
-    modulators' dtype.  The carriers' phase reaches ``2*pi*f*L`` radians, so
-    the kernels are computed in float64 and then cast once."""
-    w = build_kernels(as_node(params.freq), as_node(params.phase),
-                      as_node(params.modulator), params.square_freq).value
-    return w.astype(params.modulator.dtype, copy=False)
+    modulators' dtype, as :func:`build_kernels` makes it."""
+    return build_kernels(as_node(params.freq), as_node(params.phase),
+                         as_node(params.modulator), params.square_freq).value
 
 
 def decode_chunks(chunks: Iterable[np.ndarray], params: DecoderParameters,

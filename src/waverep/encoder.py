@@ -116,7 +116,8 @@ def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = Non
     Output frame t aggregates input frames t, t+d, t+2d, ...; the input is
     zero-padded on the right so the output keeps exactly T frames.  ``h`` may
     hold ``signals`` equal-length latents side by side; each gets its own
-    padding and its own T output columns.
+    padding and its own T output columns.  A tap whose offset is T or more
+    reads only padding: it is skipped, and its kernel gradient is zero.
     """
     kp = kernels.value  # (C_out, L2, C_in)
     c_out, l2, c_in = kp.shape
@@ -126,23 +127,23 @@ def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = Non
     if hv.shape[1] % signals:
         raise ValueError(f"{hv.shape[1]} frames do not split into {signals} equal signals")
     t = hv.shape[1] // signals
-    pad = dilation * (l2 - 1)
-    hp = np.pad(hv.reshape(c_in, signals, t), ((0, 0), (0, 0), (0, pad)))
+    taps = min(l2, -(-t // dilation))  # the taps whose offset is below t
+    hp = np.pad(hv.reshape(c_in, signals, t), ((0, 0), (0, 0), (0, dilation * max(taps - 1, 0))))
 
     def shifted(off):  # (C_in, signals*t): frames off .. off+t-1 of every signal
         return hp[:, :, off : off + t].reshape(c_in, signals * t)
 
     out_val = np.zeros((c_out, signals * t), dtype=hv.dtype)
-    for tap in range(l2):
+    for tap in range(taps):
         out_val += kp[:, tap, :] @ shifted(tap * dilation)
     out = Node(out_val)
 
     if tape is not None:
         def backward():
             g = out.grad
-            dk = np.empty_like(kp)
+            dk = np.zeros_like(kp)
             dhp = np.zeros_like(hp)
-            for tap in range(l2):
+            for tap in range(taps):
                 off = tap * dilation
                 dk[:, tap, :] = g @ shifted(off).T
                 dhp[:, :, off : off + t] += (kp[:, tap, :].T @ g).reshape(c_in, signals, t)

@@ -196,7 +196,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
         assert run(["synth-data", "--out", str(base / "stems"), "--seed", "13",
                     "--tracks", "2", "--duration", "3"]) == 0
         assert run(["train", "--stems", str(base / "stems"), "--out", str(base / "model"),
-                    "--components", "24", "--stride", "256", "--kernel-len", "128",
+                    "--components", "24", "--stride", "256", "--kernel-len", "256",
                     "--epochs", "2", "--batch", "4", "--seed", "13", "--lr", "1e-3",
                     "--loss", "sinkhorn", "--omega", "0.5", "--lambda", "1.0"]) == 0
         assert run(["evaluate", "--stems", str(base / "stems"),

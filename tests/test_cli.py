@@ -51,7 +51,7 @@ def stems_dir(tmp_path_factory):
 def trained(tmp_path_factory, stems_dir):
     out = tmp_path_factory.mktemp("run")
     code = run(["train", "--stems", str(stems_dir), "--out", str(out),
-                "--components", "24", "--stride", "256", "--kernel-len", "128",
+                "--components", "24", "--stride", "256", "--kernel-len", "256",
                 "--epochs", "2", "--batch", "4", "--seed", "3", "--lr", "1e-3"])
     assert code == 0
     return out
@@ -101,6 +101,29 @@ class TestExitCodes:
         write_wav(wav, np.ones(100))
         assert run(["reconstruct", "--checkpoint", str(ckpt),
                     "--out", str(tmp_path / "o"), str(wav)]) == 2
+
+    def test_huge_checkpoint_stride_is_refused_when_loaded(self, tmp_path, capsys):
+        # a stride of 2**35 samples sized a 128 GiB overlap-add buffer; a
+        # stride longer than the kernels is now refused before any signal work
+        ckpt = tmp_path / "huge_stride.bin"
+        save_model(ckpt, init_encoder(4, 16, 2, 8, 2, seed=0), init_decoder(4, 16, 8))
+        arrays = load_arrays(ckpt)
+        arrays["meta/stride"] = np.float64(2.0**35)
+        save_arrays(ckpt, arrays)
+        wav = tmp_path / "x.wav"
+        write_wav(wav, np.ones(100))
+        out = tmp_path / "o"
+        assert run(["reconstruct", "--checkpoint", str(ckpt), "--out", str(out), str(wav)]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: stride 34359738368 is longer than the kernel length 16" in err
+        assert not out.exists()
+
+    def test_stride_longer_than_the_kernels_is_usage_error(self, stems_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["train", "--stems", str(stems_dir), "--out", str(out),
+                    "--stride", "512", "--kernel-len", "256"]) == 1
+        assert "stride 512 is longer than the kernel length 256" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sinkhorn_without_iterations_is_data_error(self, stems_dir, tmp_path):
         assert run(["train", "--stems", str(stems_dir), "--out", str(tmp_path / "o"),
@@ -556,14 +579,14 @@ def test_separate_memory_is_bounded_in_duration(tmp_path, rng):
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, stems_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("components=16\nkernel-len=64\nepochs=1\nbatch=2\n"
+        cfg.write_text("components=16\nkernel-len=256\nepochs=1\nbatch=2\n"
                        "lr=1e-3\nseed=9\nsquare-freq=off\n")
         out = tmp_path / "out"
         assert run(["train", "--stems", str(stems_dir), "--out", str(out),
                     "--config", str(cfg), "--components", "12"]) == 0
         text = (out / "run_config.txt").read_text()
         assert "components=12" in text       # flag wins
-        assert "kernel_len=64" in text       # config value applied
+        assert "kernel_len=256" in text      # config value applied
         assert "epochs=1" in text
         assert "square_freq=False" in text
 
@@ -597,13 +620,13 @@ class TestConfigFile:
                              ids=["file", "flag-wins"])
     def test_lambda_and_underscore_keys(self, stems_dir, tmp_path, flags, lam):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("lambda=0.1\nkernel_len=64\ncomponents=8\nepochs=1\n")
+        cfg.write_text("lambda=0.1\nkernel_len=256\ncomponents=8\nepochs=1\n")
         out = tmp_path / "out"
         assert run(["train", "--stems", str(stems_dir), "--out", str(out),
                     "--config", str(cfg)] + flags) == 0
         text = (out / "run_config.txt").read_text()
         assert f"lam={lam}\n" in text
-        assert "kernel_len=64\n" in text
+        assert "kernel_len=256\n" in text
 
     @pytest.mark.parametrize("line", ["p=3", "square-freq=maybe", "epochs=two", "early-stop=yes",
                                       "early-stop=maybe", "early-stop="])
@@ -619,7 +642,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("value, early_stop", [("on", True), ("off", False)])
     def test_switch_reads_on_or_off(self, stems_dir, tmp_path, value, early_stop):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"components=8\nkernel-len=32\nepochs=1\nearly_stop={value}\n")
+        cfg.write_text(f"components=8\nkernel-len=256\nepochs=1\nearly_stop={value}\n")
         out = tmp_path / "out"
         assert run(["train", "--stems", str(stems_dir), "--out", str(out),
                     "--config", str(cfg)]) == 0
@@ -628,7 +651,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("in_file, flag, early_stop", [("off", "on", True), ("on", "off", False)])
     def test_switch_flag_overrides_file(self, stems_dir, tmp_path, in_file, flag, early_stop):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"components=8\nkernel-len=32\nepochs=1\nearly-stop={in_file}\n")
+        cfg.write_text(f"components=8\nkernel-len=256\nepochs=1\nearly-stop={in_file}\n")
         out = tmp_path / "out"
         assert run(["train", "--stems", str(stems_dir), "--out", str(out),
                     "--config", str(cfg), "--early-stop", flag]) == 0
@@ -640,7 +663,7 @@ class TestConfigFile:
         assert not out.exists()
 
     def test_config_run_matches_flag_run(self, stems_dir, tmp_path):
-        settings = {"components": "8", "kernel-len": "32", "epochs": "1", "batch": "3",
+        settings = {"components": "8", "kernel-len": "256", "epochs": "1", "batch": "3",
                     "loss": "sinkhorn", "lambda": "0.3", "seed": "4", "early-stop": "off"}
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))

@@ -189,6 +189,20 @@ def test_kernel_matrix_matches_build(rng):
         build_kernels(as_node(dec.freq), as_node(dec.phase), as_node(dec.modulator), True).value)
 
 
+@pytest.mark.parametrize("square_freq", [True, False])
+def test_float32_kernel_matrix_is_the_float64_one_rounded(rng, square_freq):
+    # paper scale, where the carrier phase reaches about 3.2e3 rad: a float32
+    # cosine of the unreduced phase would be off by about 2e-4 of max|w|
+    dec = init_decoder(800, 2048, 256, square_freq)
+    dec.phase = rng.uniform(-np.pi, np.pi, 800)
+    dec.modulator = rng.standard_normal((800, 2048))
+    w64 = kernel_matrix(dec)
+    dec.modulator = dec.modulator.astype(np.float32)
+    w32 = kernel_matrix(dec)
+    assert w32.dtype == np.float32
+    assert np.max(np.abs(w32 - w64.astype(np.float32))) <= 5e-7 * np.max(np.abs(w64))
+
+
 class TestStreaming:
     """``decode_values`` overlap-adds ``CHUNK_FRAMES``-column blocks; it must
     agree with one-shot synthesis, including truncated and extended outputs."""

@@ -165,6 +165,30 @@ class TestEncode:
         assert a.shape == (2, 11)
 
 
+class TestDilationPastTheEnd:
+    """A tap whose offset reaches past the last frame reads only padding: it is
+    skipped, so a huge dilation sizes no padding."""
+
+    def test_matches_the_zero_padded_sum(self, rng):
+        h = rng.standard_normal((3, 14))  # two signals of 7 frames
+        kp = rng.standard_normal((3, 4, 3))  # offsets 0, 3, 6 and 9 at dilation 3
+        hp = np.pad(h.reshape(3, 2, 7), ((0, 0), (0, 0), (0, 9)))
+        want = sum(kp[:, k, :] @ hp[:, :, 3 * k : 3 * k + 7].reshape(3, 14) for k in range(4))
+        np.testing.assert_allclose(conv2_dilated(Node(h), Node(kp), 3, signals=2).value, want,
+                                   rtol=1e-13, atol=1e-13)
+
+    def test_huge_dilation_is_the_first_tap(self, rng):
+        h, kp = Node(rng.standard_normal((3, 5))), Node(rng.standard_normal((3, 4, 3)))
+        tape = Tape()
+        out = conv2_dilated(h, kp, 2**40, tape)
+        np.testing.assert_array_equal(out.value, kp.value[:, 0, :] @ h.value)
+        g = rng.standard_normal(out.value.shape)
+        tape.backward(out, g)
+        np.testing.assert_array_equal(kp.grad[:, 0, :], g @ h.value.T)
+        assert np.all(kp.grad[:, 1:, :] == 0.0)
+        np.testing.assert_array_equal(h.grad, kp.value[:, 0, :].T @ g)
+
+
 class TestStreaming:
     """``encode_values`` fills the representation from ``encode_chunks``
     blocks; it must agree with the one-shot taped ``encode``."""

@@ -19,7 +19,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waverep.checkpoint import save_model
@@ -79,6 +79,11 @@ edits = st.lists(st.tuples(st.sampled_from(["set", "insert", "delete"]),
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(target=st.sampled_from(["wav", "checkpoint", "config"]), edits=edits)
+# byte 1562 is the top byte of meta/stride (8.0) and byte 1589 that of
+# meta/dilation (2.0): 0x42 makes them 2**35 and 2**33, which once sized a
+# 128 GiB overlap-add buffer and a 256 GiB zero padding
+@example(target="checkpoint", edits=[("set", 1562, 0x42)])
+@example(target="checkpoint", edits=[("set", 1589, 0x42)])
 def test_mutated_input_exits_with_a_documented_code(inputs, target, edits):
     work = inputs / "work"
     shutil.rmtree(work, ignore_errors=True)

@@ -360,6 +360,60 @@ class TestCheckpoint:
         assert arrays["a"].flags.writeable and arrays["a"].flags.owndata
         assert peak <= 2.1 * size
 
+    def test_load_reads_each_payload_into_its_array(self, tmp_path):
+        # the arrays plus the checksum pass's buffer: no copy of the file
+        path = tmp_path / "c.bin"
+        save_arrays(path, {"a": np.arange(1 << 20, dtype=np.float64), "b": np.ones((3, 5))})
+        tracemalloc.start()
+        try:
+            arrays = load_arrays(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(arrays["a"], np.arange(1 << 20, dtype=np.float64))
+        assert peak <= sum(a.nbytes for a in arrays.values()) + (2 << 20)
+
+    def test_save_streams_the_arrays(self, tmp_path):
+        path = tmp_path / "c.bin"
+        arrays = {"a": np.arange(1 << 20, dtype=np.float64)}  # 8 MiB
+        tracemalloc.start()
+        try:
+            save_arrays(path, arrays)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
+        np.testing.assert_array_equal(load_arrays(path)["a"], arrays["a"])
+
+    def test_saved_bytes_follow_the_layout(self, tmp_path):
+        arrays = {
+            "enc/w": np.asfortranarray(np.arange(6.0).reshape(2, 3)),  # written in C order
+            "scalar": np.float64(-2.5),
+            "empty": np.zeros((0, 4)),
+            "f32": np.linspace(0, 1, 5, dtype=np.float32),  # written as float64
+        }
+        body = b"WREP" + struct.pack("<II", 1, len(arrays))
+        for name, arr in arrays.items():
+            arr = np.asarray(arr, dtype=np.float64)
+            body += struct.pack("<H", len(name)) + name.encode()
+            body += struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape)
+            body += struct.pack(f"<{arr.size}d", *arr.ravel(order="C"))
+        path = tmp_path / "c.bin"
+        save_arrays(path, arrays)
+        assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
+        assert not path.with_name("c.bin.tmp").exists()
+
+    def test_stale_checksum_is_reported_before_a_huge_payload(self, tmp_path):
+        # dims claiming 2**40 * 2**40 floats, the CRC not recomputed: the
+        # checksum is verified before any header is read
+        path = tmp_path / "c.bin"
+        save_arrays(path, {"a": np.ones((2, 2))})
+        blob = bytearray(path.read_bytes())
+        blob[19:35] = struct.pack("<2Q", 2**40, 2**40)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: checksum mismatch")):
+            load_arrays(path)
+
     def _first_array_mutated(self, tmp_path, offset, data):
         # one array named "a" of shape (2, 2): its name byte is at 14, its dims at 19
         path = tmp_path / "c.bin"
@@ -382,13 +436,16 @@ class TestCheckpoint:
 
 
 def _mismatched_pair(kind):
+    if kind == "long-stride":  # the samples between frames would be read by no kernel
+        return init_encoder(6, 16, 2, 32, 2, seed=0), init_decoder(6, 16, 32)
     enc = init_encoder(6, 16, 2, 16, 2, seed=0)
     dec = init_decoder(6, 16, 8) if kind == "stride" else init_decoder(6, 17, 16)
     return enc, dec
 
 
 @pytest.mark.parametrize("kind, match", [("stride", "stride 16 != decoder stride 8"),
-                                         ("kernel-length", "shapes")])
+                                         ("kernel-length", "shapes"),
+                                         ("long-stride", "stride 32 is longer than the kernel length")])
 class TestPairContract:
     """An encoder and a decoder that cannot form one model are refused before
     anything is written: at save, and at the start of training."""
