@@ -21,7 +21,7 @@ import numpy as np
 
 from .decoder import DecoderParameters, check_pair
 from .encoder import EncoderParameters
-from .errors import CheckpointError
+from .errors import CheckpointError, finite
 
 MAGIC = b"WREP"
 FORMAT_VERSION = 1
@@ -125,10 +125,12 @@ def save_model(path, enc: EncoderParameters, dec: DecoderParameters) -> None:
     })
 
 
-def load_model(path) -> tuple[EncoderParameters, DecoderParameters]:
+def load_model(path, dtype=np.float64) -> tuple[EncoderParameters, DecoderParameters]:
     """Read a model written by :func:`save_model`, rejecting non-finite
     parameters, and metadata and array shapes that do not describe one
-    consistent encoder/decoder pair."""
+    consistent encoder/decoder pair.  With another ``dtype`` the arrays that the
+    forward GEMMs read (encoder kernels, decoder modulators) are cast to it; a
+    parameter that is not finite in ``dtype`` raises :class:`NumericalError`."""
     arrs = load_arrays(path)
     names = ("encoder/kernels", "encoder/dilated_kernels", "decoder/freq", "decoder/phase",
              "decoder/modulator", "meta/stride", "meta/dilation", "meta/square_freq")
@@ -150,4 +152,8 @@ def load_model(path) -> tuple[EncoderParameters, DecoderParameters]:
         check_pair(enc, dec)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
+    if np.dtype(dtype) != np.float64:
+        enc.kernels, enc.dilated_kernels, dec.modulator = finite(
+            f"{path}: the model's parameters are not finite in {np.dtype(dtype)}",
+            lambda: [a.astype(dtype) for a in (enc.kernels, enc.dilated_kernels, dec.modulator)])
     return enc, dec

@@ -20,8 +20,8 @@ import numpy as np
 from . import checkpoint, diagnostics, synth
 from .dataset import SAMPLE_RATE, load_and_downmix, segment
 from .decoder import DecoderParameters, check_pair, decode_chunks, init_decoder
-from .encoder import encode_chunks, encode_values, init_encoder, num_frames
-from .errors import DataError, NumericalError
+from .encoder import encode_chunks, encode_values, init_encoder
+from .errors import DataError, NumericalError, finite
 from .evaluation import evaluate, mixture_and_sources, oracle_separate, si_sdr
 from .export import export_representation
 from .losses import DISTANCE_EXPONENTS, LOSS_VARIANTS, LossConfig, neg_snr
@@ -210,29 +210,15 @@ def _score_db(metric, ref: np.ndarray, est: np.ndarray) -> str:
     return f"{float(metric(ref, est)):.3f} dB"
 
 
-def _load_float32(path):
-    """The model at ``path`` for the forward-only commands (``reconstruct``,
-    ``separate`` and ``evaluate``): the arrays that their GEMMs read (encoder
-    kernels, decoder modulators) are cast to float32, so the forward pass runs
-    in float32.  A parameter that is not finite in float32 raises
-    :class:`NumericalError`."""
-    enc, dec = checkpoint.load_model(path)
-    with np.errstate(over="ignore"):  # an overflow to inf is refused below
-        arrays = [a.astype(np.float32) for a in (enc.kernels, enc.dilated_kernels, dec.modulator)]
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise NumericalError(f"{path}: the model's parameters are not finite in float32")
-    enc.kernels, enc.dilated_kernels, dec.modulator = arrays
-    return enc, dec
-
-
-def _decode(chunks, dec: DecoderParameters, out_len: int, source: str) -> np.ndarray:
-    """:func:`decode_chunks`, refusing an output that is not finite in float32
-    with an error that names ``source``, the files the output is made from."""
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        y = decode_chunks(chunks, dec, out_len)
-    if not np.all(np.isfinite(y)):
-        raise NumericalError(f"{source}: the decoded output is not finite in float32")
-    return y
+def _encode_input(args) -> tuple[np.ndarray, DecoderParameters]:
+    """The float64 representation of ``args.input`` under ``args.checkpoint``,
+    and the model's decoder, for ``encode`` and ``export``: read and computed
+    before the output directory is made, so a failure leaves no output."""
+    enc, dec = checkpoint.load_model(args.checkpoint)
+    x = load_and_downmix(args.input)
+    a = finite(f"{args.checkpoint} on {args.input}: the representation is not finite",
+               lambda: encode_values(x, enc))
+    return a, dec
 
 
 def cmd_synth_data(args) -> int:
@@ -284,23 +270,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    # the model and the input are read before the output directory is made
-    enc, _ = checkpoint.load_model(args.checkpoint)
-    x = load_and_downmix(args.input)
-    out = _out_dir(args)
-    a = encode_values(x, enc)
-    csv_path = out / (Path(args.input).stem + "_rep.csv")
+    a, _ = _encode_input(args)
+    csv_path = _out_dir(args) / (Path(args.input).stem + "_rep.csv")
     np.savetxt(csv_path, a, delimiter=",", fmt="%.10g")
-    print(f"representation {a.shape[0]}x{a.shape[1]} "
-          f"({num_frames(len(x), enc.stride)} frames) -> {csv_path}")
+    print(f"representation {a.shape[0]}x{a.shape[1]} ({a.shape[1]} frames) -> {csv_path}")
     return 0
 
 
 def cmd_reconstruct(args) -> int:
     # the output is checked and scored before anything is written, so a failure leaves no output
-    enc, dec = _load_float32(args.checkpoint)
+    enc, dec = checkpoint.load_model(args.checkpoint, np.float32)
     x = load_and_downmix(args.input)
-    xhat = _decode(encode_chunks(x, enc), dec, len(x), f"{args.checkpoint} on {args.input}")
+    xhat = finite(f"{args.checkpoint} on {args.input}: the decoded output is not finite in float32",
+                  lambda: decode_chunks(encode_chunks(x, enc), dec, len(x)))
     print(f"neg-SNR: {_score_db(lambda r, e: neg_snr(r, e).value, x, xhat)}")
     print(f"SI-SDR: {_score_db(si_sdr, x, xhat)}")
     wav_path = _out_dir(args) / (Path(args.input).stem + "_recon.wav")
@@ -311,15 +293,16 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_separate(args) -> int:
     # checked and scored before anything is written, as in cmd_reconstruct
-    enc, dec = _load_float32(args.checkpoint)
+    enc, dec = checkpoint.load_model(args.checkpoint, np.float32)
     voice = load_and_downmix(args.voice)
     accomp = load_and_downmix(args.accomp)
     n = min(len(voice), len(accomp))
     voice, accomp = voice[:n], accomp[:n]
     # the mixture is masked from its sources' pre-activations, block by block
     blocks = zip(*(encode_chunks(x, enc, linear=True) for x in (voice, accomp)))
-    sep = _decode((oracle_separate(*mixture_and_sources(*pair)) for pair in blocks), dec, n,
-                  f"{args.checkpoint} on {args.voice} and {args.accomp}")
+    masked = (oracle_separate(*mixture_and_sources(*pair)) for pair in blocks)
+    sep = finite(f"{args.checkpoint} on {args.voice} and {args.accomp}: the decoded output is "
+                 "not finite in float32", lambda: decode_chunks(masked, dec, n))
     print(f"SI-SDR (masked separation): {_score_db(si_sdr, voice, sep)}")
     wav_path = _out_dir(args) / (Path(args.voice).stem + "_separated.wav")
     write_wav(wav_path, sep)
@@ -332,7 +315,7 @@ def cmd_evaluate(args) -> int:
         raise UsageError("evaluate needs exactly one of --checkpoint or --baseline")
     enc = dec = None
     if args.checkpoint is not None:
-        enc, dec = _load_float32(args.checkpoint)
+        enc, dec = checkpoint.load_model(args.checkpoint, np.float32)
     tracks = [
         (name, load_and_downmix(vp), load_and_downmix(ap))
         for name, vp, ap in _discover_stems(args.stems)
@@ -347,11 +330,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_export(args) -> int:
-    enc, dec = checkpoint.load_model(args.checkpoint)
-    x = load_and_downmix(args.input)
-    out = _out_dir(args)
-    a = encode_values(x, enc)
-    csv_path, pgm_path = export_representation(a, out / Path(args.input).stem, dec.freq)
+    a, dec = _encode_input(args)
+    csv_path, pgm_path = export_representation(a, _out_dir(args) / Path(args.input).stem, dec.freq)
     print(f"wrote {csv_path} and {pgm_path}")
     return 0
 

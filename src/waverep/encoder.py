@@ -199,15 +199,17 @@ def encode_chunks(
     of ``CHUNK_FRAMES`` columns (the last one may be narrower).
 
     Each block is :func:`encode` of the samples its frames read, truncated to
-    the block: the window reaches ``dilation * (L2 - 1)`` frames of right
-    context plus one kernel, and past the end of the signal it zero-pads
-    exactly as the one-shot encode does.
+    the block: the window reaches ``dilation * (taps - 1)`` frames of right
+    context plus one kernel, where ``taps`` counts the second-layer taps whose
+    offset falls inside the signal (the others read only padding), and past
+    the end of the signal it zero-pads exactly as the one-shot encode does.
     """
     (x,) = _signals(x)  # one signal: the streaming path does not stack
-    stride = params.stride
-    context = params.dilation * (params.dilated_kernels.shape[1] - 1)
+    stride, frames = params.stride, num_frames(x.size, params.stride)
+    taps = min(params.dilated_kernels.shape[1], -(-frames // params.dilation))
+    context = params.dilation * (taps - 1)
     span = (CHUNK_FRAMES + context - 1) * stride + params.kernel_len
-    for t0 in range(0, num_frames(x.size, stride), CHUNK_FRAMES):
+    for t0 in range(0, frames, CHUNK_FRAMES):
         window = x[t0 * stride : t0 * stride + span]
         yield encode(window, params, linear=linear).value[:, :CHUNK_FRAMES]
 

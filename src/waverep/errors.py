@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checked-numerics helper."""
+
+import numpy as np
 
 
 class DataError(Exception):
@@ -27,3 +29,15 @@ class SaturationError(NumericalError):
             f"({saturation_fraction:.1%} of kernel entries are zero); "
             f"reduce lambda or rescale the cost matrix"
         )
+
+
+def finite(message: str, compute):
+    """``compute()`` (a number, an array or a sequence of arrays), run with
+    numpy's floating-point warnings off; :class:`NumericalError` with
+    ``message`` if any part of it is not finite."""
+    with np.errstate(all="ignore"):
+        result = compute()
+    parts = result if isinstance(result, (list, tuple)) else (result,)
+    if not all(np.isfinite(part).all() for part in parts):
+        raise NumericalError(message)
+    return result

@@ -20,7 +20,7 @@ from .dataset import (ACTIVITY_EPS, SAMPLE_RATE, float64_blocks, frame, is_activ
                       segment)
 from .decoder import DecoderParameters, check_pair, kernel_matrix, synthesize
 from .encoder import EncoderParameters, encode, relu
-from .errors import DataError, NumericalError
+from .errors import DataError, finite
 
 STFT_WINDOW = 2048
 STFT_HOP = 256
@@ -35,7 +35,8 @@ def si_sdr(ref: np.ndarray, est: np.ndarray) -> float:
     so the measure is invariant to (nonzero) rescaling of the estimate.  The
     result is clamped to [-SI_SDR_CAP_DB, SI_SDR_CAP_DB]: a vanishing residual
     scores the cap, and a silent or orthogonal estimate (zero projection)
-    scores its negative.  A non-finite estimate or energy raises :class:`NumericalError`.
+    scores its negative.  A non-finite estimate makes the energies non-finite,
+    which raises :class:`NumericalError`.
 
     The energies are summed in float64 over :func:`dataset.float64_blocks`,
     so no signal-length temporary is made.
@@ -44,11 +45,9 @@ def si_sdr(ref: np.ndarray, est: np.ndarray) -> float:
     if ref.shape != est.shape:
         raise ValueError("signals must have equal length")
 
-    energy = dot = num = den = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # num and den are checked below
+    def energies():  # of the target and of the residual
+        energy = dot = num = den = 0.0
         for r, e in float64_blocks(ref, est):
-            if not np.all(np.isfinite(e)):
-                raise NumericalError("si_sdr: the estimate is not finite")
             energy += float(r @ r)
             dot += float(e @ r)
         if energy == 0.0:
@@ -59,8 +58,9 @@ def si_sdr(ref: np.ndarray, est: np.ndarray) -> float:
             num += float(target @ target)
             target -= e  # now the residual
             den += float(target @ target)
-    if not (math.isfinite(num) and math.isfinite(den)):  # they overflowed
-        raise NumericalError("si_sdr: the target or residual energy is not finite")
+        return num, den
+
+    num, den = finite("si_sdr: the target or residual energy is not finite", energies)
     if num == 0.0:
         return -SI_SDR_CAP_DB
     if den == 0.0:
@@ -122,11 +122,11 @@ def w_do(y_target: np.ndarray, y_interf: np.ndarray) -> tuple[float, float, floa
     if yt.shape != yi.shape:
         raise ValueError("representations must have the same shape")
     mask = binary_mask(yt, yi)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below; kept_t <= total
-        total, kept_t, kept_i = yt.sum(), (mask * yt).sum(), (mask * yi).sum()
-        total_sq, kept_t_sq, kept_i_sq = total ** 2, kept_t ** 2, kept_i ** 2
-    if not (math.isfinite(total_sq) and math.isfinite(kept_i_sq)):
-        raise NumericalError("w_do: the representations' squared L1 norms are not finite")
+    def norms():  # the L1 norms, then their squares
+        sums = [yt.sum(), (mask * yt).sum(), (mask * yi).sum()]
+        return sums + [v ** 2 for v in sums]
+    total, kept_t, kept_i, total_sq, kept_t_sq, kept_i_sq = finite(
+        "w_do: the representations' squared L1 norms are not finite", norms)
     if total == 0.0:
         raise ValueError("target representation is identically zero, PSR undefined")
     psr = kept_t_sq / total_sq
@@ -226,16 +226,6 @@ def model_representations(x_v: np.ndarray, x_ac: np.ndarray,
     return mixture_and_sources(*np.split(p, 2, axis=1))
 
 
-def _finite(where: str, what: str, compute) -> Sequence[np.ndarray]:
-    """The arrays ``compute()`` returns, with no numpy warning on the way;
-    :class:`NumericalError` if one of them is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        arrays = compute()
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise NumericalError(f"{where}: {what} are not finite")
-    return arrays
-
-
 def evaluate(
     tracks: Sequence[tuple[str, np.ndarray, np.ndarray]],
     enc: EncoderParameters | None = None,
@@ -280,10 +270,11 @@ def evaluate(
     rows = []
     for name, i, x_v, x_ac in active_segments(tracks):
         where = f"{name}, segment {i}"
-        z_m, z_v, z_ac = _finite(where, "the representations", lambda: analyze(x_v, x_ac))
+        z_m, z_v, z_ac = finite(f"{where}: the representations are not finite",
+                                lambda: analyze(x_v, x_ac))
         a_m, a_v, a_ac = np.abs(z_m), np.abs(z_v), np.abs(z_ac)
         wdo, psr, sir = w_do(a_v, a_ac)
-        y_v, y_bm = _finite(where, "the voice estimates", lambda: resynthesize(
+        y_v, y_bm = finite(f"{where}: the voice estimates are not finite", lambda: resynthesize(
             [z_v, oracle_separate(z_m, z_v, z_ac)], len(x_v)))
         rows.append(SegmentMetrics(
             track=name,

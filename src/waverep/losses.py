@@ -31,7 +31,7 @@ import numpy as np
 
 from .autodiff import Node, Tape, as_node
 from .dataset import float64_blocks
-from .errors import NumericalError, SaturationError
+from .errors import SaturationError, finite
 
 _LN10 = math.log(10.0)
 
@@ -103,13 +103,8 @@ def neg_snr(x: np.ndarray, est, tape: Tape | None = None) -> Node:
     energy = float(x @ x)
     if energy == 0.0:
         raise ValueError("neg_snr reference signal is all-zero")
-    resid = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        for xb, eb in float64_blocks(x, est_node.value):
-            diff = xb - eb
-            resid += float(diff @ diff)
-    if not math.isfinite(resid):
-        raise NumericalError(f"neg_snr: the estimate is not finite (residual energy {resid})")
+    resid = finite("neg_snr: the estimate is not finite", lambda: sum(
+        float(d @ d) for d in (xb - eb for xb, eb in float64_blocks(x, est_node.value))))
     raw = -10.0 * math.log10(energy / resid) if resid > 0.0 else -math.inf
     capped = raw < SNR_FLOOR_DB
     out = Node(SNR_FLOOR_DB if capped else raw)

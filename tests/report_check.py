@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from waverep.checkpoint import load_model
-from waverep.cli import _discover_stems, _load_float32
+from waverep.cli import _discover_stems
 from waverep.dataset import load_and_downmix
 from waverep.evaluation import active_segments, binary_mask, evaluate, model_representations
 
@@ -77,7 +77,7 @@ def compare(checkpoint, stems, eval_dir) -> Comparison:
         raise ValueError(f"{eval_dir}: summary.txt does not match the reference's values")
     units = max(round(abs(g - w) / SUMMARY_UNIT) for g, w in zip(got, want))
 
-    enc32 = _load_float32(checkpoint)[0]
+    enc32 = load_model(checkpoint, np.float32)[0]
     flipped = cells = 0
     for _, _, x_v, x_ac in active_segments(tracks):
         m64, m32 = (binary_mask(*(np.abs(z) for z in model_representations(x_v, x_ac, enc)[1:]))

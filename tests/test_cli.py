@@ -250,14 +250,11 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("model", ["kernel-1e200", "kernels-1e308", "modulator-1e40"])
-    @pytest.mark.parametrize("command", ["reconstruct", "separate", "evaluate"])
-    def test_overflow_paths_are_typed_and_silent(self, stems_dir, tmp_path, capsys, model,
-                                                 command):
-        # The kernels are not finite in float32, so all three commands refuse
-        # the model when they cast it; modulator-1e40 is (2.5e38 at C=8, L=32),
-        # but their resynthesis overflows float32.  No numpy warning is printed
-        # on the way.  (The float64 library path: TestEvaluate in test_evaluation.)
+    @staticmethod
+    def _run_huge_model(model, command, stems_dir, tmp_path):
+        """``command`` on the track00 stems with one of three overflowing
+        models; returns the checkpoint, the exit code and the output path, and
+        checks that no numpy warning was printed on the way."""
         enc, dec = init_encoder(8, 32, 2, 16, 2, seed=0), init_decoder(8, 32, 16)
         if model == "kernel-1e200":
             enc.kernels[0, 0] = 1e200
@@ -268,13 +265,24 @@ class TestExitCodes:
         ckpt = tmp_path / "huge.bin"
         save_model(ckpt, enc, dec)
         voice, accomp = (str(stems_dir / f"track00_{stem}.wav") for stem in ("voice", "accomp"))
-        inputs = {"reconstruct": [voice], "separate": [voice, accomp],
-                  "evaluate": ["--stems", str(stems_dir)]}
+        inputs = {"separate": [voice, accomp], "evaluate": ["--stems", str(stems_dir)]}
         out = tmp_path / "o"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = run([command, "--checkpoint", str(ckpt), "--out", str(out)] + inputs[command])
+            code = run([command, "--checkpoint", str(ckpt), "--out", str(out)]
+                       + inputs.get(command, [voice]))
         assert [str(w.message) for w in caught] == []
+        return ckpt, code, out
+
+    @pytest.mark.parametrize("model", ["kernel-1e200", "kernels-1e308", "modulator-1e40"])
+    @pytest.mark.parametrize("command", ["reconstruct", "separate", "evaluate"])
+    def test_overflow_paths_are_typed_and_silent(self, stems_dir, tmp_path, capsys, model,
+                                                 command):
+        # The kernels are not finite in float32, so all three commands refuse
+        # the model when they cast it; modulator-1e40 is (2.5e38 at C=8, L=32),
+        # but their resynthesis overflows float32.  No numpy warning is printed
+        # on the way.  (The float64 library path: TestEvaluate in test_evaluation.)
+        ckpt, code, out = self._run_huge_model(model, command, stems_dir, tmp_path)
         assert code == 3
         assert not out.exists()
         err = capsys.readouterr().err
@@ -283,6 +291,22 @@ class TestExitCodes:
                     else "the decoded output is not finite in float32") in err
         else:
             assert f"{ckpt}: the model's parameters are not finite in float32" in err
+
+    @pytest.mark.parametrize("model", ["kernel-1e200", "kernels-1e308", "modulator-1e40"])
+    @pytest.mark.parametrize("command", ["encode", "export"])
+    def test_float64_representation_overflow_is_typed_and_silent(self, stems_dir, tmp_path,
+                                                                 capsys, model, command):
+        # encode and export run the model in float64: only kernels-1e308
+        # overflows their representation, which is refused before any output
+        ckpt, code, out = self._run_huge_model(model, command, stems_dir, tmp_path)
+        if model != "kernels-1e308":
+            assert code == 0
+            return
+        assert code == 3
+        assert not out.exists()
+        voice = stems_dir / "track00_voice.wav"
+        assert (f"numerical failure: {ckpt} on {voice}: the representation is not finite"
+                in capsys.readouterr().err)
 
     def test_evaluate_missing_stems_writes_nothing(self, trained, tmp_path):
         out = tmp_path / "o"
@@ -348,7 +372,7 @@ class TestCommands:
         assert (out / f"{voice.stem}_separated.wav").is_file()
         # the WAV is the oracle mask applied to the float32 model's encodings
         # of the mixture and its sources, decoded
-        enc, dec = waverep.cli._load_float32(trained / "checkpoint.bin")
+        enc, dec = load_model(trained / "checkpoint.bin", np.float32)
         x_v, x_ac = load_and_downmix(voice), load_and_downmix(accomp)
         z = mixture_and_sources(*(encode_values(x, enc, linear=True) for x in (x_v, x_ac)))
         write_wav(tmp_path / "expected.wav", decode_values(oracle_separate(*z), dec, len(x_v)))
@@ -513,7 +537,7 @@ class TestStreaming:
 
     def test_float32_representations_and_masks(self, inputs):
         tmp_path, ckpt = inputs
-        (enc64, _), (enc32, _) = load_model(ckpt), waverep.cli._load_float32(ckpt)
+        (enc64, _), (enc32, _) = load_model(ckpt), load_model(ckpt, np.float32)
         x_v, x_ac = self._signals(tmp_path)
         z64, z32 = (mixture_and_sources(*(encode_values(x, enc, linear=True) for x in (x_v, x_ac)))
                     for enc in (enc64, enc32))

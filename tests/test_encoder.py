@@ -237,6 +237,26 @@ class TestStreaming:
         with pytest.raises(ValueError):
             encode_values(np.zeros(0), init_encoder(**self.PARAMS))
 
+    def test_huge_dilation_reads_one_block_per_block(self, rng, monkeypatch):
+        # a tap past the last frame reads only padding, so it adds no right
+        # context: no window is longer than one block's own span
+        params = init_encoder(**{**self.PARAMS, "dilation": 2**33}, seed=7)
+        x = rng.uniform(-1, 1, self.N)
+        ref = encode(x, params).value
+        monkeypatch.setattr(waverep.encoder, "CHUNK_FRAMES", 40)
+        windows = []
+        real_encode = waverep.encoder.encode
+
+        def recording_encode(window, *args, **kwargs):
+            windows.append(window.size)
+            return real_encode(window, *args, **kwargs)
+
+        monkeypatch.setattr(waverep.encoder, "encode", recording_encode)
+        got = encode_values(x, params)
+        assert len(windows) == 3
+        assert max(windows) <= (40 - 1) * params.stride + params.kernel_len
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
 
 class TestSignalStack:
     """``encode`` of an (n, N) stack gives each signal's one-signal
