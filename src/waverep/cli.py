@@ -23,7 +23,7 @@ from .decoder import DecoderParameters, check_pair, decode_chunks, init_decoder
 from .encoder import encode_chunks, encode_values, init_encoder
 from .errors import DataError, NumericalError, finite
 from .evaluation import evaluate, mixture_and_sources, oracle_separate, si_sdr
-from .export import export_representation
+from .export import export_representation, write_csv
 from .losses import DISTANCE_EXPONENTS, LOSS_VARIANTS, LossConfig, neg_snr
 from .training import TrainConfig, train
 from .wavio import write_wav
@@ -105,45 +105,36 @@ def build_parser() -> _Parser:
     add_model_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("encode", help="encode a WAV file, write the representation CSV")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("input")
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("reconstruct", help="encode+decode a WAV file")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("input")
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("separate", help="oracle binary-mask separation of voice from a mixture")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("voice")
-    p.add_argument("accomp")
-    p.set_defaults(func=cmd_separate)
+    # the model commands: name, handler, positional inputs, help
+    for name, func, inputs, help in (
+        ("encode", cmd_encode, ["input"], "encode a WAV file, write the representation CSV"),
+        ("reconstruct", cmd_reconstruct, ["input"], "encode+decode a WAV file"),
+        ("separate", cmd_separate, ["voice", "accomp"],
+         "oracle binary-mask separation of voice from a mixture"),
+        ("export", cmd_export, ["input"], "export a representation as CSV + PGM image"),
+    ):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--out", required=True)
+        for arg in inputs:
+            p.add_argument(arg)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("evaluate", help="segment-level metrics over paired stems")
     p.add_argument("--stems", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--checkpoint")
-    p.add_argument("--baseline", choices=("stft",), help="evaluate the STFT masking baseline")
+    frontend = p.add_mutually_exclusive_group(required=True)
+    frontend.add_argument("--checkpoint")
+    frontend.add_argument("--baseline", choices=("stft",), help="evaluate the STFT masking baseline")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("export", help="export a representation as CSV + PGM image")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("input")
-    p.set_defaults(func=cmd_export)
-
-    p = sub.add_parser("grad-check", help="verify analytic gradients against finite differences")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_grad_check)
-
-    p = sub.add_parser("ot-check", help="verify the Sinkhorn solver against brute-force transport")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_ot_check)
+    for name, func, help in (
+        ("grad-check", cmd_grad_check, "verify analytic gradients against finite differences"),
+        ("ot-check", cmd_ot_check, "verify the Sinkhorn solver against brute-force transport"),
+    ):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -210,6 +201,17 @@ def _score_db(metric, ref: np.ndarray, est: np.ndarray) -> str:
     return f"{float(metric(ref, est)):.3f} dB"
 
 
+def _write_estimate(args, label: str, ref: np.ndarray, est: np.ndarray, name: str) -> int:
+    """Print ``label: <SI-SDR of est against ref>``, then write ``est`` as
+    ``<out>/<name>`` and print its path: the estimate is scored before the
+    output directory is made, so a failure leaves no output."""
+    print(f"{label}: {_score_db(si_sdr, ref, est)}")
+    wav_path = _out_dir(args) / name
+    write_wav(wav_path, est)
+    print(f"wrote {wav_path}")
+    return 0
+
+
 def _encode_input(args) -> tuple[np.ndarray, DecoderParameters]:
     """The float64 representation of ``args.input`` under ``args.checkpoint``,
     and the model's decoder, for ``encode`` and ``export``: read and computed
@@ -272,27 +274,21 @@ def cmd_train(args) -> int:
 def cmd_encode(args) -> int:
     a, _ = _encode_input(args)
     csv_path = _out_dir(args) / (Path(args.input).stem + "_rep.csv")
-    np.savetxt(csv_path, a, delimiter=",", fmt="%.10g")
+    write_csv(csv_path, a)
     print(f"representation {a.shape[0]}x{a.shape[1]} ({a.shape[1]} frames) -> {csv_path}")
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    # the output is checked and scored before anything is written, so a failure leaves no output
     enc, dec = checkpoint.load_model(args.checkpoint, np.float32)
     x = load_and_downmix(args.input)
     xhat = finite(f"{args.checkpoint} on {args.input}: the decoded output is not finite in float32",
                   lambda: decode_chunks(encode_chunks(x, enc), dec, len(x)))
     print(f"neg-SNR: {_score_db(lambda r, e: neg_snr(r, e).value, x, xhat)}")
-    print(f"SI-SDR: {_score_db(si_sdr, x, xhat)}")
-    wav_path = _out_dir(args) / (Path(args.input).stem + "_recon.wav")
-    write_wav(wav_path, xhat)
-    print(f"wrote {wav_path}")
-    return 0
+    return _write_estimate(args, "SI-SDR", x, xhat, Path(args.input).stem + "_recon.wav")
 
 
 def cmd_separate(args) -> int:
-    # checked and scored before anything is written, as in cmd_reconstruct
     enc, dec = checkpoint.load_model(args.checkpoint, np.float32)
     voice = load_and_downmix(args.voice)
     accomp = load_and_downmix(args.accomp)
@@ -303,16 +299,11 @@ def cmd_separate(args) -> int:
     masked = (oracle_separate(*mixture_and_sources(*pair)) for pair in blocks)
     sep = finite(f"{args.checkpoint} on {args.voice} and {args.accomp}: the decoded output is "
                  "not finite in float32", lambda: decode_chunks(masked, dec, n))
-    print(f"SI-SDR (masked separation): {_score_db(si_sdr, voice, sep)}")
-    wav_path = _out_dir(args) / (Path(args.voice).stem + "_separated.wav")
-    write_wav(wav_path, sep)
-    print(f"wrote {wav_path}")
-    return 0
+    return _write_estimate(args, "SI-SDR (masked separation)", voice, sep,
+                           Path(args.voice).stem + "_separated.wav")
 
 
 def cmd_evaluate(args) -> int:
-    if (args.checkpoint is None) == (args.baseline is None):
-        raise UsageError("evaluate needs exactly one of --checkpoint or --baseline")
     enc = dec = None
     if args.checkpoint is not None:
         enc, dec = checkpoint.load_model(args.checkpoint, np.float32)

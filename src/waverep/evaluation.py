@@ -139,7 +139,7 @@ def w_do(y_target: np.ndarray, y_interf: np.ndarray) -> tuple[float, float, floa
 def stft(x: np.ndarray) -> np.ndarray:
     """One-sided complex spectrogram, hamming analysis window, right padding."""
     x = np.asarray(x, dtype=np.float64)
-    n_frames = 1 + max(0, -(-(x.size - STFT_WINDOW) // STFT_HOP)) if x.size > STFT_WINDOW else 1
+    n_frames = 1 + max(0, -(-(x.size - STFT_WINDOW) // STFT_HOP))
     frames = frame(x, STFT_WINDOW, STFT_HOP, n_frames)
     spec = np.fft.rfft(frames * np.hamming(STFT_WINDOW), axis=1)
     # (F, T) in C order: sums over the spectrogram round by memory layout
@@ -167,7 +167,7 @@ class SegmentMetrics(NamedTuple):
     sir: float
 
 
-_METRICS = ("si_sdr", "si_sdr_bm", "additivity", "w_do", "psr", "sir")
+_METRICS = SegmentMetrics._fields[2:]
 
 
 @dataclass
@@ -181,7 +181,8 @@ class EvalReport:
             out[name] = {
                 "mean": float(vals.mean()),
                 "median": float(np.median(vals)),
-                "std": float(vals.std()),
+                # w_do's SIR is inf where the masked accompaniment is silent
+                "std": float(vals.std()) if np.isfinite(vals).all() else math.nan,
             }
         return out
 

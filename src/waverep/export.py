@@ -12,8 +12,14 @@ from pathlib import Path
 import numpy as np
 
 
+def write_csv(path, a: np.ndarray) -> None:
+    """Write the matrix ``a`` to ``path`` as CSV, each value to 10 significant digits."""
+    np.savetxt(path, a, delimiter=",", fmt="%.10g")
+
+
 def export_representation(a: np.ndarray, out_base, carrier_freq) -> tuple[Path, Path]:
-    """Write ``<out_base>.csv`` and ``<out_base>.pgm``; returns both paths."""
+    """Write ``<out_base>.csv`` and ``<out_base>.pgm``, keeping every dot of
+    ``out_base``'s name; returns both paths."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("expected a (C, T) matrix")
@@ -22,11 +28,9 @@ def export_representation(a: np.ndarray, out_base, carrier_freq) -> tuple[Path, 
     order = np.argsort(np.asarray(carrier_freq), kind="stable")
     if order.size != a.shape[0]:
         raise ValueError("carrier_freq length must match the number of rows")
-    out_base = Path(out_base)
-    out_base.parent.mkdir(parents=True, exist_ok=True)
-
-    csv_path = out_base.with_suffix(".csv")
-    np.savetxt(csv_path, a, delimiter=",", fmt="%.10g")
+    csv_path, pgm_path = Path(f"{out_base}.csv"), Path(f"{out_base}.pgm")
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    write_csv(csv_path, a)
 
     img = np.log1p(np.maximum(a[order], 0.0))
     lo, hi = img.min(), img.max()
@@ -35,7 +39,6 @@ def export_representation(a: np.ndarray, out_base, carrier_freq) -> tuple[Path, 
     else:
         pixels = np.zeros(img.shape, dtype=np.uint8)
 
-    pgm_path = out_base.with_suffix(".pgm")
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
     pgm_path.write_bytes(header + pixels.tobytes())
     return csv_path, pgm_path

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Sequence
@@ -182,13 +183,12 @@ def train(
     params = _param_dict(enc, dec)
     adam = init_adam(params, lr=cfg.lr)
     history: list[dict] = []
-    log_file = open(log_path, "w") if log_path is not None else None
 
     def pairs_for(epoch: int):
         return make_training_pairs(voice_segments, accomp_segments,
                                    _epoch_seed(cfg.seed, epoch), cfg.gaussian_std)
 
-    try:
+    with open(os.devnull if log_path is None else log_path, "w") as log_file:
         # pre-training baseline over the first epoch's stream, no updates: it
         # reports the reconstruction term only, so only that term is computed
         w = Node(kernel_matrix(dec))
@@ -216,17 +216,13 @@ def train(
                     "saturation": float(max(b.saturation for b in breakdowns)),
                 }
                 history.append(record)
-                if log_file is not None:
-                    log_file.write(json.dumps(record) + "\n")
+                log_file.write(json.dumps(record) + "\n")
                 epoch_neg_snrs.extend(b.neg_snr_db for b in breakdowns)
 
             epoch_means.append(float(np.mean(epoch_neg_snrs)))
             if cfg.early_stop and epoch >= 2 and epoch_means[epoch] >= epoch_means[epoch - 1]:
                 early_stopped = True
                 break
-    finally:
-        if log_file is not None:
-            log_file.close()
 
     if checkpoint_path is not None:
         save_model(checkpoint_path, enc, dec)

@@ -1,14 +1,23 @@
-"""Compare a float32 ``waverep evaluate`` report with the float64 library path.
+"""Compare the float32 commands' outputs with the float64 library path.
 
     PYTHONPATH=src python tests/report_check.py CHECKPOINT STEMS_DIR EVAL_DIR
+    PYTHONPATH=src python tests/report_check.py streaming CHECKPOINT VOICE ACCOMP RECON_WAV
 
-``EVAL_DIR`` holds the ``report.csv`` and ``summary.txt`` that ``waverep
-evaluate --checkpoint CHECKPOINT --stems STEMS_DIR`` wrote.  The script prints
-each report column's largest gap from ``evaluation.evaluate`` on the float64
-``load_model`` pair, the summary's largest distance in units of its last
-printed digit and the oracle mask cells that flip between float64 and float32,
-and exits 1 above ``REPORT_TOLERANCES`` or one summary unit.  ``test_cli``
-holds the command to the same bounds through :func:`compare`.
+In the first form ``EVAL_DIR`` holds the ``report.csv`` and ``summary.txt``
+that ``waverep evaluate --checkpoint CHECKPOINT --stems STEMS_DIR`` wrote.  The
+script prints each report column's largest gap from ``evaluation.evaluate`` on
+the float64 ``load_model`` pair, the summary's largest distance in units of
+its last printed digit and the oracle mask cells that flip between float64 and
+float32, and exits 1 above ``REPORT_TOLERANCES`` or one summary unit.
+
+In the ``streaming`` form ``RECON_WAV`` is what ``waverep reconstruct
+--checkpoint CHECKPOINT VOICE`` wrote.  The script prints its largest gap (max
+abs over max) from the float64 streamed path and the oracle mask cells of the
+``VOICE``/``ACCOMP`` pair that flip between float64 and float32, and exits 1
+above ``FLOAT32_GAP`` or ``MASK_FLIP_SHARE`` of the cells.
+
+``test_cli`` holds the commands to the same bounds through :func:`compare`
+and :func:`compare_streaming`.
 """
 
 from __future__ import annotations
@@ -22,7 +31,11 @@ import numpy as np
 from waverep.checkpoint import load_model
 from waverep.cli import _discover_stems
 from waverep.dataset import load_and_downmix
-from waverep.evaluation import active_segments, binary_mask, evaluate, model_representations
+from waverep.decoder import decode_chunks
+from waverep.encoder import encode_chunks, encode_values
+from waverep.evaluation import (active_segments, binary_mask, evaluate, mixture_and_sources,
+                                model_representations)
+from waverep.wavio import read_wav
 
 #: largest gap allowed per report column: absolute, except for ``sir`` (a
 #: ratio), which is relative
@@ -30,6 +43,11 @@ REPORT_TOLERANCES = {"si_sdr": 1e-4, "si_sdr_bm": 1e-4, "additivity": 1e-6, "w_d
                      "psr": 1e-6, "sir": 1e-5}
 #: the last digit ``summary.txt`` prints
 SUMMARY_UNIT = 1e-4
+#: largest gap (max abs over max) allowed between the float32 streaming
+#: commands and the float64 path, for representations and output signals
+FLOAT32_GAP = 1e-6
+#: largest share of a pair's oracle mask cells allowed to flip in float32
+MASK_FLIP_SHARE = 1e-6
 
 
 class Comparison(NamedTuple):
@@ -87,7 +105,35 @@ def compare(checkpoint, stems, eval_dir) -> Comparison:
     return Comparison(gaps, units, flipped, cells, len(lines))
 
 
+class StreamingComparison(NamedTuple):
+    gap: float    # reconstruct's WAV from the float64 streamed path, max abs over max
+    flipped: int  # oracle mask cells of the whole pair that differ
+    cells: int
+
+    def ok(self) -> bool:
+        return self.gap <= FLOAT32_GAP and self.flipped <= MASK_FLIP_SHARE * self.cells
+
+    def __str__(self) -> str:
+        return (f"float32 reconstruct: max relative gap {self.gap:.2e}; "
+                f"separate: {self.flipped} of {self.cells} mask cells flipped")
+
+
+def compare_streaming(checkpoint, voice, accomp, recon) -> StreamingComparison:
+    enc64, dec64 = load_model(checkpoint)
+    x_v, x_ac = load_and_downmix(voice), load_and_downmix(accomp)
+    ref = decode_chunks(encode_chunks(x_v, enc64), dec64, x_v.size)
+    gap = float(np.max(np.abs(read_wav(recon)[0][:, 0] - ref)) / np.max(np.abs(ref)))
+    masks = []
+    for enc in (enc64, load_model(checkpoint, np.float32)[0]):
+        _, z_v, z_ac = mixture_and_sources(*(encode_values(x, enc, linear=True) for x in (x_v, x_ac)))
+        masks.append(binary_mask(np.abs(z_v), np.abs(z_ac)))
+    return StreamingComparison(gap, int(np.sum(masks[0] != masks[1])), masks[0].size)
+
+
 if __name__ == "__main__":
-    result = compare(*sys.argv[1:])
+    if sys.argv[1] == "streaming":
+        result = compare_streaming(*sys.argv[2:])
+    else:
+        result = compare(*sys.argv[1:])
     print(result)
     sys.exit(0 if result.ok() else 1)

@@ -141,6 +141,21 @@ class TestTrainLoop:
         for rec in records:
             assert set(rec) == {"step", "epoch", "neg_snr", "rep_loss", "total", "saturation"}
 
+    def test_run_without_a_log_matches_a_logged_run(self, rng, tmp_path):
+        voices, accomps = _toy_problem(rng)
+        cfg = TrainConfig(batch_size=4, epochs=2, variant="sinkhorn", seed=1, lr=1e-3,
+                          early_stop=False)
+        results = []
+        for name, log_path in (("unlogged", None), ("logged", tmp_path / "log.jsonl")):
+            enc, dec = _toy_model(seed=2)
+            results.append(train(voices, accomps, enc, dec, cfg, log_path=log_path,
+                                 checkpoint_path=tmp_path / f"{name}.bin"))
+        assert results[0].history == results[1].history
+        assert results[0].epoch_mean_neg_snr == results[1].epoch_mean_neg_snr
+        assert (tmp_path / "unlogged.bin").read_bytes() == (tmp_path / "logged.bin").read_bytes()
+        logged = [json.loads(line) for line in (tmp_path / "log.jsonl").read_text().splitlines()]
+        assert logged == results[1].history
+
     def test_only_reparameterized_tensors_train(self, rng):
         # the synthesis kernels are never stored or updated directly: the
         # trainable set is exactly the two encoder tensors plus (freq, phase,
