@@ -34,7 +34,8 @@ class Node:
         self.grad: np.ndarray | None = None
 
     def add_grad(self, g) -> None:
-        g = np.asarray(g, dtype=np.float64)
+        # in the value's dtype: a float32 node accumulates its gradient in float32
+        g = np.asarray(g, dtype=self.value.dtype)
         if self.grad is None:
             # own the buffer: g may be a view into someone else's array
             self.grad = g.copy()
@@ -73,6 +74,17 @@ class Tape:
         for op, out in reversed(self._ops):
             if out.grad is not None:
                 op()
+
+
+def cast(a: Node, dtype, tape: Tape | None = None) -> Node:
+    """``a`` with its value cast to ``dtype``: ``a`` itself when it already has
+    that dtype, else a new node whose gradient is cast back into ``a.grad``."""
+    if a.value.dtype == dtype:
+        return a
+    out = Node(a.value.astype(dtype))
+    if tape is not None:
+        tape.record(lambda: a.add_grad(out.grad), out)
+    return out
 
 
 def split_columns(a: Node, n: int, tape: Tape | None = None) -> list[Node]:

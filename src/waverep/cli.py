@@ -33,7 +33,12 @@ TRAIN_HOP = SAMPLE_RATE // 2
 
 
 class UsageError(Exception):
-    pass
+    """A command line that a parser, or a command's settings check, refuses;
+    ``parser`` is the parser that refused it, whose usage is printed."""
+
+    def __init__(self, message: str, parser: argparse.ArgumentParser | None = None):
+        super().__init__(message)
+        self.parser = parser
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,7 +48,15 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):  # exit 1 on usage errors instead of argparse's 2
-        raise UsageError(message)
+        raise UsageError(message, self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a command refuses the arguments it does not know itself, so that the
+        # usage printed is its own rather than the root parser's
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _on_off(value: str) -> bool:
@@ -57,6 +70,7 @@ def build_parser() -> _Parser:
     # TrainConfig/LossConfig/DecoderParameters
     parser = _Parser(prog="waverep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's name -> its parser
 
     def add_model_flags(p):
         p.add_argument("--components", type=int, default=800, help="number of components C")
@@ -351,6 +365,7 @@ def cmd_ot_check(args) -> int:
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    args = None
     try:
         args = _parse_with_config(parser, argv)
         return args.func(args)
@@ -358,7 +373,8 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        # the parser that refused the command line, else the command that refused its settings
+        (exc.parser or parser.commands[args.command]).print_usage(sys.stderr)
         return 1
     except (DataError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

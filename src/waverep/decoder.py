@@ -21,6 +21,7 @@ overlap-adding each block into the output at its first frame's sample offset.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -29,6 +30,7 @@ import numpy as np
 from . import encoder
 from .autodiff import Node, Tape, as_node
 from .dataset import SAMPLE_RATE, frame, overlap_add
+from .errors import finite
 
 #: lowest initial carrier frequency in Hz; the highest is the Nyquist frequency
 LOWEST_CARRIER_HZ = 30.0
@@ -99,6 +101,20 @@ def check_pair(enc: encoder.EncoderParameters, dec: DecoderParameters) -> None:
         raise ValueError(f"encoder stride {enc.stride} != decoder stride {dec.stride}")
     if enc.stride > length:
         raise ValueError(f"stride {enc.stride} is longer than the kernel length {length}")
+
+
+def cast_pair(enc: encoder.EncoderParameters, dec: DecoderParameters, dtype,
+              where: str) -> tuple[encoder.EncoderParameters, DecoderParameters]:
+    """Copies of ``enc`` and ``dec`` whose GEMM operands (the encoder kernels
+    and the decoder modulators) are cast to ``dtype``; ``freq`` and ``phase``
+    are shared, since the carrier phase is formed in float64 whatever the
+    modulators' dtype.  :class:`NumericalError` naming ``where`` if a cast
+    array is not finite in ``dtype``."""
+    kernels, dilated, modulator = finite(
+        f"{where}: the model's parameters are not finite in {np.dtype(dtype)}",
+        lambda: [a.astype(dtype) for a in (enc.kernels, enc.dilated_kernels, dec.modulator)])
+    return (dataclasses.replace(enc, kernels=kernels, dilated_kernels=dilated),
+            dataclasses.replace(dec, modulator=modulator))
 
 
 def build_kernels(

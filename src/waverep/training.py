@@ -1,7 +1,8 @@
 """Training loop: Adam (fixed betas 0.9 / 0.999 and eps 1e-8) over the
-encoder/decoder parameters on batch-mean gradients (the decoder kernels built
-once per step), optional early stopping on the epoch-mean reconstruction
-loss, and deterministic behavior as a function of (seed, config, data).
+float64 encoder/decoder parameters on batch-mean gradients computed in
+float32 (the decoder kernels built once per step), optional early stopping
+on the epoch-mean reconstruction loss, and deterministic behavior as a
+function of (seed, config, data).
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Node, Tape, split_columns
+from .autodiff import Node, Tape, cast, split_columns
 from .checkpoint import save_model
 from .dataset import TrainingPair, make_training_pairs
-from .decoder import DecoderParameters, build_kernels, check_pair, kernel_matrix, synthesize
+from .decoder import (DecoderParameters, build_kernels, cast_pair, check_pair, kernel_matrix,
+                      synthesize)
 from .encoder import EncoderParameters, encode
 from .errors import NumericalError
 from .losses import LOSS_VARIANTS, LossBreakdown, LossConfig, neg_snr, total_loss
@@ -27,6 +29,8 @@ from .losses import LOSS_VARIANTS, LossBreakdown, LossConfig, neg_snr, total_los
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+#: elements per block of :func:`adam_step`'s update
+ADAM_BLOCK = 1 << 15
 
 
 @dataclass
@@ -50,26 +54,31 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
 
     Every gradient is checked before anything changes: a gradient of the
     wrong shape, or one that is not finite, leaves the parameters and the
-    state as they were."""
-    gs = {name: np.asarray(grads[name], dtype=np.float64) for name in params}
+    state as they were.  The update runs block by block (leading-axis slices
+    of about ``ADAM_BLOCK`` elements), so that its dozen elementwise passes
+    stay in cache, with the same bits as one whole-array pass; a float32
+    gradient is cast to float64 one block at a time."""
     for name, p in params.items():
-        g = gs[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
+        g = grads[name]
+        if np.shape(g) != p.shape:
+            raise ValueError(f"gradient shape {np.shape(g)} != parameter shape {p.shape} for {name!r}")
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for {name!r} at step {state.step + 1}")
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
     for name, p in params.items():
-        g = gs[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        p, g, m, v = (np.atleast_1d(a) for a in (p, grads[name], state.m[name], state.v[name]))
+        rows = max(1, ADAM_BLOCK * len(p) // max(p.size, 1))
+        for r in range(0, len(p), rows):
+            b = slice(r, r + rows)
+            gb = np.asarray(g[b], dtype=np.float64)
+            mb, vb = m[b], v[b]
+            mb *= ADAM_BETA1
+            mb += (1.0 - ADAM_BETA1) * gb
+            vb *= ADAM_BETA2
+            vb += (1.0 - ADAM_BETA2) * gb * gb
+            p[b] -= state.lr * (mb / bc1) / (np.sqrt(vb / bc2) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -125,16 +134,22 @@ def _item_loss(pair: TrainingPair, enc: EncoderParameters, kernels: Node, stride
                cfg: TrainConfig, tape: Tape | None = None) -> LossBreakdown:
     """One item's objective: denoising with ``kernels``, plus the mixture's representation term.
 
-    The noisy voice and the mixture are encoded as one stack of two signals."""
+    The noisy voice and the mixture are encoded as one stack of two signals,
+    in the encoder kernels' dtype; the mixture's representation is cast to
+    float64 before the representation term, which always runs in float64."""
     stack = encode(np.stack([pair.noisy_voice, pair.mixture]), enc, tape)
     a_v, a_m = split_columns(stack, 2, tape)
     xhat = synthesize(a_v, kernels, stride, len(pair.voice), tape)
-    return total_loss(pair.voice, xhat, a_m, cfg.loss, cfg.variant, tape)
+    return total_loss(pair.voice, xhat, cast(a_m, np.float64, tape), cfg.loss, cfg.variant, tape)
 
 
 def batch_gradients(items: Sequence[TrainingPair], enc: EncoderParameters, dec: DecoderParameters,
                     cfg: TrainConfig) -> tuple[dict[str, np.ndarray], list[LossBreakdown]]:
     """Batch-mean gradient for every trained tensor, and each item's loss breakdown.
+
+    Each gradient has its parameter's dtype, and so has the arithmetic that
+    makes it: with float32 kernels and modulators the items are computed and
+    summed in float32.
 
     The kernels are built once, on a step-level tape replayed once per batch.
     Each item runs and is replayed (seed 1/B) on its own tape, so only one item's
@@ -176,6 +191,11 @@ def train(
     synthetic mixture is encoded for the representation term.  Early stopping
     triggers when the epoch-mean reconstruction loss stops decreasing.
     Parameter arrays inside ``enc``/``dec`` are updated in place.
+
+    The parameters and Adam's moments stay float64.  Each step, and the
+    pre-training baseline pass, computes on a float32 copy of the model made
+    by :func:`decoder.cast_pair`, which raises :class:`NumericalError` if a
+    parameter is not finite in float32.
     """
     if not len(voice_segments) or not len(accomp_segments):
         raise ValueError("training needs non-empty voice and accompaniment segment pools")
@@ -191,22 +211,25 @@ def train(
     with open(os.devnull if log_path is None else log_path, "w") as log_file:
         # pre-training baseline over the first epoch's stream, no updates: it
         # reports the reconstruction term only, so only that term is computed
-        w = Node(kernel_matrix(dec))
+        enc32, dec32 = cast_pair(enc, dec, np.float32, "before training")
+        w = Node(kernel_matrix(dec32))
         baseline = []
         for pair in pairs_for(1):
-            xhat = synthesize(encode(pair.noisy_voice, enc), w, dec.stride, len(pair.voice))
+            xhat = synthesize(encode(pair.noisy_voice, enc32), w, dec.stride, len(pair.voice))
             baseline.append(float(neg_snr(pair.voice, xhat).value))
         epoch_means = [float(np.mean(baseline))]
+        del enc32, dec32, w  # each step casts its own model
 
         early_stopped = False
         for epoch in range(1, cfg.epochs + 1):
             epoch_neg_snrs: list[float] = []
             pairs = pairs_for(epoch)
             while batch := list(islice(pairs, cfg.batch_size)):
-                grads, breakdowns = batch_gradients(batch, enc, dec, cfg)
+                model = cast_pair(enc, dec, np.float32, f"step {len(history) + 1}")
+                grads, breakdowns = batch_gradients(batch, *model, cfg)
                 adam_step(params, grads, adam)
                 # one model's worth of arrays: free them before the next step allocates its own
-                del grads
+                del grads, model
                 record = {
                     "step": len(history) + 1,
                     "epoch": epoch,

@@ -8,7 +8,9 @@ that ``waverep evaluate --checkpoint CHECKPOINT --stems STEMS_DIR`` wrote.  The
 script prints each report column's largest gap from ``evaluation.evaluate`` on
 the float64 ``load_model`` pair, the summary's largest distance in units of
 its last printed digit and the oracle mask cells that flip between float64 and
-float32, and exits 1 above ``REPORT_TOLERANCES`` or one summary unit.
+float32, and exits 1 above ``REPORT_TOLERANCES`` or one summary unit.  Equal
+infinities (a silent accompaniment's SIR) and two nans (that column's std)
+count as no gap; any other pair whose gap is not finite fails.
 
 In the ``streaming`` form ``RECON_WAV`` is what ``waverep reconstruct
 --checkpoint CHECKPOINT VOICE`` wrote.  The script prints its largest gap (max
@@ -22,6 +24,7 @@ and :func:`compare_streaming`.
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -52,7 +55,7 @@ MASK_FLIP_SHARE = 1e-6
 
 class Comparison(NamedTuple):
     gaps: dict[str, float]  # largest gap per report column
-    summary_units: int      # largest summary distance, in SUMMARY_UNITs
+    summary_units: float    # largest summary distance, in whole SUMMARY_UNITs, or inf
     flipped: int            # oracle mask cells that differ
     cells: int              # oracle mask cells of the evaluated segments
     segments: int
@@ -66,6 +69,16 @@ class Comparison(NamedTuple):
                 + ", ".join(f"{name} {gap:.2e}" for name, gap in self.gaps.items())
                 + f" (sir relative); summary within {self.summary_units} unit(s) of its last digit; "
                 f"{self.flipped} of {self.cells} mask cells flipped in {self.segments} segments")
+
+
+def _gap(got: float, want: float, scale: float = 1.0) -> float:
+    """``|got - want| / scale``: 0 for equal values, equal infinities included,
+    and for two nans; inf for any other pair whose gap is not finite, which
+    no tolerance admits."""
+    if got == want or (math.isnan(got) and math.isnan(want)):
+        return 0.0
+    gap = abs(got - want) / scale
+    return gap if math.isfinite(gap) else math.inf
 
 
 def _summary_numbers(text: str) -> list[float]:
@@ -85,15 +98,13 @@ def compare(checkpoint, stems, eval_dir) -> Comparison:
     for line, row in zip(lines, ref.rows):
         for name, value in zip(names, map(float, line.split(",")[2:])):
             want = getattr(row, name)
-            if value != want:  # equal infinities have no gap
-                gap = abs(value - want) / (abs(want) if name == "sir" else 1.0)
-                gaps[name] = max(gaps[name], gap)
+            gaps[name] = max(gaps[name], _gap(value, want, abs(want) if name == "sir" else 1.0))
 
     got = _summary_numbers((Path(eval_dir) / "summary.txt").read_text())
     want = _summary_numbers(ref.summary())
     if len(got) != len(want):
         raise ValueError(f"{eval_dir}: summary.txt does not match the reference's values")
-    units = max(round(abs(g - w) / SUMMARY_UNIT) for g, w in zip(got, want))
+    units = max(_gap(g, w, SUMMARY_UNIT) for g, w in zip(got, want))
 
     enc32 = load_model(checkpoint, np.float32)[0]
     flipped = cells = 0
@@ -102,7 +113,8 @@ def compare(checkpoint, stems, eval_dir) -> Comparison:
                     for enc in (enc64, enc32))
         flipped += int(np.sum(m64 != m32))
         cells += m64.size
-    return Comparison(gaps, units, flipped, cells, len(lines))
+    return Comparison(gaps, round(units) if math.isfinite(units) else units, flipped, cells,
+                      len(lines))
 
 
 class StreamingComparison(NamedTuple):

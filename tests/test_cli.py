@@ -1,3 +1,4 @@
+import runpy
 import tracemalloc
 import warnings
 
@@ -52,6 +53,17 @@ def trained(tmp_path_factory, stems_dir):
                 "--epochs", "2", "--batch", "4", "--seed", "3", "--lr", "1e-3"])
     assert code == 0
     return out
+
+
+def _pair_with_silent_second_second(tmp_path):
+    """A stems directory holding one 2 s pair whose accompaniment is zero
+    for its second second: that segment's SIR is inf."""
+    t = np.arange(2 * SAMPLE_RATE) / SAMPLE_RATE
+    stems = tmp_path / "stems"
+    stems.mkdir()
+    write_wav(stems / "song_voice.wav", 0.3 * np.sin(2 * np.pi * 220 * t))
+    write_wav(stems / "song_accomp.wav", np.where(t < 1.0, 0.2 * np.sin(2 * np.pi * 330 * t), 0.0))
+    return stems
 
 
 @pytest.fixture
@@ -324,6 +336,31 @@ class TestExitCodes:
         assert "not allowed with argument" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv, usage", [
+        (["evaluate"], "usage: waverep evaluate [-h] --stems STEMS --out OUT"),
+        (["evaluate", "--checkpoint", "m.bin", "--baseline", "stft"],
+         "usage: waverep evaluate [-h] --stems STEMS --out OUT"),
+        (["evaluate", "--baseline", "stft", "--bogus"],
+         "usage: waverep evaluate [-h] --stems STEMS --out OUT"),
+        (["train", "--stride", "512", "--kernel-len", "256"], "usage: waverep train [-h]"),
+        (["frobnicate"], "usage: waverep [-h]"),
+    ], ids=["evaluate-neither-frontend", "evaluate-both-frontends", "evaluate-unknown-flag",
+            "train-settings", "unknown-command"])
+    def test_usage_error_prints_the_refusing_commands_usage(self, stems_dir, tmp_path, capsys,
+                                                           argv, usage):
+        # the parser that refused the command line, or the command that refused
+        # its settings, prints its usage line: not the root parser's for a command
+        out = tmp_path / "o"
+        assert run(argv + ["--stems", str(stems_dir), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert usage in err
+        assert ("{synth-data,train," in err) == (argv[0] == "frobnicate")
+        if argv[0] == "evaluate":
+            assert "(--checkpoint CHECKPOINT | --baseline {stft})" in err
+        assert not out.exists()
+
+
 class TestCommands:
     def test_encode_frame_arithmetic(self, tmp_path):
         # 1 second at stride 256 -> ceil(44100/256) = 173 frames, C=800 rows
@@ -447,21 +484,40 @@ class TestCommands:
             self, small_checkpoint, tmp_path, frontend):
         # an accompaniment that is silent for the second second gives that
         # segment SIR = inf, so the SIR column's std is nan
-        t = np.arange(2 * SAMPLE_RATE) / SAMPLE_RATE
-        (tmp_path / "stems").mkdir()
-        write_wav(tmp_path / "stems" / "song_voice.wav", 0.3 * np.sin(2 * np.pi * 220 * t))
-        write_wav(tmp_path / "stems" / "song_accomp.wav",
-                  np.where(t < 1.0, 0.2 * np.sin(2 * np.pi * 330 * t), 0.0))
+        stems = _pair_with_silent_second_second(tmp_path)
         source = (["--baseline", "stft"] if frontend == "stft"
                   else ["--checkpoint", str(small_checkpoint)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["evaluate", "--stems", str(tmp_path / "stems"), "--out",
+            assert run(["evaluate", "--stems", str(stems), "--out",
                         str(tmp_path / "ev")] + source) == 0
         sir = (tmp_path / "ev" / "report.csv").read_text().splitlines()[2].split(",")[-1]
         assert sir == "inf"
         summary = (tmp_path / "ev" / "summary.txt").read_text().splitlines()
         assert summary[-1] == "sir: mean=inf median=inf std=nan"
+
+    @pytest.mark.parametrize("edit", [None, ("summary.txt", "std=nan", "std=0.0000"),
+                                      ("summary.txt", "mean=inf", "mean=9.0000"),
+                                      ("report.csv", ",inf\n", ",9\n")],
+                             ids=["as-written", "finite-std", "finite-mean", "finite-sir"])
+    def test_report_check_compares_infinite_and_nan_values(self, small_checkpoint, tmp_path,
+                                                           monkeypatch, capsys, edit):
+        # the SIR's inf and its std's nan match the float64 path's; a finite
+        # value in their place is a gap no bound admits: exit 1, not a crash
+        stems, out = _pair_with_silent_second_second(tmp_path), tmp_path / "ev"
+        assert run(["evaluate", "--stems", str(stems), "--out", str(out),
+                    "--checkpoint", str(small_checkpoint)]) == 0
+        if edit is not None:
+            name, old, new = edit
+            text = (out / name).read_text()
+            assert text.count(old) == 1
+            (out / name).write_text(text.replace(old, new))
+        monkeypatch.setattr("sys.argv", ["report_check.py", str(small_checkpoint), str(stems),
+                                         str(out)])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_path(report_check.__file__, run_name="__main__")
+        assert exit_.value.code == (0 if edit is None else 1)
+        assert "float32 evaluate: largest gaps" in capsys.readouterr().out
 
     def test_grad_check_passes(self):
         assert run(["grad-check"]) == 0

@@ -15,7 +15,8 @@ import waverep.training
 from waverep.autodiff import Node, Tape
 from waverep.checkpoint import load_arrays, load_model, save_arrays, save_model
 from waverep.dataset import make_training_pairs
-from waverep.decoder import DecoderParameters, build_kernels, init_decoder, kernel_matrix, synthesize
+from waverep.decoder import (DecoderParameters, build_kernels, cast_pair, init_decoder,
+                             kernel_matrix, synthesize)
 from waverep.encoder import EncoderParameters, encode, init_encoder
 from waverep.errors import CheckpointError, NumericalError
 from waverep.losses import LossConfig, total_loss
@@ -81,6 +82,34 @@ class TestAdam:
         for saved, now in zip(before, (params, state.m, state.v)):
             for name in saved:
                 np.testing.assert_array_equal(now[name], saved[name], strict=True)
+
+
+    @pytest.mark.parametrize("grad_dtype", [np.float64, np.float32])
+    def test_blocked_update_matches_the_unblocked_expressions(self, rng, grad_dtype):
+        # arrays of several blocks plus a partial one, rows that do not divide
+        # a block, a single block and a 0-d parameter: the blocked update is
+        # the whole-array update, bit for bit, over several steps
+        block = waverep.training.ADAM_BLOCK
+        shapes = {"rows": (37, 3000), "flat": (3 * block + 123,), "cube": (9, 5, 1000),
+                  "small": (4, 6), "scalar": ()}
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        ref = {name: p.copy() for name, p in params.items()}
+        state, m, v = init_adam(params, lr=1e-2), {}, {}
+        for name, p in ref.items():
+            m[name], v[name] = np.zeros_like(p), np.zeros_like(p)
+        for step in range(1, 4):
+            grads = {name: rng.normal(size=shape).astype(grad_dtype)
+                     for name, shape in shapes.items()}
+            adam_step(params, grads, state)
+            bc1, bc2 = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
+            for name, p in ref.items():
+                g = np.asarray(grads[name], dtype=np.float64)
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
+                p -= 1e-2 * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
+        for name in shapes:
+            for got, want in ((params, ref), (state.m, m), (state.v, v)):
+                np.testing.assert_array_equal(got[name], want[name], strict=True)
 
 
 def _toy_problem(rng, n_segments=6, seg_len=256):
@@ -263,11 +292,14 @@ class TestBatchGradients:
         voices, accomps = _toy_problem(rng)
         cfg = TrainConfig(batch_size=3, epochs=1, variant=variant, seed=4, early_stop=False)
         enc, dec = _toy_model()
-        # the baseline is the mean neg-SNR of the full item loss over epoch 1's items
+        # the baseline is the mean neg-SNR of the full item loss over epoch 1's
+        # items, on the float32 model that the first step computes with
         pairs = make_training_pairs(voices, accomps, waverep.training._epoch_seed(cfg.seed, 1),
                                     cfg.gaussian_std)
+        enc32, dec32 = cast_pair(enc, dec, np.float32, "test")
         expected = float(np.mean([
-            waverep.training._item_loss(p, enc, Node(kernel_matrix(dec)), dec.stride, cfg).neg_snr_db
+            waverep.training._item_loss(p, enc32, Node(kernel_matrix(dec32)), dec.stride,
+                                        cfg).neg_snr_db
             for p in pairs]))
         calls.clear()
         result = train(voices, accomps, enc, dec, cfg)
