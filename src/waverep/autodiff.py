@@ -76,17 +76,6 @@ class Tape:
                 op()
 
 
-def cast(a: Node, dtype, tape: Tape | None = None) -> Node:
-    """``a`` with its value cast to ``dtype``: ``a`` itself when it already has
-    that dtype, else a new node whose gradient is cast back into ``a.grad``."""
-    if a.value.dtype == dtype:
-        return a
-    out = Node(a.value.astype(dtype))
-    if tape is not None:
-        tape.record(lambda: a.add_grad(out.grad), out)
-    return out
-
-
 def split_columns(a: Node, n: int, tape: Tape | None = None) -> list[Node]:
     """The ``n`` equal column blocks of ``a`` as nodes of their own, such as
     the per-signal representations of a stack that :func:`encoder.encode`

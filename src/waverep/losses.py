@@ -20,6 +20,12 @@ mean); the error of this expansion falls as lambda^2.  As lambda grows, P
 tends to the identity and <P, M> to 0: the diagonal of exp(-lambda*M) stays 1,
 so no row underflows and this cost never raises :class:`SaturationError`.
 The tests use both limits as oracles; the solver does not use the formula.
+
+The representation terms compute in the dtype of the representation: float32
+in training, float64 on the library path (``grad-check``, ``ot-check``).
+Only the Sinkhorn scaling stays float64 whatever M's dtype: its termination
+threshold on the summed marginal error (``tau = 1e-6``) is below float32
+resolution.  The loss values are summed in float64.
 """
 
 from __future__ import annotations
@@ -129,7 +135,7 @@ def tv_loss(a, tape: Tape | None = None) -> Node:
     c, t = av.shape
     dc = av[1:, :] - av[:-1, :]
     dt = av[:, 1:] - av[:, :-1]
-    out = Node((np.abs(dc).sum() + np.abs(dt).sum()) / (c * t))
+    out = Node((np.abs(dc).sum(dtype=np.float64) + np.abs(dt).sum(dtype=np.float64)) / (c * t))
 
     if tape is not None:
         def backward():
@@ -167,19 +173,22 @@ def normalize_simplex(a, tape: Tape | None = None) -> Node:
 
 
 def pairwise_cost(ao: np.ndarray, p: int) -> np.ndarray:
-    """(T, T) Minkowski distance matrix between the columns of ``ao``.
+    """(T, T) Minkowski distance matrix between the columns of ``ao``, in
+    float32 for a float32 ``ao`` and in float64 otherwise.
 
     Each frame pair is computed once, so M is exactly symmetric with an
-    exactly zero diagonal; it satisfies the triangle inequality.
+    exactly zero diagonal; it satisfies the triangle inequality.  A p=1 row
+    is summed by a BLAS matrix-vector product.
     """
     if p not in DISTANCE_EXPONENTS:
         raise ValueError(f"p must be one of {DISTANCE_EXPONENTS}")
-    at = np.ascontiguousarray(np.asarray(ao, dtype=np.float64).T)  # (T, C): frames as rows
+    at = np.ascontiguousarray(Node(ao).value.T)  # (T, C): frames as rows; float32 stays float32
     t = at.shape[0]
-    m = np.zeros((t, t))
+    m = np.zeros((t, t), dtype=at.dtype)
+    ones = np.ones(at.shape[1], dtype=at.dtype)
     for i in range(t - 1):
         d = at[i + 1:] - at[i]
-        row = np.abs(d, out=d).sum(axis=1) if p == 1 else np.sqrt(np.einsum("ij,ij->i", d, d))
+        row = np.abs(d, out=d) @ ones if p == 1 else np.sqrt(np.einsum("ij,ij->i", d, d))
         m[i, i + 1:] = row
         m[i + 1:, i] = row
     return m
@@ -239,13 +248,16 @@ def sinkhorn_plan(
 
 
 def _plan_cost_inner(ao: Node, m: np.ndarray, plan: np.ndarray, p: int, tape: Tape | None) -> Node:
-    """<P, M(ao)> with P held constant; gradients flow into ``ao`` only."""
+    """<P, M(ao)> with P held constant; gradients flow into ``ao`` only.
+
+    The inner product is summed in float64 (``plan`` is float64); the
+    backward runs in the dtype of ``ao``."""
     out = Node(float((plan * m).sum()))
 
     if tape is not None:
         def backward():
-            q = float(out.grad) * (plan + plan.T)  # symmetric
             av = ao.value
+            q = (float(out.grad) * (plan + plan.T)).astype(av.dtype, copy=False)  # symmetric
             if p == 1:
                 # sign(a_i - a_j) is antisymmetric, so each frame pair is visited once
                 at = np.ascontiguousarray(av.T)

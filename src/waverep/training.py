@@ -10,19 +10,20 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Node, Tape, cast, split_columns
+from .autodiff import Node, Tape, split_columns
 from .checkpoint import save_model
 from .dataset import TrainingPair, make_training_pairs
 from .decoder import (DecoderParameters, build_kernels, cast_pair, check_pair, kernel_matrix,
                       synthesize)
 from .encoder import EncoderParameters, encode
-from .errors import NumericalError
+from .errors import NumericalError, finite
 from .losses import LOSS_VARIANTS, LossBreakdown, LossConfig, neg_snr, total_loss
 
 
@@ -135,12 +136,15 @@ def _item_loss(pair: TrainingPair, enc: EncoderParameters, kernels: Node, stride
     """One item's objective: denoising with ``kernels``, plus the mixture's representation term.
 
     The noisy voice and the mixture are encoded as one stack of two signals,
-    in the encoder kernels' dtype; the mixture's representation is cast to
-    float64 before the representation term, which always runs in float64."""
+    in the encoder kernels' dtype, and the representation term runs in that
+    dtype too (the Sinkhorn plan itself is solved in float64).  The mixture's
+    representation is checked before that term: :class:`NumericalError` if
+    it is not finite."""
     stack = encode(np.stack([pair.noisy_voice, pair.mixture]), enc, tape)
     a_v, a_m = split_columns(stack, 2, tape)
     xhat = synthesize(a_v, kernels, stride, len(pair.voice), tape)
-    return total_loss(pair.voice, xhat, cast(a_m, np.float64, tape), cfg.loss, cfg.variant, tape)
+    finite("the mixture's representation is not finite", lambda: a_m.value)
+    return total_loss(pair.voice, xhat, a_m, cfg.loss, cfg.variant, tape)
 
 
 def batch_gradients(items: Sequence[TrainingPair], enc: EncoderParameters, dec: DecoderParameters,
@@ -172,6 +176,19 @@ def batch_gradients(items: Sequence[TrainingPair], enc: EncoderParameters, dec: 
     # reaches the encoder
     kernel_tape.backward(w, 0.0)
     return {name: node.grad for name, node in nodes.items()}, breakdowns
+
+
+@contextmanager
+def _checked(where: str):
+    """numpy's floating-point warnings off, for a pass whose every result is
+    checked: the encoder's and decoder's outputs by :func:`_item_loss` and
+    :func:`losses.neg_snr`, the gradients by :func:`adam_step`.  A
+    :class:`NumericalError` raised inside is raised again naming ``where``."""
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    except NumericalError as exc:
+        raise NumericalError(f"{where}: {exc}") from exc
 
 
 def train(
@@ -212,11 +229,12 @@ def train(
         # pre-training baseline over the first epoch's stream, no updates: it
         # reports the reconstruction term only, so only that term is computed
         enc32, dec32 = cast_pair(enc, dec, np.float32, "before training")
-        w = Node(kernel_matrix(dec32))
-        baseline = []
-        for pair in pairs_for(1):
-            xhat = synthesize(encode(pair.noisy_voice, enc32), w, dec.stride, len(pair.voice))
-            baseline.append(float(neg_snr(pair.voice, xhat).value))
+        with _checked("before training"):
+            w = Node(kernel_matrix(dec32))
+            baseline = []
+            for pair in pairs_for(1):
+                xhat = synthesize(encode(pair.noisy_voice, enc32), w, dec.stride, len(pair.voice))
+                baseline.append(float(neg_snr(pair.voice, xhat).value))
         epoch_means = [float(np.mean(baseline))]
         del enc32, dec32, w  # each step casts its own model
 
@@ -225,8 +243,10 @@ def train(
             epoch_neg_snrs: list[float] = []
             pairs = pairs_for(epoch)
             while batch := list(islice(pairs, cfg.batch_size)):
-                model = cast_pair(enc, dec, np.float32, f"step {len(history) + 1}")
-                grads, breakdowns = batch_gradients(batch, *model, cfg)
+                where = f"step {len(history) + 1}"
+                model = cast_pair(enc, dec, np.float32, where)
+                with _checked(where):
+                    grads, breakdowns = batch_gradients(batch, *model, cfg)
                 adam_step(params, grads, adam)
                 # one model's worth of arrays: free them before the next step allocates its own
                 del grads, model

@@ -120,6 +120,18 @@ class TestTvLoss:
         a = rng.normal(size=(3, 4))
         assert float(tv_loss(a).value) > 0.0
 
+    def test_float32_gradient_is_the_float64_one_rounded(self, rng):
+        # the signs of the differences are exact in float32, so only the
+        # scale 1/(C*T) rounds: within one ulp of the float64 gradient
+        a32 = np.maximum(rng.normal(size=(16, 40)), 0.0).astype(np.float32)
+        grads = []
+        for a in (a32, a32.astype(np.float64)):
+            node, tape = Node(a), Tape()
+            tape.backward(tv_loss(node, tape), 0.7)
+            grads.append(node.grad)
+        assert grads[0].dtype == np.float32
+        np.testing.assert_array_max_ulp(grads[0], grads[1].astype(np.float32), maxulp=1)
+
 
 class TestNormalizeSimplex:
     def test_zero_column_stays_zero(self):
@@ -202,6 +214,23 @@ class TestPairwiseCost:
         assert np.array_equal(m, m.T)
         assert np.all(np.diag(m) == 0.0)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_float32_exactly_symmetric_zero_diagonal(self, rng, p):
+        m = pairwise_cost(_tied_frames(rng).astype(np.float32), p)
+        assert m.dtype == np.float32
+        assert np.array_equal(m, m.T)
+        assert np.all(np.diag(m) == 0.0)
+        assert m[3, 7] == 0.0
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_float32_matches_brute_force(self, rng, p):
+        # each entry sums C rounded non-negative terms in float32: within
+        # C float32 epsilons of the float64 sum over the same frames
+        ao = _tied_frames(rng).astype(np.float32)
+        ref = _brute_force_cost(ao.astype(np.float64), p)
+        np.testing.assert_allclose(pairwise_cost(ao, p), ref,
+                                   rtol=ao.shape[0] * np.finfo(np.float32).eps, atol=0.0)
+
 
 class TestPlanCostGradient:
     def _gradient(self, ao, m, plan, p, seed):
@@ -219,6 +248,32 @@ class TestPlanCostGradient:
         grad = self._gradient(ao, m, plan, p, 1.7)
         ref = _plan_cost_grad_per_frame(ao, m, 1.7 * (plan + plan.T), p)
         assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_float32_matches_per_frame_reference(self, rng, p):
+        # the float64 reference on the same frames, cost and plan; each
+        # gradient entry sums T terms in float32
+        ao = _tied_frames(rng).astype(np.float32)
+        m = pairwise_cost(ao, p)
+        plan = sinkhorn_plan(m, 0.5).plan
+        grad = self._gradient(ao, m, plan, p, 1.7)
+        assert grad.dtype == np.float32
+        ref = _plan_cost_grad_per_frame(ao.astype(np.float64), m.astype(np.float64),
+                                        1.7 * (plan + plan.T), p)
+        t = ao.shape[1]
+        assert np.abs(grad - ref).max() <= t * np.finfo(np.float32).eps * np.abs(ref).max()
+
+    def test_float32_near_duplicate_frames_get_finite_p2_gradient(self, rng):
+        # frames 3 and 7 one float32 ulp apart in one entry: their distance is
+        # tiny but positive, and its weight q/m stays finite in float32
+        ao = _tied_frames(rng).astype(np.float32)
+        i = int(np.argmax(ao[:, 3]))
+        ao[i, 7] = np.nextafter(ao[i, 3], np.float32(1.0))
+        m = pairwise_cost(ao, 2)
+        assert 0.0 < m[3, 7] < 1e-7
+        grad = self._gradient(ao, m, sinkhorn_plan(m, 0.5).plan, 2, 1.0)
+        assert grad.dtype == np.float32
+        assert np.all(np.isfinite(grad))
 
     def test_duplicated_frames_get_finite_p2_gradient(self, rng):
         ao = _tied_frames(rng)
@@ -270,6 +325,14 @@ class TestSinkhornPlan:
         plan = sinkhorn_plan(m, lam=1e-8)
         np.testing.assert_allclose(plan.plan, np.full((t, t), 1.0 / t), rtol=0.0, atol=1e-6)
         assert float((plan.plan * m).sum()) == pytest.approx(m.sum() / t, rel=1e-6)
+
+    def test_float32_cost_gives_the_plan_of_its_float64_cast(self, rng):
+        # the scaling runs in float64 whatever the cost's dtype
+        m = pairwise_cost(_tied_frames(rng).astype(np.float32), 1)
+        got, want = sinkhorn_plan(m, 0.5), sinkhorn_plan(m.astype(np.float64), 0.5)
+        assert got.plan.dtype == np.float64
+        assert got.iterations == want.iterations and got.converged
+        np.testing.assert_array_equal(got.plan, want.plan)
 
     def test_full_row_underflow_raises_not_nan(self):
         m = np.array([[800.0, 900.0], [0.0, 0.1]])
