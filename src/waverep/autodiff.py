@@ -24,7 +24,8 @@ class Node:
     """A value in the computation graph plus its gradient accumulator.
 
     A float32 value stays float32, so that a forward pass over float32
-    parameters runs in float32; any other value is held as float64."""
+    parameters runs in float32; any other value is held as float64.  The
+    gradient is accumulated in the value's dtype, in place once it exists."""
 
     __slots__ = ("value", "grad")
 
@@ -33,14 +34,22 @@ class Node:
         self.value = value if value.dtype == np.float32 else value.astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
 
-    def add_grad(self, g) -> None:
-        # in the value's dtype: a float32 node accumulates its gradient in float32
+    def add_grad(self, g, owned: bool = False) -> None:
+        """Add ``g`` to the gradient.  The first gradient is copied, since
+        ``g`` may be a view into someone else's array or handed to another
+        node too; ``owned=True`` says that the caller has just made ``g`` and
+        keeps no reference to it, so that it becomes the gradient as it is."""
         g = np.asarray(g, dtype=self.value.dtype)
         if self.grad is None:
-            # own the buffer: g may be a view into someone else's array
-            self.grad = g.copy()
+            self.grad = g if owned else g.copy()
         else:
             self.grad += g
+
+    def grad_buffer(self) -> np.ndarray:
+        """The gradient array, zeros first, for an op that adds into parts of it."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.value)
+        return self.grad
 
     @property
     def shape(self):
@@ -87,8 +96,6 @@ def split_columns(a: Node, n: int, tape: Tape | None = None) -> list[Node]:
     if tape is not None:
         for k, part in enumerate(parts):
             def backward(cols=slice(k * t, (k + 1) * t), part=part):
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.value)
-                a.grad[:, cols] += part.grad
+                a.grad_buffer()[:, cols] += part.grad
             tape.record(backward, part)
     return parts

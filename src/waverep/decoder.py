@@ -34,6 +34,8 @@ from .errors import finite
 
 #: lowest initial carrier frequency in Hz; the highest is the Nyquist frequency
 LOWEST_CARRIER_HZ = 30.0
+#: elements per row block of :func:`build_kernels`' backward
+KERNEL_BLOCK = 1 << 17
 
 
 @dataclass
@@ -129,26 +131,46 @@ def build_kernels(
 
     The carrier phase reaches ``2*pi*f*L``, about 3.2e3 rad at L = 2048,
     where float32 would be off by about 2e-4 rad; so the phase is formed in
-    float64.  For float32 modulators it is then reduced to [-pi, pi] and its
-    cosine taken in float32, which rounds the reduced angle only (about 1e-7
-    rad); float64 modulators take the cosine of the unreduced phase."""
+    float64, in place in one (C, L) buffer.  For float32 modulators it is then
+    reduced to [-pi, pi], through a second buffer, and its cosine taken in
+    float32, which rounds the reduced angle only (about 1e-7 rad); float64
+    modulators take the cosine of the unreduced phase.
+
+    The backward forms ``g * sin(theta) * b`` and its two row sums in blocks
+    of about ``KERNEL_BLOCK`` elements, so that no (C, L) float64 product is
+    made; the sums have the bits of whole-array ones."""
     f = freq.value[:, None]
     carrier = f * f if square_freq else f
     l_idx = np.arange(modulator.value.shape[1], dtype=np.float64)[None, :]
-    theta = 2.0 * np.pi * carrier * l_idx + phase.value[:, None]
+    theta = np.multiply(2.0 * np.pi * carrier, l_idx)
+    theta += phase.value[:, None]
     if modulator.value.dtype != theta.dtype:
-        theta = (theta - 2.0 * np.pi * np.rint(theta / (2.0 * np.pi))).astype(modulator.value.dtype)
+        turns = np.divide(theta, 2.0 * np.pi)
+        np.rint(turns, out=turns)
+        turns *= 2.0 * np.pi
+        theta -= turns
+        del turns
+        theta = theta.astype(modulator.value.dtype)
     cos_t = np.cos(theta)
     out = Node(cos_t * modulator.value)
 
     if tape is not None:
         def backward():
-            g = out.grad
-            modulator.add_grad(g * cos_t)
-            msin = g * np.sin(theta) * modulator.value
-            phase.add_grad(-msin.sum(axis=1))
+            # the seed alone when no item reached the kernels: a 0-d zero
+            g = np.broadcast_to(out.grad, out.shape)
+            modulator.add_grad(g * cos_t, owned=True)
+            c, length = out.shape
+            dphase = np.empty(c, dtype=out.value.dtype)
+            dfreq = np.empty(c)
+            rows = max(1, KERNEL_BLOCK // length)
+            for r in range(0, c, rows):
+                b = slice(r, r + rows)
+                msin = g[b] * np.sin(theta[b]) * modulator.value[b]
+                dphase[b] = msin.sum(axis=1)
+                dfreq[b] = (msin * l_idx).sum(axis=1)
+            phase.add_grad(-dphase, owned=True)
             dcarrier = 2.0 * freq.value if square_freq else np.ones_like(freq.value)
-            freq.add_grad(-(msin * l_idx).sum(axis=1) * 2.0 * np.pi * dcarrier)
+            freq.add_grad(-dfreq * 2.0 * np.pi * dcarrier, owned=True)
         tape.record(backward, out)
     return out
 
@@ -184,8 +206,8 @@ def synthesize(
             g = out.grad.reshape(signals, out_len)
             # (L, signals*T) in C order: the GEMMs below round by operand layout
             dframes = np.concatenate([frame(gk, wv.shape[1], stride, t).T for gk in g], axis=1)
-            kernels.add_grad(av @ dframes.T)
-            a.add_grad(wv @ dframes)
+            kernels.add_grad(av @ dframes.T, owned=True)
+            a.add_grad(wv @ dframes, owned=True)
         tape.record(backward, out)
     return out
 

@@ -104,7 +104,7 @@ def conv1(x: np.ndarray, kernels: Node, stride: int, tape: Tape | None = None) -
 
     if tape is not None:
         def backward():
-            kernels.add_grad(out.grad @ win)
+            kernels.add_grad(out.grad @ win, owned=True)
         tape.record(backward, out)
     return out
 
@@ -113,11 +113,17 @@ def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = Non
                   signals: int = 1) -> Node:
     """Second layer: unit-stride dilated convolution mixing all channels.
 
-    Output frame t aggregates input frames t, t+d, t+2d, ...; the input is
-    zero-padded on the right so the output keeps exactly T frames.  ``h`` may
-    hold ``signals`` equal-length latents side by side; each gets its own
-    padding and its own T output columns.  A tap whose offset is T or more
-    reads only padding: it is skipped, and its kernel gradient is zero.
+    Output frame t aggregates input frames t, t+d, t+2d, ... of its own
+    signal, and frames past the signal's end count as zeros, so the output
+    keeps exactly T frames.  ``h`` may hold ``signals`` equal-length latents
+    side by side; each gets its own T output columns.  A tap whose offset is
+    T or more reads only zeros: it is skipped, and its kernel gradient is zero.
+
+    No padded copy of ``h`` is made.  Tap 0 multiplies ``h`` itself, and each
+    later tap one reused buffer of the latents shifted by its offset, zero
+    past each signal's end: every GEMM then has the operands and the shape,
+    and so the bits, of the padded form.  The backward adds each tap's kernel
+    gradient into the kernels' gradient in place.
     """
     kp = kernels.value  # (C_out, L2, C_in)
     c_out, l2, c_in = kp.shape
@@ -127,28 +133,31 @@ def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = Non
     if hv.shape[1] % signals:
         raise ValueError(f"{hv.shape[1]} frames do not split into {signals} equal signals")
     t = hv.shape[1] // signals
-    taps = min(l2, -(-t // dilation))  # the taps whose offset is below t
-    hp = np.pad(hv.reshape(c_in, signals, t), ((0, 0), (0, 0), (0, dilation * max(taps - 1, 0))))
+    offsets = range(0, min(l2 * dilation, t), dilation)  # the taps whose offset is below t
+    hs = hv.reshape(c_in, signals, t)
 
-    def shifted(off):  # (C_in, signals*t): frames off .. off+t-1 of every signal
-        return hp[:, :, off : off + t].reshape(c_in, signals * t)
+    def shifted():  # (C_in, signals*t) per tap: frames off .. t-1 of every signal, then zeros
+        yield 0, 0, hv  # tap 0 reads every frame
+        buf = np.empty_like(hs)
+        for tap, off in enumerate(offsets[1:], start=1):
+            buf[:, :, : t - off] = hs[:, :, off:]
+            buf[:, :, t - off :] = 0.0
+            yield tap, off, buf.reshape(c_in, signals * t)
 
     out_val = np.zeros((c_out, signals * t), dtype=hv.dtype)
-    for tap in range(taps):
-        out_val += kp[:, tap, :] @ shifted(tap * dilation)
+    for tap, _, hk in shifted():
+        out_val += kp[:, tap, :] @ hk
     out = Node(out_val)
 
     if tape is not None:
         def backward():
             g = out.grad
-            dk = np.zeros_like(kp)
-            dhp = np.zeros_like(hp)
-            for tap in range(taps):
-                off = tap * dilation
-                dk[:, tap, :] = g @ shifted(off).T
-                dhp[:, :, off : off + t] += (kp[:, tap, :].T @ g).reshape(c_in, signals, t)
-            kernels.add_grad(dk)
-            h.add_grad(dhp[:, :, :t].reshape(c_in, signals * t))
+            dk = kernels.grad_buffer()
+            dh = np.zeros_like(hs)
+            for tap, off, hk in shifted():
+                dk[:, tap, :] += g @ hk.T
+                dh[:, :, off:] += (kp[:, tap, :].T @ g).reshape(c_in, signals, t)[:, :, : t - off]
+            h.add_grad(dh.reshape(c_in, signals * t), owned=True)
         tape.record(backward, out)
     return out
 

@@ -1,0 +1,111 @@
+"""Run one CLI session in two source trees and list every output that differs.
+
+Usage, from anywhere::
+
+    python tests/bitcheck.py PARENT_TREE CHANGE_TREE
+
+Each tree is a checkout with a ``src/`` directory.  For each tree the script
+runs ``python -m waverep`` on that tree's ``src/``, in a fresh directory and
+with relative paths, so that the two sessions see the same arguments:
+
+- ``synth-data``: two 3 s stem pairs;
+- ``train`` at desk scale (C=128, L=512, stride 128) and at paper scale
+  (C=800, L=2048, stride 256), each with the TV term and with the Sinkhorn
+  term at p=1, one epoch, early stopping off;
+- with each trained checkpoint: ``reconstruct``, ``separate``, ``encode``,
+  ``export`` and ``evaluate --checkpoint``;
+- ``evaluate --baseline stft``, ``grad-check`` and ``ot-check``.
+
+Each command's standard output, standard error and exit code are saved as
+files beside its outputs.  Every file of the two sessions is then compared
+byte for byte: each one that differs, or exists in one session only, is
+printed.  The exit code is 0 when no file differs, 1 when one does and 2 on
+a usage error.  pytest does not collect this script; a session takes about
+30 s on two cores.
+
+The CSVs and the checks' reports print 10 and 4 significant digits, so a
+float64 change below that shows in no file: the unit tests that compare
+bits (conv2 against its padded form, build_kernels against whole arrays)
+cover the library path.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SCALES = {
+    "desk": ["--components", "128", "--stride", "128", "--kernel-len", "512"],
+    "paper": ["--components", "800", "--stride", "256", "--kernel-len", "2048"],
+}
+LOSSES = {"tv": ["--loss", "tv"], "sinkhorn": ["--loss", "sinkhorn", "--p", "1"]}
+VOICE, ACCOMP = "stems/track00_voice.wav", "stems/track00_accomp.wav"
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """The session: (name, waverep arguments) in the order they run."""
+    cmds = [("synth-data", ["synth-data", "--out", "stems", "--seed", "7", "--tracks", "2",
+                            "--duration", "3"])]
+    for scale, scale_args in SCALES.items():
+        for loss, loss_args in LOSSES.items():
+            run = f"{scale}-{loss}"
+            ckpt = ["--checkpoint", f"{run}/train/checkpoint.bin"]
+            cmds += [
+                (f"{run}-train", ["train", "--stems", "stems", "--out", f"{run}/train", "--epochs",
+                                  "1", "--early-stop", "off", *loss_args, *scale_args]),
+                (f"{run}-reconstruct", ["reconstruct", *ckpt, "--out", f"{run}/rec", VOICE]),
+                (f"{run}-separate", ["separate", *ckpt, "--out", f"{run}/sep", VOICE, ACCOMP]),
+                (f"{run}-encode", ["encode", *ckpt, "--out", f"{run}/enc", VOICE]),
+                (f"{run}-export", ["export", *ckpt, "--out", f"{run}/img", VOICE]),
+                (f"{run}-evaluate", ["evaluate", *ckpt, "--stems", "stems", "--out", f"{run}/eval"]),
+            ]
+    return cmds + [
+        ("evaluate-stft", ["evaluate", "--baseline", "stft", "--stems", "stems", "--out", "eval-stft"]),
+        ("grad-check", ["grad-check"]),
+        ("ot-check", ["ot-check"]),
+    ]
+
+
+def session(tree: Path, work: Path) -> None:
+    """Run every command with ``tree``'s sources in ``work``, logging each one under ``logs/``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    logs = work / "logs"
+    logs.mkdir(parents=True)
+    for name, args in commands():
+        proc = subprocess.run([sys.executable, "-m", "waverep", *args], cwd=work, env=env,
+                              capture_output=True)
+        (logs / f"{name}.stdout").write_bytes(proc.stdout)
+        (logs / f"{name}.stderr").write_bytes(proc.stderr)
+        (logs / f"{name}.exit").write_text(f"{proc.returncode}\n")
+
+
+def differing(a: Path, b: Path) -> list[str]:
+    """Relative paths of the files that differ between the trees ``a`` and ``b``."""
+    files = {p.relative_to(root) for root in (a, b) for p in root.rglob("*") if p.is_file()}
+    return sorted(str(f) for f in files
+                  if not ((a / f).is_file() and (b / f).is_file()
+                          and (a / f).read_bytes() == (b / f).read_bytes()))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    trees = [Path(t).resolve() for t in argv]
+    with tempfile.TemporaryDirectory(prefix="bitcheck-") as tmp:
+        works = [Path(tmp) / side for side in ("parent", "change")]
+        for tree, work in zip(trees, works):
+            session(tree, work)
+        diff = differing(*works)
+        n_files = sum(1 for p in works[0].rglob("*") if p.is_file())
+    for f in diff:
+        print(f"differs: {f}")
+    print(f"{len(diff)} of {n_files} files differ")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

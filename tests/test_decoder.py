@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import waverep.decoder
 import waverep.encoder
 from waverep.autodiff import Node, Tape, as_node
 from waverep.decoder import (
@@ -94,6 +95,59 @@ class TestBuildKernels:
         mod = rng.normal(size=(5, 16))
         w = self._kernels(freq, phase, mod)
         assert np.all(np.abs(w) <= np.abs(mod) + 1e-15)
+
+
+def whole_array_kernels(freq, phase, mod, square_freq, g):
+    """:func:`build_kernels` and its backward as whole-array expressions:
+    the kernels and the freq, phase and modulator gradients for the kernel
+    gradient ``g``."""
+    f = freq[:, None]
+    carrier = f * f if square_freq else f
+    l_idx = np.arange(mod.shape[1], dtype=np.float64)[None, :]
+    theta = 2.0 * np.pi * carrier * l_idx + phase[:, None]
+    if mod.dtype != theta.dtype:
+        theta = (theta - 2.0 * np.pi * np.rint(theta / (2.0 * np.pi))).astype(mod.dtype)
+    cos_t = np.cos(theta)
+    msin = g * np.sin(theta) * mod
+    dcarrier = 2.0 * freq if square_freq else np.ones_like(freq)
+    dfreq = -(msin * l_idx).sum(axis=1) * 2.0 * np.pi * dcarrier
+    return cos_t * mod, dfreq, (-msin.sum(axis=1)).astype(np.float64), g * cos_t
+
+
+class TestBuildKernelsBlocks:
+    """The backward runs in row blocks of ``KERNEL_BLOCK`` elements and the
+    phase is formed in place; both keep the bits of the whole-array form."""
+
+    # (C, L, elements per block): 128-row blocks at the default size, so one
+    # full block and a partial one; 3-row blocks, so two and a single row
+    @pytest.mark.parametrize("c, length, block", [(200, 1024, 1 << 17), (7, 64, 3 * 64)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("square_freq", [True, False])
+    def test_matches_the_whole_array_expressions(self, rng, monkeypatch, c, length, block, dtype,
+                                                 square_freq):
+        monkeypatch.setattr(waverep.decoder, "KERNEL_BLOCK", block)
+        freq, phase = rng.uniform(0, 0.5, c), rng.uniform(-np.pi, np.pi, c)
+        mod = rng.standard_normal((c, length)).astype(dtype)
+        g = rng.standard_normal((c, length)).astype(dtype)
+        nodes = [Node(freq), Node(phase), Node(mod)]
+        tape = Tape()
+        w = build_kernels(*nodes, square_freq, tape)
+        w.add_grad(g)
+        tape.backward(w, 0.0)
+        want = whole_array_kernels(freq, phase, mod, square_freq, g)
+        for actual, desired in zip([w.value] + [n.grad for n in nodes], want):
+            assert actual.dtype == desired.dtype and actual.tobytes() == desired.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_seed_alone_gives_zero_gradients(self, rng, dtype):
+        # the step's kernel tape replays with a 0-d zero seed when no item reached w
+        nodes = [Node(rng.uniform(0, 0.5, 5)), Node(np.zeros(5)),
+                 Node(rng.standard_normal((5, 16)).astype(dtype))]
+        tape = Tape()
+        w = build_kernels(*nodes, True, tape)
+        tape.backward(w, 0.0)
+        for node in nodes:
+            np.testing.assert_array_equal(node.grad, np.zeros_like(node.value), strict=True)
 
 
 class TestSynthesize:

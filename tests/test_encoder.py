@@ -189,6 +189,78 @@ class TestDilationPastTheEnd:
         np.testing.assert_array_equal(h.grad, kp.value[:, 0, :].T @ g)
 
 
+def padded_conv2(h, kp, dilation, signals, g):
+    """The second layer as an explicit zero-padded sum: each signal's latents
+    padded on the right, each tap one GEMM over all ``signals*T`` columns, a
+    tap whose offset reaches T or more skipped.  Returns the value, the
+    latent gradient and the kernel gradient for the output gradient ``g``."""
+    c_out, l2, c_in = kp.shape
+    t = h.shape[1] // signals
+    taps = min(l2, -(-t // dilation))
+    hp = np.pad(h.reshape(c_in, signals, t), ((0, 0), (0, 0), (0, dilation * (taps - 1))))
+    windows = [hp[:, :, k * dilation : k * dilation + t].reshape(c_in, signals * t)
+               for k in range(taps)]
+    value = np.zeros((c_out, signals * t), dtype=h.dtype)
+    dk, dhp = np.zeros_like(kp), np.zeros_like(hp)
+    for k, window in enumerate(windows):
+        value += kp[:, k, :] @ window
+        dk[:, k, :] = g @ window.T
+        dhp[:, :, k * dilation : k * dilation + t] += (kp[:, k, :].T @ g).reshape(c_in, signals, t)
+    return value, dhp[:, :, :t].reshape(c_in, signals * t), dk
+
+
+def backward_from(tape, out, g):
+    """Replay ``tape`` with ``g`` as the gradient of its output ``out``."""
+    root = Node(0.0)
+    tape.record(lambda: out.add_grad(g), root)
+    tape.backward(root)
+
+
+def assert_same_bits(actual, desired):
+    assert actual.dtype == desired.dtype and actual.shape == desired.shape
+    assert actual.tobytes() == desired.tobytes()
+
+
+class TestConv2AgainstPadding:
+    """``conv2_dilated`` pads nothing, yet its value and both gradients have
+    the bits of the zero-padded sum."""
+
+    # (C, T, L2, dilation): the paper's 5 taps at dilation 10 over desk-sized
+    # latents; offsets 0, 3, 6 and 9 over 7 frames, the last tap past the end;
+    # a dilation equal to T and one far beyond it, the first tap alone
+    CASES = [(24, 60, 5, 10), (6, 7, 4, 3), (5, 9, 3, 9), (5, 9, 3, 1000)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("signals", [1, 2])
+    @pytest.mark.parametrize("c, t, l2, dilation", CASES)
+    def test_value_and_gradients(self, rng, dtype, signals, c, t, l2, dilation):
+        h = Node(rng.standard_normal((c, signals * t)).astype(dtype))
+        kp = Node(rng.standard_normal((c, l2, c)).astype(dtype))
+        g = rng.standard_normal((c, signals * t)).astype(dtype)
+        tape = Tape()
+        out = conv2_dilated(h, kp, dilation, tape, signals=signals)
+        backward_from(tape, out, g)
+        for actual, desired in zip((out.value, h.grad, kp.grad),
+                                   padded_conv2(h.value, kp.value, dilation, signals, g)):
+            assert_same_bits(actual, desired)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_items_add_into_one_kernels_node(self, rng, dtype):
+        # as two batch items do: each on its own tape, one shared kernels node
+        c, t, l2, dilation = self.CASES[0]
+        kp = Node(rng.standard_normal((c, l2, c)).astype(dtype))
+        want = np.zeros_like(kp.value)
+        for _ in range(2):
+            h = Node(rng.standard_normal((c, 2 * t)).astype(dtype))
+            g = rng.standard_normal((c, 2 * t)).astype(dtype)
+            tape = Tape()
+            backward_from(tape, conv2_dilated(h, kp, dilation, tape, signals=2), g)
+            _, dh, dk = padded_conv2(h.value, kp.value, dilation, 2, g)
+            want += dk
+            assert_same_bits(h.grad, dh)
+        assert_same_bits(kp.grad, want)
+
+
 class TestStreaming:
     """``encode_values`` fills the representation from ``encode_chunks``
     blocks; it must agree with the one-shot taped ``encode``."""

@@ -155,6 +155,76 @@ def test_split_columns_routes_each_block_gradient_to_its_columns(rng):
         split_columns(a, 4)
 
 
+def test_owned_gradient_is_kept_and_any_other_is_copied(rng):
+    g, g2 = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+    kept, copied = Node(np.zeros((2, 3))), Node(np.zeros((2, 3)))
+    kept.add_grad(g, owned=True)
+    copied.add_grad(g)
+    assert kept.grad is g and not np.shares_memory(copied.grad, g)
+    want = copied.grad + g2
+    kept.add_grad(g2, owned=True)  # a later gradient adds in place
+    assert kept.grad is g
+    np.testing.assert_array_equal(kept.grad, want)
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_relu_residual_inputs_end_with_their_own_buffers(rng, linear):
+    # both inputs receive the one gradient array, so neither may keep it
+    h1, h2 = Node(rng.normal(size=(3, 4))), Node(rng.normal(size=(3, 4)))
+    tape = Tape()
+    out = relu_residual(h2, h1, tape, linear=linear)
+    root = Node(0.0)
+    tape.record(lambda: out.add_grad(rng.normal(size=(3, 4))), root)
+    tape.backward(root)
+    grads = [h1.grad, h2.grad, out.grad]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(grads) for b in grads[i + 1:])
+    np.testing.assert_array_equal(h1.grad, h2.grad)
+
+
+def test_split_blocks_end_with_their_own_buffers(rng):
+    # synthesize hands its representation gradient over to the block it read
+    a = Node(rng.normal(size=(4, 6)))
+    w = Node(rng.normal(size=(4, 8)))
+    tape = Tape()
+    parts = split_columns(a, 2, tape)
+    y = synthesize(parts[0], w, 4, 20, tape)
+    rep = tv_loss(parts[1], tape)
+    root = Node(0.0)
+
+    def backward():
+        y.add_grad(np.ones(20))
+        rep.add_grad(1.0)
+    tape.record(backward, root)
+    tape.backward(root)
+    grads = [a.grad, parts[0].grad, parts[1].grad, w.grad]
+    assert not any(np.shares_memory(p, q) for i, p in enumerate(grads) for q in grads[i + 1:])
+    np.testing.assert_array_equal(a.grad, np.concatenate([parts[0].grad, parts[1].grad], axis=1))
+
+
+@pytest.mark.parametrize("variant", ["tv", "sinkhorn"])
+def test_no_two_gradients_of_a_step_share_memory(rng, monkeypatch, variant):
+    # every node a two-item step records, and every parameter, ends with a
+    # gradient array of its own
+    outputs = []
+    real_record = Tape.record
+
+    def record(self, op, out):
+        outputs.append(out)
+        real_record(self, op, out)
+
+    monkeypatch.setattr(Tape, "record", record)
+    enc, dec = init_encoder(6, 32, 3, 8, 2, seed=0), init_decoder(6, 32, 8)
+    items = []
+    for _ in range(2):
+        voice = rng.uniform(-0.5, 0.5, 128)
+        items.append(TrainingPair(voice, voice + 1e-3 * rng.normal(size=128),
+                                  voice + rng.uniform(-0.5, 0.5, 128)))
+    grads, _ = waverep.training.batch_gradients(items, enc, dec, TrainConfig(variant=variant))
+    arrays = list(grads.values()) + [n.grad for n in outputs if n.grad is not None]
+    assert len(arrays) > 2 * 10
+    assert not any(np.shares_memory(p, q) for i, p in enumerate(arrays) for q in arrays[i + 1:])
+
+
 def test_empty_tape_rejected():
     with pytest.raises(ValueError, match="empty tape"):
         Tape().backward(Node(1.0))

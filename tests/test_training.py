@@ -12,9 +12,10 @@ import pytest
 import waverep.decoder
 import waverep.losses
 import waverep.training
+from waverep import synth
 from waverep.autodiff import Node, Tape
 from waverep.checkpoint import load_arrays, load_model, save_arrays, save_model
-from waverep.dataset import make_training_pairs
+from waverep.dataset import SAMPLE_RATE, TrainingPair, make_training_pairs
 from waverep.decoder import (DecoderParameters, build_kernels, cast_pair, init_decoder,
                              kernel_matrix, synthesize)
 from waverep.encoder import EncoderParameters, encode, init_encoder
@@ -248,6 +249,30 @@ class TestBatchGradients:
             np.testing.assert_allclose(g, np.mean([s[0][name] for s in singles], axis=0), rtol=1e-12)
         for bd, (_, single) in zip(breakdowns, singles):
             assert (bd.neg_snr_db, bd.rep_loss) == (single.neg_snr_db, single.rep_loss)
+
+    def test_paper_step_holds_no_full_size_gradient_copies(self, rng):
+        # two 1 s items at paper scale on the float32 model: above its entry
+        # the step holds its 24.7 MiB of gradients, one item's activations and
+        # tape, and the ops' working arrays.  When conv2 zero-filled a whole
+        # kernel gradient per item, every first gradient was copied and the
+        # kernel backward made a (C, L) float64 product, it peaked at 81.4 MiB;
+        # without them, at 62.9 MiB
+        enc, dec = cast_pair(init_encoder(800, 2048, 5, 256, 10, seed=0),
+                             init_decoder(800, 2048, 256), np.float32, "test")
+        items = []
+        for _ in range(2):
+            voice = synth.voice_stem(rng, SAMPLE_RATE)
+            items.append(TrainingPair(voice, voice + rng.normal(0, 1e-4, SAMPLE_RATE),
+                                      voice + synth.accomp_stem(rng, SAMPLE_RATE)))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            grads, _ = batch_gradients(items, enc, dec, TrainConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(g.nbytes for g in grads.values()) == pytest.approx(24.7 * 2**20, rel=1e-3)
+        assert peak - entry < 70 * 2**20, (peak - entry) / 2**20
 
     def test_train_builds_kernels_once_per_step(self, rng, monkeypatch):
         real = waverep.decoder.build_kernels
