@@ -1,8 +1,8 @@
-"""Training loop: Adam (fixed betas 0.9 / 0.999 and eps 1e-8) over the
-float64 encoder/decoder parameters on batch-mean gradients computed in
-float32 (the decoder kernels built once per step), optional early stopping
-on the epoch-mean reconstruction loss, and deterministic behavior as a
-function of (seed, config, data).
+"""Training loop: Adam (fixed betas 0.9 / 0.999 and eps 1e-8, float32
+moments) over the float64 encoder/decoder parameters on batch-mean gradients
+computed in float32 (the decoder kernels built once per step), optional early
+stopping on the epoch-mean reconstruction loss, and deterministic behavior as
+a function of (seed, config, data).
 """
 
 from __future__ import annotations
@@ -32,10 +32,16 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 #: elements per block of :func:`adam_step`'s update
 ADAM_BLOCK = 1 << 15
+#: largest gradient magnitude :func:`adam_step` takes: its square, and so the
+#: bias-corrected second moment, stays below float32's 3.4e38
+ADAM_GRAD_MAX = 1e19
 
 
 @dataclass
 class AdamState:
+    """Adam's step count and its first and second moments, one float32 array
+    per parameter name (the parameters themselves may be float64)."""
+
     lr: float
     step: int = 0
     m: dict = field(default_factory=dict)
@@ -45,8 +51,8 @@ class AdamState:
 def init_adam(params: dict[str, np.ndarray], lr: float) -> AdamState:
     state = AdamState(lr=lr)
     for name, p in params.items():
-        state.m[name] = np.zeros_like(p)
-        state.v[name] = np.zeros_like(p)
+        state.m[name] = np.zeros(np.shape(p), dtype=np.float32)
+        state.v[name] = np.zeros(np.shape(p), dtype=np.float32)
     return state
 
 
@@ -54,17 +60,22 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
     """Bias-corrected Adam update, applied to the parameter arrays in place.
 
     Every gradient is checked before anything changes: a gradient of the
-    wrong shape, or one that is not finite, leaves the parameters and the
-    state as they were.  The update runs block by block (leading-axis slices
-    of about ``ADAM_BLOCK`` elements), so that its dozen elementwise passes
-    stay in cache, with the same bits as one whole-array pass; a float32
-    gradient is cast to float64 one block at a time."""
+    wrong shape, or one that is not finite or exceeds ``ADAM_GRAD_MAX`` in
+    magnitude, leaves the parameters and the state as they were.  The update
+    runs block by block (leading-axis slices of about ``ADAM_BLOCK``
+    elements), so that its elementwise passes stay in cache, with the same
+    bits as one whole-array pass.  The moments and the normalized step
+    ``m_hat / (sqrt(v_hat) + eps)`` are float32 (a float64 gradient is cast
+    one block at a time); the step is scaled by the learning rate in float64
+    and applied to the parameters in their own dtype."""
     for name, p in params.items():
         g = grads[name]
         if np.shape(g) != p.shape:
             raise ValueError(f"gradient shape {np.shape(g)} != parameter shape {p.shape} for {name!r}")
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for {name!r} at step {state.step + 1}")
+        # NaN fails the comparison too
+        if not np.abs(g).max(initial=0.0) <= ADAM_GRAD_MAX:
+            raise NumericalError(f"gradient for {name!r} at step {state.step + 1} is not finite "
+                                 f"or exceeds {ADAM_GRAD_MAX:g} in magnitude")
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
@@ -73,13 +84,15 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
         rows = max(1, ADAM_BLOCK * len(p) // max(p.size, 1))
         for r in range(0, len(p), rows):
             b = slice(r, r + rows)
-            gb = np.asarray(g[b], dtype=np.float64)
+            gb = np.asarray(g[b], dtype=np.float32)
             mb, vb = m[b], v[b]
             mb *= ADAM_BETA1
             mb += (1.0 - ADAM_BETA1) * gb
             vb *= ADAM_BETA2
             vb += (1.0 - ADAM_BETA2) * gb * gb
-            p[b] -= state.lr * (mb / bc1) / (np.sqrt(vb / bc2) + ADAM_EPS)
+            # the learning rate scales the float32 step in float64, whatever
+            # numpy's promotion rules would make of a float32 array times lr
+            p[b] -= np.multiply((mb / bc1) / (np.sqrt(vb / bc2) + ADAM_EPS), state.lr, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -209,10 +222,10 @@ def train(
     triggers when the epoch-mean reconstruction loss stops decreasing.
     Parameter arrays inside ``enc``/``dec`` are updated in place.
 
-    The parameters and Adam's moments stay float64.  Each step, and the
-    pre-training baseline pass, computes on a float32 copy of the model made
-    by :func:`decoder.cast_pair`, which raises :class:`NumericalError` if a
-    parameter is not finite in float32.
+    The parameters stay float64, and Adam's moments are float32.  Each step,
+    and the pre-training baseline pass, computes on a float32 copy of the
+    model made by :func:`decoder.cast_pair`, which raises
+    :class:`NumericalError` if a parameter is not finite in float32.
     """
     if not len(voice_segments) or not len(accomp_segments):
         raise ValueError("training needs non-empty voice and accompaniment segment pools")

@@ -19,9 +19,12 @@ with relative paths, so that the two sessions see the same arguments:
 Each command's standard output, standard error and exit code are saved as
 files beside its outputs.  Every file of the two sessions is then compared
 byte for byte: each one that differs, or exists in one session only, is
-printed.  The exit code is 0 when no file differs, 1 when one does and 2 on
-a usage error.  pytest does not collect this script; a session takes about
-30 s on two cores.
+printed.  For a differing checkpoint (``.bin``) or WAV file in both sessions,
+each array that differs is printed below it with its largest absolute
+difference and that difference relative to the parent's largest magnitude in
+the array; the files are read with CHANGE_TREE's ``waverep``.  The exit code
+is 0 when no file differs, 1 when one does and 2 on a usage error.  pytest
+does not collect this script; a session takes about 30 s on two cores.
 
 The CSVs and the checks' reports print 10 and 4 significant digits, so a
 float64 change below that shows in no file: the unit tests that compare
@@ -31,11 +34,14 @@ cover the library path.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SCALES = {
     "desk": ["--components", "128", "--stride", "128", "--kernel-len", "512"],
@@ -90,19 +96,54 @@ def differing(a: Path, b: Path) -> list[str]:
                           and (a / f).read_bytes() == (b / f).read_bytes()))
 
 
+def array_gaps(a: Path, b: Path) -> list[str]:
+    """One line per array that differs between the checkpoints or WAV files
+    ``a`` and ``b``: its largest absolute difference, and that over ``a``'s
+    largest magnitude."""
+    from waverep.checkpoint import load_arrays
+    from waverep.errors import DataError
+    from waverep.wavio import read_wav
+
+    def arrays(path: Path) -> dict:
+        return load_arrays(path) if path.suffix == ".bin" else {"samples": read_wav(path)[0]}
+
+    try:
+        old, new = arrays(a), arrays(b)
+    except DataError as exc:  # an unreadable output is itself a finding
+        return [f"  unreadable: {exc}"]
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        x, y = old.get(name), new.get(name)
+        if x is None or y is None or x.shape != y.shape:
+            shapes = [None if z is None else z.shape for z in (x, y)]
+            lines.append(f"  {name}: shapes {shapes[0]} and {shapes[1]}")
+        elif not np.array_equal(x, y):
+            with np.errstate(all="ignore"):
+                gap = float(np.max(np.abs(y.astype(np.float64) - x)))
+                scale = float(np.max(np.abs(x)))
+            rel = gap / scale if scale else math.inf
+            lines.append(f"  {name}: max abs {gap:.3g}, max rel {rel:.3g}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     trees = [Path(t).resolve() for t in argv]
+    sys.path.insert(0, str(trees[1] / "src"))
     with tempfile.TemporaryDirectory(prefix="bitcheck-") as tmp:
         works = [Path(tmp) / side for side in ("parent", "change")]
         for tree, work in zip(trees, works):
             session(tree, work)
         diff = differing(*works)
         n_files = sum(1 for p in works[0].rglob("*") if p.is_file())
-    for f in diff:
-        print(f"differs: {f}")
+        for f in diff:
+            print(f"differs: {f}")
+            pair = [work / f for work in works]
+            if pair[0].suffix in (".bin", ".wav") and all(p.is_file() for p in pair):
+                for line in array_gaps(*pair):
+                    print(line)
     print(f"{len(diff)} of {n_files} files differ")
     return 1 if diff else 0
 

@@ -63,7 +63,7 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(params, {"w": np.zeros(3)}, state)
 
-    @pytest.mark.parametrize("bad", ["nan", "shape"])
+    @pytest.mark.parametrize("bad", ["nan", "shape", "huge"])
     def test_bad_last_gradient_changes_nothing(self, rng, bad):
         # every gradient is checked before any array or the step count moves
         enc, dec = _toy_model()
@@ -74,16 +74,41 @@ class TestAdam:
         assert list(grads)[-1] == "modulator"
         if bad == "nan":
             grads["modulator"][0, 0] = np.nan
+        elif bad == "huge":
+            # finite, but its square overflows float32's second moment
+            grads["modulator"][0, 0] = -1e20
         else:
             grads["modulator"] = grads["modulator"][:, 1:]
         before = [{name: a.copy() for name, a in d.items()} for d in (params, state.m, state.v)]
-        with pytest.raises(NumericalError if bad == "nan" else ValueError, match="modulator"):
+        error = ValueError if bad == "shape" else NumericalError
+        with pytest.raises(error, match="modulator.*step 2" if error is NumericalError else "modulator"):
             adam_step(params, grads, state)
         assert state.step == 1
         for saved, now in zip(before, (params, state.m, state.v)):
             for name in saved:
                 np.testing.assert_array_equal(now[name], saved[name], strict=True)
 
+    @pytest.mark.parametrize("g", [1e19, -1e19])
+    def test_gradient_at_the_bound_keeps_the_moments_finite(self, g):
+        # the largest gradient adam_step takes: its float32 moments stay
+        # finite, and each step moves the weight by lr, as for any other
+        params = {"w": np.zeros(2)}
+        state = init_adam(params, lr=1e-3)
+        assert abs(g) == waverep.training.ADAM_GRAD_MAX
+        for _ in range(3):
+            adam_step(params, {"w": np.array([g, 1.0])}, state)
+            assert np.isfinite(state.m["w"]).all() and np.isfinite(state.v["w"]).all()
+        np.testing.assert_allclose(params["w"], [-3e-3 * np.sign(g), -3e-3], rtol=1e-5)
+
+    def test_moments_take_four_bytes_per_parameter(self):
+        enc, dec = _toy_model()
+        params = waverep.training._param_dict(enc, dec)
+        state = init_adam(params, lr=1e-3)
+        n = sum(p.size for p in params.values())
+        for moments in (state.m, state.v):
+            assert all(a.dtype == np.float32 and a.shape == params[name].shape
+                       for name, a in moments.items())
+            assert sum(a.nbytes for a in moments.values()) == 4 * n
 
     @pytest.mark.parametrize("grad_dtype", [np.float64, np.float32])
     def test_blocked_update_matches_the_unblocked_expressions(self, rng, grad_dtype):
@@ -97,17 +122,21 @@ class TestAdam:
         ref = {name: p.copy() for name, p in params.items()}
         state, m, v = init_adam(params, lr=1e-2), {}, {}
         for name, p in ref.items():
-            m[name], v[name] = np.zeros_like(p), np.zeros_like(p)
+            m[name], v[name] = np.zeros(p.shape, np.float32), np.zeros(p.shape, np.float32)
         for step in range(1, 4):
             grads = {name: rng.normal(size=shape).astype(grad_dtype)
                      for name, shape in shapes.items()}
             adam_step(params, grads, state)
             bc1, bc2 = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
             for name, p in ref.items():
-                g = np.asarray(grads[name], dtype=np.float64)
+                # float32 moments and normalized step; the learning rate and
+                # the parameter update in float64
+                g = np.asarray(grads[name], dtype=np.float32)
                 m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
                 v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
-                p -= 1e-2 * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
+                normalized = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
+                assert normalized.dtype == np.float32
+                p -= normalized.astype(np.float64) * 1e-2
         for name in shapes:
             for got, want in ((params, ref), (state.m, m), (state.v, v)):
                 np.testing.assert_array_equal(got[name], want[name], strict=True)
