@@ -1,5 +1,5 @@
-"""Audio ingestion, framing and overlap-add, segmentation, activity gating and
-training-pair synthesis.
+"""Audio ingestion, framing and overlap-add on the last axis of a stack of
+signals, segmentation, activity gating and training-pair synthesis.
 
 Signals are plain 1-D float64 arrays at a fixed 44100 Hz sample rate; files at
 any other rate are rejected rather than resampled, because every model
@@ -55,33 +55,33 @@ def load_and_downmix(path) -> np.ndarray:
 
 
 def frame(x: np.ndarray, length: int, hop: int, n_frames: int) -> np.ndarray:
-    """Read-only (n_frames, length) view whose row t is ``x[t*hop : t*hop+length]``,
-    zero-padded on the right where it runs past the end of ``x``.
+    """Read-only (..., n_frames, length) view whose window t is ``x[..., t*hop :
+    t*hop+length]``, zero-padded past the end of ``x`` in one zero-tailed copy.
 
     The adjoint of :func:`overlap_add`.
     """
-    needed = (n_frames - 1) * hop + length
-    if needed > x.size:
-        x = np.concatenate([x, np.zeros(needed - x.size, dtype=x.dtype)])
-    return sliding_window_view(x, length)[::hop][:n_frames]
+    pad = max(n_frames - 1, 0) * hop + length - x.shape[-1]
+    if pad > 0:
+        x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, pad)])
+    return sliding_window_view(x, length, axis=-1)[..., ::hop, :][..., :n_frames, :]
 
 
 def overlap_add(frames: np.ndarray, hop: int, out_len: int) -> np.ndarray:
-    """Sum row t of the (T, L) ``frames`` into the output at sample ``t*hop``;
-    the natural (T-1)*hop + L samples are truncated (or zero-extended) to
-    ``out_len``.
+    """Sum window t of the (..., T, L) ``frames`` into the last axis of the
+    output at sample ``t*hop``; the natural (T-1)*hop + L samples are
+    truncated (or zero-extended) to ``out_len``, giving (..., out_len).
 
-    The adjoint of :func:`frame`.  Rows are added one hop-wide column chunk
-    at a time; the chunks go last to first so that every sample sums its
-    frames in increasing t, exactly as a per-frame loop would.
+    The adjoint of :func:`frame`.  Windows are added one hop-wide column chunk
+    at a time; the chunks go last to first so that every sample of every row
+    sums its frames in increasing t, exactly as a per-frame loop would.
     """
-    n_frames, length = frames.shape
+    *lead, n_frames, length = frames.shape
     chunks = -(-length // hop)
-    y = np.zeros(max((n_frames + chunks - 1) * hop, out_len), dtype=frames.dtype)
+    y = np.zeros((*lead, max((n_frames + chunks - 1) * hop, out_len)), dtype=frames.dtype)
     for k in reversed(range(chunks)):
-        cols = frames[:, k * hop : (k + 1) * hop]
-        y[k * hop : (k + n_frames) * hop].reshape(n_frames, hop)[:, : cols.shape[1]] += cols
-    return y[:out_len]
+        cols = frames[..., k * hop : (k + 1) * hop]
+        y[..., k * hop : (k + n_frames) * hop].reshape(*lead, n_frames, hop)[..., : cols.shape[-1]] += cols
+    return y[..., :out_len]
 
 
 def segment(x: np.ndarray, length: int, hop: int) -> list[np.ndarray]:

@@ -12,7 +12,7 @@ activations and overlap-adding frames every ``stride`` samples.  Only f, rho
 and b are ever trained; w is recomputed from them once per optimizer step.
 :func:`synthesize` also renders n equal-length representations laid side by
 side on the frame axis, as :func:`encoder.encode` stacks them: one GEMM for
-all their frames, then an overlap-add per signal.
+all their frames, then one :func:`dataset.overlap_add` of the stack.
 
 The forward-only path (:func:`decode_chunks`, and :func:`decode_values` on
 top of it) builds w once and synthesizes one block of frames at a time,
@@ -188,24 +188,23 @@ def synthesize(
     truncated (or zero-extended) to ``out_len``.
 
     ``a`` may hold ``signals`` equal-length representations side by side; the
-    result is then their (signals, out_len) waveforms, and (out_len,) for one.
+    result is then their (signals, out_len) waveforms, and (out_len,) for one,
+    overlap-added from their (signals, T, L) frames by one call.
     """
     av, wv = a.value, kernels.value
     if av.shape[0] != wv.shape[0]:
         raise ValueError(f"representation has {av.shape[0]} rows but there are {wv.shape[0]} kernels")
     if av.shape[1] % signals:
         raise ValueError(f"{av.shape[1]} frames do not split into {signals} equal signals")
-    t = av.shape[1] // signals
+    t, length = av.shape[1] // signals, wv.shape[1]
     # frames as (wv.T @ av).T: av.T @ wv would round differently
-    frames = (wv.T @ av).T
-    y = np.stack([overlap_add(frames[k * t : (k + 1) * t], stride, out_len) for k in range(signals)])
+    y = overlap_add((wv.T @ av).T.reshape(signals, t, length), stride, out_len)
     out = Node(y if signals > 1 else y[0])
 
     if tape is not None:
         def backward():
-            g = out.grad.reshape(signals, out_len)
-            # (L, signals*T) in C order: the GEMMs below round by operand layout
-            dframes = np.concatenate([frame(gk, wv.shape[1], stride, t).T for gk in g], axis=1)
+            # (L, signals*T) in F order: the GEMMs below round by operand layout
+            dframes = np.ascontiguousarray(frame(out.grad, length, stride, t)).reshape(-1, length).T
             kernels.add_grad(av @ dframes.T, owned=True)
             a.add_grad(wv @ dframes, owned=True)
         tape.record(backward, out)

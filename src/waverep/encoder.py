@@ -12,7 +12,8 @@ The layers and :func:`encode` also take an (n, N) stack of n
 equal-length signals and return their representations side by side on the
 frame axis, (C, n*T) with signal k in columns ``k*T .. (k+1)*T - 1``, so
 that signals alive together run as one GEMM per layer instead of n narrow
-ones.  Each signal keeps its own right zero padding, so its columns equal
+ones.  Each layer frames the stack's last axis in one :func:`dataset.frame`
+call, so each signal keeps its own right zero padding and its columns equal
 its single-signal result to rounding; a 1-D signal is the n = 1 stack.
 
 Frame t of the output reads first-layer frames t .. t + dilation*(L2-1) only,
@@ -95,11 +96,12 @@ def _signals(x) -> np.ndarray:
 def conv1(x: np.ndarray, kernels: Node, stride: int, tape: Tape | None = None) -> Node:
     """First layer: cross-correlation of each signal of ``x`` with each kernel
     at ``stride``, for all ``ceil(N / stride)`` frames; signal k fills output
-    columns ``k*T .. (k+1)*T - 1``.  The result has the kernels' dtype."""
+    columns ``k*T .. (k+1)*T - 1``.  The (n, T, L) windows of the stack, one
+    :func:`dataset.frame` view, are copied once, in the kernels' dtype."""
     x = _signals(x)
-    frames = num_frames(x.shape[1], stride)
-    win = np.concatenate([frame(s, kernels.value.shape[1], stride, frames) for s in x],
-                         dtype=kernels.value.dtype)
+    length = kernels.value.shape[1]
+    win = frame(x, length, stride, num_frames(x.shape[1], stride))
+    win = win.astype(kernels.value.dtype, order="C").reshape(-1, length)
     out = Node(kernels.value @ win.T)
 
     if tape is not None:
@@ -119,11 +121,11 @@ def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = Non
     side by side; each gets its own T output columns.  A tap whose offset is
     T or more reads only zeros: it is skipped, and its kernel gradient is zero.
 
-    No padded copy of ``h`` is made.  Tap 0 multiplies ``h`` itself, and each
-    later tap one reused buffer of the latents shifted by its offset, zero
-    past each signal's end: every GEMM then has the operands and the shape,
-    and so the bits, of the padded form.  The backward adds each tap's kernel
-    gradient into the kernels' gradient in place.
+    Tap k multiplies window k of :func:`dataset.frame` over each signal's
+    frames at hop ``dilation``: frames ``k*dilation ..``, then zeros, as the
+    zero-padded sum does, with its bits.  For one signal that is a view of one
+    zero-tailed copy of ``h``; a stack copies each window.  The backward adds
+    each tap's kernel gradient into the kernels' gradient in place.
     """
     kp = kernels.value  # (C_out, L2, C_in)
     c_out, l2, c_in = kp.shape
@@ -133,30 +135,27 @@ def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = Non
     if hv.shape[1] % signals:
         raise ValueError(f"{hv.shape[1]} frames do not split into {signals} equal signals")
     t = hv.shape[1] // signals
-    offsets = range(0, min(l2 * dilation, t), dilation)  # the taps whose offset is below t
-    hs = hv.reshape(c_in, signals, t)
+    taps = min(l2, -(-t // dilation))  # the taps whose offset is below t
 
-    def shifted():  # (C_in, signals*t) per tap: frames off .. t-1 of every signal, then zeros
-        yield 0, 0, hv  # tap 0 reads every frame
-        buf = np.empty_like(hs)
-        for tap, off in enumerate(offsets[1:], start=1):
-            buf[:, :, : t - off] = hs[:, :, off:]
-            buf[:, :, t - off :] = 0.0
-            yield tap, off, buf.reshape(c_in, signals * t)
+    def operands():  # tap k's (C_in, signals*t) operand
+        windows = frame(hv.reshape(c_in, signals, t), t, dilation, taps)
+        for k in range(taps):
+            yield k, windows[:, :, k].reshape(c_in, signals * t)
 
     out_val = np.zeros((c_out, signals * t), dtype=hv.dtype)
-    for tap, _, hk in shifted():
-        out_val += kp[:, tap, :] @ hk
+    for k, hk in operands():
+        out_val += kp[:, k, :] @ hk
     out = Node(out_val)
 
     if tape is not None:
         def backward():
             g = out.grad
             dk = kernels.grad_buffer()
-            dh = np.zeros_like(hs)
-            for tap, off, hk in shifted():
-                dk[:, tap, :] += g @ hk.T
-                dh[:, :, off:] += (kp[:, tap, :].T @ g).reshape(c_in, signals, t)[:, :, : t - off]
+            dh = np.zeros((c_in, signals, t), dtype=hv.dtype)
+            for k, hk in operands():
+                off = k * dilation
+                dk[:, k, :] += g @ hk.T
+                dh[:, :, off:] += (kp[:, k, :].T @ g).reshape(c_in, signals, t)[:, :, : t - off]
             h.add_grad(dh.reshape(c_in, signals * t), owned=True)
         tape.record(backward, out)
     return out

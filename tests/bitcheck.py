@@ -8,12 +8,15 @@ Each tree is a checkout with a ``src/`` directory.  For each tree the script
 runs ``python -m waverep`` on that tree's ``src/``, in a fresh directory and
 with relative paths, so that the two sessions see the same arguments:
 
-- ``synth-data``: two 3 s stem pairs;
+- ``synth-data``: two 3 s stem pairs, and one 18 s pair;
 - ``train`` at desk scale (C=128, L=512, stride 128) and at paper scale
   (C=800, L=2048, stride 256), each with the TV term and with the Sinkhorn
   term at p=1, one epoch, early stopping off;
 - with each trained checkpoint: ``reconstruct``, ``separate``, ``encode``,
-  ``export`` and ``evaluate --checkpoint``;
+  ``export`` and ``evaluate --checkpoint``, and ``reconstruct`` and
+  ``separate`` of the 18 s pair, which streams at least 4 blocks of 1024
+  frames at either scale where a 3 s stem is one block (only WAVs: the
+  CSVs of ``encode`` and ``export`` would be about 40 MB each at that length);
 - ``evaluate --baseline stft``, ``grad-check`` and ``ot-check``.
 
 Each command's standard output, standard error and exit code are saved as
@@ -24,7 +27,7 @@ each array that differs is printed below it with its largest absolute
 difference and that difference relative to the parent's largest magnitude in
 the array; the files are read with CHANGE_TREE's ``waverep``.  The exit code
 is 0 when no file differs, 1 when one does and 2 on a usage error.  pytest
-does not collect this script; a session takes about 30 s on two cores.
+does not collect this script; a session takes about 40 s on two cores.
 
 The CSVs and the checks' reports print 10 and 4 significant digits, so a
 float64 change below that shows in no file: the unit tests that compare
@@ -49,12 +52,15 @@ SCALES = {
 }
 LOSSES = {"tv": ["--loss", "tv"], "sinkhorn": ["--loss", "sinkhorn", "--p", "1"]}
 VOICE, ACCOMP = "stems/track00_voice.wav", "stems/track00_accomp.wav"
+LONG_VOICE, LONG_ACCOMP = "long-stems/track00_voice.wav", "long-stems/track00_accomp.wav"
 
 
 def commands() -> list[tuple[str, list[str]]]:
     """The session: (name, waverep arguments) in the order they run."""
     cmds = [("synth-data", ["synth-data", "--out", "stems", "--seed", "7", "--tracks", "2",
-                            "--duration", "3"])]
+                            "--duration", "3"]),
+            ("synth-data-long", ["synth-data", "--out", "long-stems", "--seed", "8", "--tracks",
+                                 "1", "--duration", "18"])]
     for scale, scale_args in SCALES.items():
         for loss, loss_args in LOSSES.items():
             run = f"{scale}-{loss}"
@@ -67,6 +73,10 @@ def commands() -> list[tuple[str, list[str]]]:
                 (f"{run}-encode", ["encode", *ckpt, "--out", f"{run}/enc", VOICE]),
                 (f"{run}-export", ["export", *ckpt, "--out", f"{run}/img", VOICE]),
                 (f"{run}-evaluate", ["evaluate", *ckpt, "--stems", "stems", "--out", f"{run}/eval"]),
+                (f"{run}-reconstruct-long", ["reconstruct", *ckpt, "--out", f"{run}/rec-long",
+                                             LONG_VOICE]),
+                (f"{run}-separate-long", ["separate", *ckpt, "--out", f"{run}/sep-long",
+                                          LONG_VOICE, LONG_ACCOMP]),
             ]
     return cmds + [
         ("evaluate-stft", ["evaluate", "--baseline", "stft", "--stems", "stems", "--out", "eval-stft"]),

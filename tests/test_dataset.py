@@ -98,31 +98,43 @@ FRAMINGS = [
     (6, 2, 1, 0),    # a single frame
     (7, 3, 5, -4),   # out_len shorter than the natural length
     (7, 3, 5, 9),    # out_len longer than the natural length
+    (4, 2, 3, -8),   # out_len 0
+    (5, 2, 0, 0),    # no frames, a signal shorter than one frame
+    (5, 2, 0, 4),    # no frames, a signal longer than one frame
+    (5, 2, 0, -3),   # no frames, out_len 0
 ]
+#: each framing over the leading axes of a stack: one signal (under the
+#: framing's own test id), a row of 3 signals, a 2 x 3 grid of them
+STACKED = [pytest.param(*f, lead, id="-".join(map(str, f)) + suffix)
+           for f in FRAMINGS for lead, suffix in [((), ""), ((3,), "-row"), ((2, 3), "-grid")]]
 
 
 class TestFrameOverlapAdd:
-    @pytest.mark.parametrize("length,hop,n_frames,extra", FRAMINGS)
-    def test_overlap_add_matches_per_frame_loop_bitwise(self, rng, length, hop, n_frames, extra):
-        frames = rng.normal(size=(n_frames, length))
+    @pytest.mark.parametrize("length,hop,n_frames,extra,lead", STACKED)
+    def test_overlap_add_matches_per_frame_loop_bitwise(self, rng, length, hop, n_frames, extra,
+                                                        lead):
+        frames = rng.normal(size=(*lead, n_frames, length))
         full = (n_frames - 1) * hop + length
         out_len = full + extra
-        naive = np.zeros(max(full, out_len))
-        for t in range(n_frames):
-            naive[t * hop : t * hop + length] += frames[t]
         got = overlap_add(frames, hop, out_len)
-        assert got.shape == (out_len,)
-        np.testing.assert_array_equal(got, naive[:out_len])
+        assert got.shape == (*lead, out_len)
+        rows = int(np.prod(lead))
+        for row, row_frames in zip(got.reshape(rows, out_len),
+                                   frames.reshape(rows, n_frames, length)):
+            naive = np.zeros(max(full, out_len))
+            for t in range(n_frames):
+                naive[t * hop : t * hop + length] += row_frames[t]
+            np.testing.assert_array_equal(row, naive[:out_len])
 
-    @pytest.mark.parametrize("length,hop,n_frames,extra", FRAMINGS)
-    def test_frame_and_overlap_add_are_adjoint(self, rng, length, hop, n_frames, extra):
+    @pytest.mark.parametrize("length,hop,n_frames,extra,lead", STACKED)
+    def test_frame_and_overlap_add_are_adjoint(self, rng, length, hop, n_frames, extra, lead):
         out_len = (n_frames - 1) * hop + length + extra
-        x = rng.normal(size=out_len)
-        f = rng.normal(size=(n_frames, length))
+        x = rng.normal(size=(*lead, out_len))
+        f = rng.normal(size=(*lead, n_frames, length))
         framed = frame(x, length, hop, n_frames)
-        assert framed.shape == (n_frames, length)
+        assert framed.shape == (*lead, n_frames, length) and not framed.flags.writeable
         lhs = float((framed * f).sum())
-        rhs = float(x @ overlap_add(f, hop, out_len))
+        rhs = float((x * overlap_add(f, hop, out_len)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 

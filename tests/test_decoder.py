@@ -289,8 +289,9 @@ class TestSignalStack:
     own waveform, and its taped gradients are the sums of the one-signal ones."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    # natural length 3*4 + 8 = 20: truncated, exact, zero-extended; one frame shorter than a kernel
-    @pytest.mark.parametrize("frames, out_len", [(5, 14), (5, 20), (5, 26), (1, 5)])
+    # natural length 3*4 + 8 = 20: truncated, exact, zero-extended; one frame shorter than a kernel;
+    # no frames; no samples
+    @pytest.mark.parametrize("frames, out_len", [(5, 14), (5, 20), (5, 26), (1, 5), (0, 5), (5, 0)])
     def test_rows_match_single_signals(self, rng, n, frames, out_len):
         a = rng.normal(size=(3, n * frames))
         w = as_node(rng.normal(size=(3, 8)))
@@ -298,7 +299,8 @@ class TestSignalStack:
         assert got.shape == ((n, out_len) if n > 1 else (out_len,))
         for k, row in enumerate(got.reshape(n, out_len)):
             ref = synthesize(as_node(a[:, k * frames : (k + 1) * frames]), w, 3, out_len).value
-            np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+            np.testing.assert_allclose(row, ref, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref), initial=0.0))
 
     @staticmethod
     def _gradients(a, w, signals, weights):

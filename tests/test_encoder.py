@@ -222,13 +222,15 @@ def assert_same_bits(actual, desired):
 
 
 class TestConv2AgainstPadding:
-    """``conv2_dilated`` pads nothing, yet its value and both gradients have
-    the bits of the zero-padded sum."""
+    """``conv2_dilated`` reads each tap's operand as a frame window of the
+    latents, yet its value and both gradients have the bits of the
+    zero-padded sum."""
 
     # (C, T, L2, dilation): the paper's 5 taps at dilation 10 over desk-sized
     # latents; offsets 0, 3, 6 and 9 over 7 frames, the last tap past the end;
-    # a dilation equal to T and one far beyond it, the first tap alone
-    CASES = [(24, 60, 5, 10), (6, 7, 4, 3), (5, 9, 3, 9), (5, 9, 3, 1000)]
+    # a dilation equal to T and one far beyond it, the first tap alone; a
+    # streaming block of 1024 frames and its 40 frames of context at desk scale
+    CASES = [(24, 60, 5, 10), (6, 7, 4, 3), (5, 9, 3, 9), (5, 9, 3, 1000), (128, 1064, 5, 10)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("signals", [1, 2])
