@@ -85,10 +85,6 @@ class LossBreakdown:
     rep_loss: float
     plan: TransportPlan | None = None
 
-    @property
-    def saturation(self) -> float:
-        return self.plan.saturation if self.plan is not None else 0.0
-
 
 def neg_snr(x: np.ndarray, est, tape: Tape | None = None) -> Node:
     """Negative signal-to-noise ratio in dB: -10*log10(||x||^2 / ||x - est||^2).
@@ -209,7 +205,8 @@ def sinkhorn_plan(
     marginal error drops below ``tau``, or after ``max_iters``.
 
     Raises :class:`SaturationError` instead of dividing by zero when the
-    Gibbs kernel underflows on a full row or column (large ``lam``).
+    Gibbs kernel underflows on a full row or column (large ``lam``), or when
+    a scaling step's reciprocal overflows.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -223,28 +220,25 @@ def sinkhorn_plan(
 
     gibbs = np.exp(-lam * m)
     saturation = float(np.mean(gibbs == 0.0))
-    if np.any(np.all(gibbs == 0.0, axis=1)) or np.any(np.all(gibbs == 0.0, axis=0)):
-        raise SaturationError(lam, saturation)
+
+    def inverse(k: np.ndarray) -> np.ndarray:
+        # k = 0 or inf, or a subnormal k whose reciprocal overflows, raises
+        with np.errstate(all="ignore"):
+            r = 1.0 / k
+        if not np.all((r > 0.0) & np.isfinite(r)):
+            raise SaturationError(lam, saturation)
+        return r
 
     t = m.shape[0]
     u = np.full(t, 1.0 / t)
-    v = np.full(t, 1.0 / t)
-    converged = False
     for iterations in range(1, max_iters + 1):
-        ktu = gibbs.T @ u
-        if np.any(ktu <= 0.0) or not np.all(np.isfinite(ktu)):
-            raise SaturationError(lam, saturation)
-        v = 1.0 / ktu
-        kv = gibbs @ v
-        if np.any(kv <= 0.0) or not np.all(np.isfinite(kv)):
-            raise SaturationError(lam, saturation)
-        u = 1.0 / kv
+        v = inverse(gibbs.T @ u)
+        u = inverse(gibbs @ v)
         plan = (u[:, None] * gibbs) * v[None, :]
         err = np.abs(plan.sum(axis=1) - 1.0).sum() + np.abs(plan.sum(axis=0) - 1.0).sum()
         if err < tau:
-            converged = True
-            break
-    return TransportPlan(plan, iterations, converged, saturation)
+            return TransportPlan(plan, iterations, True, saturation)
+    return TransportPlan(plan, max_iters, False, saturation)
 
 
 def _plan_cost_inner(ao: Node, m: np.ndarray, plan: np.ndarray, p: int, tape: Tape | None) -> Node:
@@ -291,8 +285,7 @@ def sinkhorn_loss(
     Frobenius inner product <P, M>.  Passing ``plan`` reuses a precomputed
     plan (useful for gradient checking, since the plan is detached anyway).
     """
-    a_node = as_node(a)
-    ao = normalize_simplex(a_node, tape)
+    ao = normalize_simplex(a, tape)
     m = pairwise_cost(ao.value, cfg.p)
     if plan is None:
         plan = sinkhorn_plan(m, cfg.lam, cfg.max_iters, cfg.tau)

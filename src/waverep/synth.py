@@ -84,6 +84,8 @@ def synth_data(out_dir, seed: int, n_tracks: int, duration: float) -> list[tuple
         raise ValueError(f"duration must be finite, got {duration}")
     if n_tracks < 1:
         raise ValueError(f"n_tracks must be >= 1, got {n_tracks}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n = int(duration * SAMPLE_RATE)
     if n < 1:
         raise ValueError(f"duration {duration} s is shorter than one sample")

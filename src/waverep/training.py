@@ -109,6 +109,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.variant not in LOSS_VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r} (expected one of {LOSS_VARIANTS})")
         for name in ("lr", "gaussian_std"):
@@ -269,7 +271,7 @@ def train(
                     "neg_snr": float(np.mean([b.neg_snr_db for b in breakdowns])),
                     "rep_loss": float(np.mean([b.rep_loss for b in breakdowns])),
                     "total": float(np.mean([float(b.total.value) for b in breakdowns])),
-                    "saturation": float(max(b.saturation for b in breakdowns)),
+                    "saturation": max((b.plan.saturation for b in breakdowns if b.plan), default=0.0),
                 }
                 history.append(record)
                 log_file.write(json.dumps(record) + "\n")

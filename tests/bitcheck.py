@@ -11,7 +11,9 @@ with relative paths, so that the two sessions see the same arguments:
 - ``synth-data``: two 3 s stem pairs, and one 18 s pair;
 - ``train`` at desk scale (C=128, L=512, stride 128) and at paper scale
   (C=800, L=2048, stride 256), each with the TV term and with the Sinkhorn
-  term at p=1, one epoch, early stopping off;
+  term at p=1, one epoch, early stopping off, and once more at desk scale
+  with the Sinkhorn term at ``--lambda 5000``, where the Gibbs kernel
+  underflows and the log's ``saturation`` is not 0 (train only);
 - with each trained checkpoint: ``reconstruct``, ``separate``, ``encode``,
   ``export`` and ``evaluate --checkpoint``, and ``reconstruct`` and
   ``separate`` of the 18 s pair, which streams at least 4 blocks of 1024
@@ -79,6 +81,9 @@ def commands() -> list[tuple[str, list[str]]]:
                                           LONG_VOICE, LONG_ACCOMP]),
             ]
     return cmds + [
+        ("desk-sinkhorn-lambda5000-train",
+         ["train", "--stems", "stems", "--out", "desk-sinkhorn-lambda5000/train", "--epochs", "1",
+          "--early-stop", "off", *LOSSES["sinkhorn"], "--lambda", "5000", *SCALES["desk"]]),
         ("evaluate-stft", ["evaluate", "--baseline", "stft", "--stems", "stems", "--out", "eval-stft"]),
         ("grad-check", ["grad-check"]),
         ("ot-check", ["ot-check"]),

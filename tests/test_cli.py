@@ -146,23 +146,26 @@ class TestExitCodes:
         assert not (out / "train_log.jsonl").exists()
         assert not (out / "checkpoint.bin").exists()
 
-    @pytest.mark.parametrize("flags, config", [
-        pytest.param(["--loss", "sinkhorn", "--lambda", "nan"], None, id="lambda-nan"),
-        pytest.param(["--omega", "nan"], None, id="omega-nan"),
-        pytest.param(["--gaussian-std", "nan"], None, id="gaussian-std-nan"),
-        pytest.param(["--loss", "sinkhorn", "--tau", "nan"], None, id="tau-nan"),
-        pytest.param(["--lr", "nan"], None, id="lr-nan"),
-        pytest.param(["--lr", "-1"], None, id="lr-negative"),
-        pytest.param([], "loss=bogus\n", id="config-loss-bogus"),
+    @pytest.mark.parametrize("flags, config, setting", [
+        pytest.param(["--loss", "sinkhorn", "--lambda", "nan"], None, "lam", id="lambda-nan"),
+        pytest.param(["--omega", "nan"], None, "omega", id="omega-nan"),
+        pytest.param(["--gaussian-std", "nan"], None, "gaussian_std", id="gaussian-std-nan"),
+        pytest.param(["--loss", "sinkhorn", "--tau", "nan"], None, "tau", id="tau-nan"),
+        pytest.param(["--lr", "nan"], None, "lr", id="lr-nan"),
+        pytest.param(["--lr", "-1"], None, "lr", id="lr-negative"),
+        pytest.param(["--seed", "-1"], None, "seed", id="seed-negative"),
+        pytest.param([], "loss=bogus\n", "--loss", id="config-loss-bogus"),
     ])
-    def test_bad_training_setting_is_data_error(self, stems_dir, tmp_path, flags, config):
-        # refused when the configuration is built, before training starts
+    def test_bad_training_setting_is_data_error(self, stems_dir, tmp_path, capsys, flags, config,
+                                                setting):
+        # refused when the configuration is built, before training starts, naming the setting
         out = tmp_path / "o"
         if config is not None:
             (tmp_path / "train.cfg").write_text(config)
             flags = flags + ["--config", str(tmp_path / "train.cfg")]
         assert run(["train", "--stems", str(stems_dir), "--out", str(out),
                     "--components", "8", "--kernel-len", "32", "--epochs", "1"] + flags) == 2
+        assert setting in capsys.readouterr().err
         assert not (out / "train_log.jsonl").exists()
 
     def test_zero_duration_synth_is_data_error(self, tmp_path):
@@ -173,6 +176,7 @@ class TestExitCodes:
         pytest.param(["--duration", "nan"], id="duration-nan"),
         pytest.param(["--tracks", "0"], id="tracks-0"),
         pytest.param(["--tracks", "-2"], id="tracks-negative"),
+        pytest.param(["--seed", "-1"], id="seed-negative"),
     ])
     def test_bad_synth_setting_writes_nothing(self, tmp_path, flags):
         out = tmp_path / "o"

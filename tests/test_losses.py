@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -335,9 +336,18 @@ class TestSinkhornPlan:
         np.testing.assert_array_equal(got.plan, want.plan)
 
     def test_full_row_underflow_raises_not_nan(self):
-        m = np.array([[800.0, 900.0], [0.0, 0.1]])
-        with pytest.raises(SaturationError, match="lambda"):
-            sinkhorn_plan(m, lam=1.0)
+        # a full column fails the first half-step (v = 1/K^T u), a full row the
+        # second (u = 1/K v), both in the first iteration
+        for m in ([[800.0, 900.0], [0.0, 0.1]], [[0.0, 800.0], [0.0, 800.0]]):
+            with pytest.raises(SaturationError, match="lambda"):
+                sinkhorn_plan(np.array(m), lam=1.0, max_iters=1)
+
+    def test_overflowing_reciprocal_raises_without_a_warning(self):
+        # exp(-720) is subnormal, so the first half-step's 1/(K^T u) overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SaturationError, match="lambda"):
+                sinkhorn_plan(np.ones((2, 2)), 720.0)
 
     def test_saturation_fraction_reported(self):
         m = np.array([[0.0, 800.0], [800.0, 0.0]])

@@ -47,6 +47,7 @@ def test_zero_duration_rejected(tmp_path):
     ({"duration": float("inf")}, "duration"),
     ({"duration": float("nan")}, "duration"),
     ({"n_tracks": 0}, "n_tracks"),
+    ({"seed": -1}, "seed"),
 ])
 def test_bad_setting_rejected_before_writing(tmp_path, kwargs, name):
     with pytest.raises(ValueError, match=name):

@@ -200,6 +200,33 @@ class TestTrainLoop:
         for rec in records:
             assert set(rec) == {"step", "epoch", "neg_snr", "rep_loss", "total", "saturation"}
 
+    def test_record_saturation_is_the_largest_of_the_step(self, rng, monkeypatch):
+        # each record's saturation is the largest share of underflowed Gibbs-kernel
+        # entries over its step's items, and 0 for the TV term
+        steps = []
+        real = waverep.training.batch_gradients
+
+        def keeping(*args, **kwargs):
+            grads, breakdowns = real(*args, **kwargs)
+            steps.append(breakdowns)
+            return grads, breakdowns
+
+        monkeypatch.setattr(waverep.training, "batch_gradients", keeping)
+        voices, accomps = _toy_problem(rng)
+        for variant in ("tv", "sinkhorn"):
+            steps.clear()
+            enc, dec = _toy_model()
+            cfg = TrainConfig(batch_size=4, epochs=2, variant=variant, loss=LossConfig(lam=5000.0),
+                              seed=0, early_stop=False, lr=1e-3)
+            history = train(voices, accomps, enc, dec, cfg).history
+            assert len(steps) == len(history) == 4
+            saturation = [rec["saturation"] for rec in history]
+            if variant == "tv":
+                assert saturation == [0.0] * 4
+            else:
+                assert saturation == [max(b.plan.saturation for b in bds) for bds in steps]
+                assert max(saturation) > 0.0
+
     def test_run_without_a_log_matches_a_logged_run(self, rng, tmp_path):
         voices, accomps = _toy_problem(rng)
         cfg = TrainConfig(batch_size=4, epochs=2, variant="sinkhorn", seed=1, lr=1e-3,
@@ -278,6 +305,23 @@ class TestBatchGradients:
             np.testing.assert_allclose(g, np.mean([s[0][name] for s in singles], axis=0), rtol=1e-12)
         for bd, (_, single) in zip(breakdowns, singles):
             assert (bd.neg_snr_db, bd.rep_loss) == (single.neg_snr_db, single.rep_loss)
+
+    def test_identity_plan_adds_nothing_to_the_gradients(self, rng):
+        # once every off-diagonal Gibbs-kernel entry underflows, the plan is the
+        # identity, <P, M> is 0 and its backward adds exact zeros: the item's
+        # gradients keep their bits whatever the term's weight
+        voices, accomps = _toy_problem(rng, n_segments=1)
+        items = list(make_training_pairs(voices, accomps, 1, 1e-4))
+        model = cast_pair(*_toy_model(), np.float32, "test")
+        results = []
+        for omega in (1.0, 0.0):
+            cfg = TrainConfig(variant="sinkhorn", loss=LossConfig(omega=omega, lam=5e4))
+            results.append(batch_gradients(items, *model, cfg))
+        (grads, (bd,)), (grads0, _) = results
+        t = bd.plan.plan.shape[0]
+        assert bd.plan.saturation == (t - 1) / t and bd.rep_loss == 0.0
+        for name, g in grads.items():
+            assert g.dtype == grads0[name].dtype and g.tobytes() == grads0[name].tobytes(), name
 
     def test_paper_step_holds_no_full_size_gradient_copies(self, rng):
         # two 1 s items at paper scale on the float32 model: above its entry
@@ -648,7 +692,7 @@ def test_negative_noise_level_rejected(std):
 
 @pytest.mark.parametrize("name, value", [
     ("lr", np.nan), ("lr", np.inf), ("lr", -1.0),
-    ("gaussian_std", np.nan), ("gaussian_std", np.inf), ("variant", "bogus"),
+    ("gaussian_std", np.nan), ("gaussian_std", np.inf), ("variant", "bogus"), ("seed", -1),
 ])
 def test_bad_training_setting_rejected(name, value):
     with pytest.raises(ValueError, match=name if name != "variant" else "unknown loss variant"):
