@@ -9,7 +9,8 @@ where g squares the normalized carrier frequency by default (the squaring is
 a learnable-frequency warping that favors low frequencies; it can be switched
 off).  A representation is rendered by weighting kernels with the frame
 activations and overlap-adding frames every ``stride`` samples.  Only f, rho
-and b are ever trained; w is recomputed from them once per optimizer step.
+and b are ever trained; w is recomputed from them once per optimizer step, in
+row blocks whose phase the backward forms again rather than keeping it.
 :func:`synthesize` also renders n equal-length representations laid side by
 side on the frame axis, as :func:`encoder.encode` stacks them: one GEMM for
 all their frames, then one :func:`dataset.overlap_add` of the stack.
@@ -34,7 +35,7 @@ from .errors import finite
 
 #: lowest initial carrier frequency in Hz; the highest is the Nyquist frequency
 LOWEST_CARRIER_HZ = 30.0
-#: elements per row block of :func:`build_kernels`' backward
+#: elements per row block of :func:`build_kernels`' forward and backward
 KERNEL_BLOCK = 1 << 17
 
 
@@ -131,43 +132,48 @@ def build_kernels(
 
     The carrier phase reaches ``2*pi*f*L``, about 3.2e3 rad at L = 2048,
     where float32 would be off by about 2e-4 rad; so the phase is formed in
-    float64, in place in one (C, L) buffer.  For float32 modulators it is then
-    reduced to [-pi, pi], through a second buffer, and its cosine taken in
-    float32, which rounds the reduced angle only (about 1e-7 rad); float64
-    modulators take the cosine of the unreduced phase.
+    float64.  For float32 modulators it is then reduced to [-pi, pi] and its
+    cosine taken in float32, which rounds the reduced angle only (about 1e-7
+    rad); float64 modulators take the cosine of the unreduced phase.
 
-    The backward forms ``g * sin(theta) * b`` and its two row sums in blocks
-    of about ``KERNEL_BLOCK`` elements, so that no (C, L) float64 product is
-    made; the sums have the bits of whole-array ones."""
+    The forward and the backward each form the phase afresh in row blocks of
+    about ``KERNEL_BLOCK`` elements, so that the tape keeps no (C, L) array but
+    w and the inputs; values and row sums have the bits of whole-array ones."""
     f = freq.value[:, None]
-    carrier = f * f if square_freq else f
-    l_idx = np.arange(modulator.value.shape[1], dtype=np.float64)[None, :]
-    theta = np.multiply(2.0 * np.pi * carrier, l_idx)
-    theta += phase.value[:, None]
-    if modulator.value.dtype != theta.dtype:
-        turns = np.divide(theta, 2.0 * np.pi)
-        np.rint(turns, out=turns)
-        turns *= 2.0 * np.pi
-        theta -= turns
-        del turns
-        theta = theta.astype(modulator.value.dtype)
-    cos_t = np.cos(theta)
-    out = Node(cos_t * modulator.value)
+    omega = 2.0 * np.pi * (f * f if square_freq else f)
+    mod = modulator.value
+    c, length = mod.shape
+    l_idx = np.arange(length, dtype=np.float64)[None, :]
+    rows = max(1, KERNEL_BLOCK // length)
+    blocks = [slice(r, r + rows) for r in range(0, c, rows)]
+    def phase_rows(b: slice) -> np.ndarray:
+        theta = omega[b] * l_idx + phase.value[b, None]
+        if mod.dtype != theta.dtype:
+            turns = np.divide(theta, 2.0 * np.pi)
+            np.rint(turns, out=turns)
+            turns *= 2.0 * np.pi
+            theta -= turns
+        return theta.astype(mod.dtype, copy=False)
+
+    w = np.empty(mod.shape, dtype=mod.dtype)
+    for b in blocks:
+        theta = phase_rows(b)
+        np.multiply(np.cos(theta, out=theta), mod[b], out=w[b])
+    out = Node(w)
 
     if tape is not None:
         def backward():
             # the seed alone when no item reached the kernels: a 0-d zero
             g = np.broadcast_to(out.grad, out.shape)
-            modulator.add_grad(g * cos_t, owned=True)
-            c, length = out.shape
-            dphase = np.empty(c, dtype=out.value.dtype)
-            dfreq = np.empty(c)
-            rows = max(1, KERNEL_BLOCK // length)
-            for r in range(0, c, rows):
-                b = slice(r, r + rows)
-                msin = g[b] * np.sin(theta[b]) * modulator.value[b]
+            dmod = np.empty_like(w)
+            dphase, dfreq = np.empty(c, dtype=w.dtype), np.empty(c)
+            for b in blocks:
+                theta = phase_rows(b)
+                msin = g[b] * np.sin(theta) * mod[b]
+                np.multiply(g[b], np.cos(theta, out=theta), out=dmod[b])
                 dphase[b] = msin.sum(axis=1)
                 dfreq[b] = (msin * l_idx).sum(axis=1)
+            modulator.add_grad(dmod, owned=True)
             phase.add_grad(-dphase, owned=True)
             dcarrier = 2.0 * freq.value if square_freq else np.ones_like(freq.value)
             freq.add_grad(-dfreq * 2.0 * np.pi * dcarrier, owned=True)

@@ -111,6 +111,8 @@ def _toy_model(seed: int) -> tuple[EncoderParameters, DecoderParameters, np.rand
 
 def grad_check_report(seed: int) -> dict[str, float]:
     """Max relative error of analytic vs central-difference gradients, per op."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     report: dict[str, float] = {}
 
@@ -276,6 +278,8 @@ def ot_check_report(seed: int) -> dict:
     exact optimum at any regularization strength, and (c) row sums and column
     sums of converged plans each agree mutually within 1e-6.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     worst_gap = 0.0
     dominated = True

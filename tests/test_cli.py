@@ -168,6 +168,12 @@ class TestExitCodes:
         assert setting in capsys.readouterr().err
         assert not (out / "train_log.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["grad-check", "ot-check"])
+    def test_negative_check_seed_is_data_error(self, capsys, command):
+        # refused by name, as synth-data and train refuse theirs, not by numpy's generator
+        assert run([command, "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_zero_duration_synth_is_data_error(self, tmp_path):
         assert run(["synth-data", "--out", str(tmp_path / "o"), "--duration", "0"]) == 2
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,8 +116,9 @@ def whole_array_kernels(freq, phase, mod, square_freq, g):
 
 
 class TestBuildKernelsBlocks:
-    """The backward runs in row blocks of ``KERNEL_BLOCK`` elements and the
-    phase is formed in place; both keep the bits of the whole-array form."""
+    """The forward and the backward run in row blocks of ``KERNEL_BLOCK``
+    elements, each forming its blocks' phase; both keep the bits of the
+    whole-array form."""
 
     # (C, L, elements per block): 128-row blocks at the default size, so one
     # full block and a partial one; 3-row blocks, so two and a single row
@@ -137,6 +139,23 @@ class TestBuildKernelsBlocks:
         want = whole_array_kernels(freq, phase, mod, square_freq, g)
         for actual, desired in zip([w.value] + [n.grad for n in nodes], want):
             assert actual.dtype == desired.dtype and actual.tobytes() == desired.tobytes()
+
+    def test_tape_keeps_only_the_kernels(self, rng):
+        # the backward forms each block's phase and cosine again, so after the
+        # forward no (C, L) array is held but w: not the phase, nor its cosine
+        c, length = 400, 2048
+        nodes = [Node(rng.uniform(0, 0.5, c)), Node(rng.uniform(-np.pi, np.pi, c)),
+                 Node(rng.standard_normal((c, length)).astype(np.float32))]
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            w = build_kernels(*nodes, True, tape)
+            held = tracemalloc.get_traced_memory()[0] - entry
+        finally:
+            tracemalloc.stop()
+        # one block's float64 phase is the largest scratch a pass makes
+        assert held <= w.value.nbytes + waverep.decoder.KERNEL_BLOCK * 8, held / w.value.nbytes
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_zero_seed_alone_gives_zero_gradients(self, rng, dtype):
