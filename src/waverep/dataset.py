@@ -40,15 +40,19 @@ class TrainingPair(NamedTuple):
 def load_and_downmix(path) -> np.ndarray:
     """Load a WAV file as a mono float64 signal at 44100 Hz.
 
-    Multi-channel audio is down-mixed by the per-sample mean across channels,
-    which keeps the nominal [-1, 1] range.
+    A mono file is read as it is; two or more channels are down-mixed by the
+    per-sample mean across channels, which keeps the nominal [-1, 1] range.
     """
     frames, rate = read_wav(path)
     if rate != SAMPLE_RATE:
         raise DataError(f"{path}: sample rate {rate} != {SAMPLE_RATE} (resampling is unsupported)")
     if not len(frames):
         raise DataError(f"{path}: no samples")
-    mono = frames.mean(axis=1)
+    if frames.shape[1] == 1:  # numpy's mean over a length-1 axis costs 8 ns a sample
+        mono = frames[:, 0]
+        mono += 0.0  # the bits of that mean, 0 + x: -0 reads as +0
+    else:
+        mono = frames.mean(axis=1)
     if not np.all(np.isfinite(mono)):
         raise DataError(f"{path}: non-finite samples")
     return mono

@@ -162,8 +162,10 @@ def conv2_dilated(h: Node, kernels: Node, dilation: int, tape: Tape | None = Non
 
 
 def relu(p: np.ndarray) -> np.ndarray:
-    """The encoder's final nonlinearity, elementwise; NaN maps to zero."""
-    return np.where(p > 0, p, 0.0)
+    """The encoder's final nonlinearity, elementwise; NaN and -0 map to +0; branch-free."""
+    out = np.fmax(p, 0.0)
+    out += 0.0  # some fmax builds return -0.0 for a -0.0 input
+    return out
 
 
 def relu_residual(h2: Node, h1: Node, tape: Tape | None = None, linear: bool = False) -> Node:

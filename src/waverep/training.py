@@ -72,8 +72,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
         g = grads[name]
         if np.shape(g) != p.shape:
             raise ValueError(f"gradient shape {np.shape(g)} != parameter shape {p.shape} for {name!r}")
-        # NaN fails the comparison too
-        if not np.abs(g).max(initial=0.0) <= ADAM_GRAD_MAX:
+        # NaN fails the comparisons too; no full-size |g| temporary
+        if not (-ADAM_GRAD_MAX <= np.min(g, initial=0.0) and np.max(g, initial=0.0) <= ADAM_GRAD_MAX):
             raise NumericalError(f"gradient for {name!r} at step {state.step + 1} is not finite "
                                  f"or exceeds {ADAM_GRAD_MAX:g} in magnitude")
     state.step += 1

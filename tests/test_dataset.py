@@ -10,8 +10,9 @@ from waverep.dataset import (
     segment,
 )
 from waverep.errors import DataError
+from waverep.wavio import read_wav
 
-from conftest import write_pcm16, write_float32
+from conftest import write_pcm16, write_pcm24, write_float32
 
 
 class TestLoadAndDownmix:
@@ -24,6 +25,25 @@ class TestLoadAndDownmix:
         path = tmp_path / "s.wav"
         write_float32(path, np.array([[0.25, 0.75]]))
         assert load_and_downmix(path)[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("encoding", ["float32", "pcm16", "pcm24"])
+    def test_mono_is_the_channel_mean(self, tmp_path, rng, encoding):
+        # a one-channel file is read as it is: the bits of its channel mean
+        path = tmp_path / "s.wav"
+        if encoding == "float32":
+            values = np.concatenate([[0.0, -0.0, 1.0, -1.0, 1e-40, -1e-40],
+                                     rng.uniform(-1, 1, 500)])
+            write_float32(path, values)
+        elif encoding == "pcm16":
+            write_pcm16(path, rng.integers(-2**15, 2**15, size=(500, 1)))
+        else:
+            write_pcm24(path, np.concatenate([[-2**23, 2**23 - 1, 0, -1],
+                                              rng.integers(-2**23, 2**23, size=500)]))
+        mono = load_and_downmix(path)
+        want = read_wav(path)[0].mean(axis=1)
+        assert mono.dtype == np.float64 and mono.shape == want.shape
+        assert mono.tobytes() == want.tobytes()
+        assert mono.flags.c_contiguous and mono.flags.writeable
 
     def test_pcm16_full_scale(self, tmp_path):
         path = tmp_path / "s.wav"

@@ -14,6 +14,7 @@ from waverep.encoder import (
     encode_values,
     init_encoder,
     num_frames,
+    relu,
 )
 
 
@@ -163,6 +164,26 @@ class TestEncode:
         params = init_encoder(2, 4, 3, 2, 5, seed=0)
         a = encode_values(rng.uniform(-1, 1, 21), params)
         assert a.shape == (2, 11)
+
+
+class TestRelu:
+    @pytest.mark.parametrize("dtype, int_type", [(np.float32, np.int32), (np.float64, np.int64)])
+    def test_bits_match_where(self, rng, dtype, int_type):
+        # relu is branch-free; it keeps np.where's bits at every special value
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, tiny, -tiny],
+                           dtype=dtype)
+        block = rng.normal(size=(16, 37)).astype(dtype)
+        stack = np.stack([block, -block])
+        for p in (special, block, stack[1], stack[:, 3:9, ::2]):
+            before = p.copy()
+            out = relu(p)
+            want = np.where(p > 0, p, 0.0)
+            assert out.dtype == dtype and out.shape == p.shape
+            np.testing.assert_array_equal(out.view(int_type), want.view(int_type))
+            assert not np.signbit(out).any()
+            # mixture_and_sources passes views of the encoded stack
+            np.testing.assert_array_equal(p.view(int_type), before.view(int_type))
 
 
 class TestDilationPastTheEnd:

@@ -100,6 +100,22 @@ class TestAdam:
             assert np.isfinite(state.m["w"]).all() and np.isfinite(state.v["w"]).all()
         np.testing.assert_allclose(params["w"], [-3e-3 * np.sign(g), -3e-3], rtol=1e-5)
 
+    def test_refusal_check_makes_no_full_size_copy(self, rng):
+        # the paper-scale dilated-kernel gradient: testing |g| against the
+        # bound through np.abs(g) made a 12.2 MiB copy, all of the step's peak
+        params = {"w": np.zeros((800, 5, 800))}
+        grads = {"w": rng.normal(size=params["w"].shape).astype(np.float32)}
+        state = init_adam(params, lr=1e-3)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            adam_step(params, grads, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.step == 1
+        assert peak - entry < 2 * 2**20, (peak - entry) / 2**20
+
     def test_moments_take_four_bytes_per_parameter(self):
         enc, dec = _toy_model()
         params = waverep.training._param_dict(enc, dec)
