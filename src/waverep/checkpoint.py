@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decoder import DecoderParameters, cast_pair, check_pair
+from .decoder import MODEL_ARRAYS, DecoderParameters, cast_pair, check_pair, model_arrays
 from .encoder import EncoderParameters
 from .errors import CheckpointError
 
@@ -27,6 +27,8 @@ MAGIC = b"WREP"
 FORMAT_VERSION = 1
 #: bytes per read of the checksum pass of :func:`load_arrays`
 CRC_CHUNK = 1 << 20
+#: each of :data:`decoder.MODEL_ARRAYS` by its name in a model checkpoint
+_MODEL_KEYS = {a.name: f"{a.owner}/{a.name}" for a in MODEL_ARRAYS}
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
@@ -114,11 +116,7 @@ def save_model(path, enc: EncoderParameters, dec: DecoderParameters) -> None:
     """Write ``enc`` and ``dec``, refusing a pair that :func:`decoder.check_pair` rejects."""
     check_pair(enc, dec)
     save_arrays(path, {
-        "encoder/kernels": enc.kernels,
-        "encoder/dilated_kernels": enc.dilated_kernels,
-        "decoder/freq": dec.freq,
-        "decoder/phase": dec.phase,
-        "decoder/modulator": dec.modulator,
+        **{_MODEL_KEYS[name]: arr for name, arr in model_arrays(enc, dec).items()},
         "meta/stride": np.float64(enc.stride),
         "meta/dilation": np.float64(enc.dilation),
         "meta/square_freq": np.float64(1.0 if dec.square_freq else 0.0),
@@ -129,26 +127,26 @@ def load_model(path, dtype=np.float64) -> tuple[EncoderParameters, DecoderParame
     """Read a model written by :func:`save_model`, rejecting non-finite
     parameters, and metadata and array shapes that do not describe one
     consistent encoder/decoder pair.  With another ``dtype`` the pair goes
-    through :func:`decoder.cast_pair`, which casts the arrays that the forward
-    GEMMs read (encoder kernels, decoder modulators) and raises
-    :class:`NumericalError` for a parameter that is not finite in ``dtype``."""
+    through :func:`decoder.cast_pair`, which raises :class:`NumericalError`
+    for a parameter that is not finite in ``dtype``."""
     arrs = load_arrays(path)
-    names = ("encoder/kernels", "encoder/dilated_kernels", "decoder/freq", "decoder/phase",
-             "decoder/modulator", "meta/stride", "meta/dilation", "meta/square_freq")
-    for name in names:
+    meta = ("meta/stride", "meta/dilation", "meta/square_freq")
+    for name in (*_MODEL_KEYS.values(), *meta):
         if name not in arrs:
             raise CheckpointError(f"{path}: missing array {name!r}")
-    kernels, dilated, freq, phase, modulator, stride, dilation, square_freq = (arrs[n] for n in names)
-    for name in names[:5]:
+    for name in _MODEL_KEYS.values():
         if not np.all(np.isfinite(arrs[name])):
             raise CheckpointError(f"{path}: {name} holds non-finite values")
+    stride, dilation, square_freq = (arrs[n] for n in meta)
     for name, value in (("meta/stride", stride), ("meta/dilation", dilation)):
         if value.shape != () or not (np.isfinite(value) and value >= 1 and value == np.floor(value)):
             raise CheckpointError(f"{path}: {name} must be a positive integer, got {value}")
     if square_freq.shape != () or square_freq not in (0.0, 1.0):
         raise CheckpointError(f"{path}: meta/square_freq must be 0 or 1, got {square_freq}")
-    enc = EncoderParameters(kernels, dilated, int(stride), int(dilation))
-    dec = DecoderParameters(freq, phase, modulator, int(stride), bool(square_freq))
+    fields = {owner: {a.name: arrs[_MODEL_KEYS[a.name]] for a in MODEL_ARRAYS if a.owner == owner}
+              for owner in ("encoder", "decoder")}
+    enc = EncoderParameters(**fields["encoder"], stride=int(stride), dilation=int(dilation))
+    dec = DecoderParameters(**fields["decoder"], stride=int(stride), square_freq=bool(square_freq))
     try:
         check_pair(enc, dec)
     except ValueError as exc:

@@ -318,7 +318,7 @@ def cmd_separate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    enc = dec = None
+    enc = dec = None  # the STFT baseline
     if args.checkpoint is not None:
         enc, dec = checkpoint.load_model(args.checkpoint, np.float32)
     tracks = [
@@ -326,7 +326,7 @@ def cmd_evaluate(args) -> int:
         for name, vp, ap in _discover_stems(args.stems)
     ]
     # a stem set with no active voice segment fails before any output
-    report = evaluate(tracks, enc, dec, baseline=args.baseline is not None)
+    report = evaluate(tracks, enc, dec)
     out = _out_dir(args)
     report.to_csv(out / "report.csv")
     (out / "summary.txt").write_text(report.summary() + "\n")

@@ -92,13 +92,16 @@ def segment(x: np.ndarray, length: int, hop: int) -> list[np.ndarray]:
     """Split ``x`` into segments starting at 0, hop, 2*hop, ...
 
     The final partial segment is zero-padded to ``length`` so that every
-    sample of the input appears in some segment.
+    sample of the input appears in some segment; a ``hop`` longer than
+    ``length``, which would skip the samples between segments, is refused.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("cannot segment an empty signal")
     if length <= 0 or hop <= 0:
         raise ValueError("segment length and hop must be positive")
+    if hop > length:
+        raise ValueError(f"segment hop {hop} is longer than the segment length {length}")
     return list(frame(x, length, hop, -(-x.size // hop)))
 
 

@@ -8,9 +8,9 @@ modulation envelope; its synthesis kernel is
 where g squares the normalized carrier frequency by default (the squaring is
 a learnable-frequency warping that favors low frequencies; it can be switched
 off).  A representation is rendered by weighting kernels with the frame
-activations and overlap-adding frames every ``stride`` samples.  Only f, rho
-and b are ever trained; w is recomputed from them once per optimizer step, in
-row blocks whose phase the backward forms again rather than keeping it.
+activations and overlap-adding frames every ``stride`` samples.  w is rebuilt
+from f, rho and b once per optimizer step, in row blocks whose phase the
+backward forms again rather than keeping it.
 :func:`synthesize` also renders n equal-length representations laid side by
 side on the frame axis, as :func:`encoder.encode` stacks them: one GEMM for
 all their frames, then one :func:`dataset.overlap_add` of the stack.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -50,6 +50,36 @@ class DecoderParameters:
     @property
     def kernel_len(self) -> int:
         return self.modulator.shape[1]
+
+
+class ModelArray(NamedTuple):
+    name: str               # its field in its parameter set, and its name in Adam and grad-check
+    owner: str              # the parameter set that holds it: "encoder" or "decoder"
+    shape: tuple[str, ...]  # in the model dimensions C, L and L2
+    gemm: bool              # the forward GEMMs read it in the working dtype
+
+
+#: the arrays that training updates, in checkpoint order (w is rebuilt from the decoder's three)
+MODEL_ARRAYS = (
+    ModelArray("kernels", "encoder", ("C", "L"), True),
+    ModelArray("dilated_kernels", "encoder", ("C", "L2", "C"), True),
+    ModelArray("freq", "decoder", ("C",), False),
+    ModelArray("phase", "decoder", ("C",), False),
+    ModelArray("modulator", "decoder", ("C", "L"), True),
+)
+
+
+def model_arrays(enc: encoder.EncoderParameters, dec: DecoderParameters) -> dict[str, np.ndarray]:
+    """The :data:`MODEL_ARRAYS` of ``enc`` and ``dec`` by name, in declared order."""
+    return {a.name: getattr(enc if a.owner == "encoder" else dec, a.name) for a in MODEL_ARRAYS}
+
+
+def replace_arrays(enc: encoder.EncoderParameters, dec: DecoderParameters,
+                   arrays: dict) -> tuple[encoder.EncoderParameters, DecoderParameters]:
+    """Copies of ``enc`` and ``dec`` holding ``arrays[name]`` for each declared array it names."""
+    return tuple(dataclasses.replace(params, **{a.name: arrays[a.name] for a in MODEL_ARRAYS
+                                                if a.owner == owner and a.name in arrays})
+                 for owner, params in (("encoder", enc), ("decoder", dec)))
 
 
 def mel_scale(f_hz):
@@ -88,36 +118,34 @@ def init_decoder(
 
 def check_pair(enc: encoder.EncoderParameters, dec: DecoderParameters) -> None:
     """Raise ``ValueError`` unless ``enc`` and ``dec`` describe one model:
-    one stride, no longer than the kernel length L, encoder arrays of shapes
-    (C, L), (C, L2, C) and decoder arrays of shapes (C,), (C,), (C, L).
+    one stride, no longer than the kernel length L, and arrays of the shapes
+    that :data:`MODEL_ARRAYS` declares, for one C, L and L2.
 
     A stride longer than L would leave the samples between frames unread by
     any kernel, and would size the overlap-add buffers by the stride alone."""
-    shapes = [np.shape(a) for a in (enc.kernels, enc.dilated_kernels, dec.freq, dec.phase,
-                                    dec.modulator)]
-    c, length = shapes[0] if len(shapes[0]) == 2 else (-1, -1)
-    l2 = shapes[1][1] if len(shapes[1]) == 3 else -1
-    if shapes != [(c, length), (c, l2, c), (c,), (c,), (c, length)]:
-        raise ValueError(f"inconsistent array shapes {shapes}; expected encoder (C, L), "
-                         "(C, L2, C) and decoder (C,), (C,), (C, L)")
+    found = list(zip(MODEL_ARRAYS, (np.shape(x) for x in model_arrays(enc, dec).values())))
+    dims: dict[str, int] = {}  # each dimension's size, as the first array to have it says
+    if not all(len(s) == len(a.shape)
+               and all(dims.setdefault(d, n) == n for d, n in zip(a.shape, s)) for a, s in found):
+        raise ValueError("inconsistent array shapes: " + ", ".join(
+            f"{a.owner}/{a.name} {s} for " + str(a.shape).replace("'", "") for a, s in found))
     if enc.stride != dec.stride:
         raise ValueError(f"encoder stride {enc.stride} != decoder stride {dec.stride}")
-    if enc.stride > length:
-        raise ValueError(f"stride {enc.stride} is longer than the kernel length {length}")
+    if enc.stride > dims["L"]:
+        raise ValueError(f"stride {enc.stride} is longer than the kernel length {dims['L']}")
 
 
 def cast_pair(enc: encoder.EncoderParameters, dec: DecoderParameters, dtype,
               where: str) -> tuple[encoder.EncoderParameters, DecoderParameters]:
-    """Copies of ``enc`` and ``dec`` whose GEMM operands (the encoder kernels
-    and the decoder modulators) are cast to ``dtype``; ``freq`` and ``phase``
-    are shared, since the carrier phase is formed in float64 whatever the
-    modulators' dtype.  :class:`NumericalError` naming ``where`` if a cast
-    array is not finite in ``dtype``."""
-    kernels, dilated, modulator = finite(
-        f"{where}: the model's parameters are not finite in {np.dtype(dtype)}",
-        lambda: [a.astype(dtype) for a in (enc.kernels, enc.dilated_kernels, dec.modulator)])
-    return (dataclasses.replace(enc, kernels=kernels, dilated_kernels=dilated),
-            dataclasses.replace(dec, modulator=modulator))
+    """Copies of ``enc`` and ``dec`` whose GEMM-read arrays (:data:`MODEL_ARRAYS`)
+    are cast to ``dtype``; the others are shared, since the carrier phase is
+    formed in float64 whatever the modulators' dtype.  :class:`NumericalError`
+    naming ``where`` if a cast array is not finite in ``dtype``."""
+    arrays = model_arrays(enc, dec)
+    names = [a.name for a in MODEL_ARRAYS if a.gemm]
+    cast = finite(f"{where}: the model's parameters are not finite in {np.dtype(dtype)}",
+                  lambda: [arrays[name].astype(dtype) for name in names])
+    return replace_arrays(enc, dec, dict(zip(names, cast)))
 
 
 def build_kernels(

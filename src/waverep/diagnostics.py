@@ -17,7 +17,8 @@ import numpy as np
 from . import training
 from .autodiff import Node, Tape, as_node, split_columns
 from .dataset import TrainingPair
-from .decoder import DecoderParameters, build_kernels, decode_values, mel_init_frequencies, synthesize
+from .decoder import (DecoderParameters, build_kernels, decode_values, mel_init_frequencies,
+                      model_arrays, synthesize)
 from .encoder import (EncoderParameters, conv1, conv2_dilated, encode, init_encoder, relu,
                       relu_residual)
 from .losses import (
@@ -243,7 +244,7 @@ def _end_to_end_check(seed: int, variant: str) -> dict[str, float]:
     grads, _ = training.batch_gradients([pair], enc, dec, training.TrainConfig(variant=variant, loss=cfg))
 
     report = {}
-    for name, arr in training._param_dict(enc, dec).items():
+    for name, arr in model_arrays(enc, dec).items():
         numeric = central_difference(forward, arr)
         report[f"total_{variant}/{name}"] = max_relative_error(grads[name], numeric)
     return report

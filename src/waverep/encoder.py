@@ -205,8 +205,9 @@ def encode(x: np.ndarray, params: EncoderParameters, tape: Tape | None = None,
 def encode_chunks(
     x: np.ndarray, params: EncoderParameters, linear: bool = False
 ) -> Iterator[np.ndarray]:
-    """Forward-only encode, yielding the representation in consecutive blocks
-    of ``CHUNK_FRAMES`` columns (the last one may be narrower).
+    """Forward-only encode of one 1-D signal (``ValueError`` for any other
+    array), yielding the representation in consecutive blocks of
+    ``CHUNK_FRAMES`` columns (the last one may be narrower).
 
     Each block is :func:`encode` of the samples its frames read, truncated to
     the block: the window reaches ``dilation * (taps - 1)`` frames of right
@@ -214,7 +215,10 @@ def encode_chunks(
     offset falls inside the signal (the others read only padding), and past
     the end of the signal it zero-pads exactly as the one-shot encode does.
     """
-    (x,) = _signals(x)  # one signal: the streaming path does not stack
+    if np.ndim(x) != 1:
+        raise ValueError("the streaming encoder takes one 1-D signal, not an array of shape "
+                         f"{np.shape(x)}")
+    (x,) = _signals(x)
     stride, frames = params.stride, num_frames(x.size, params.stride)
     taps = min(params.dilated_kernels.shape[1], -(-frames // params.dilation))
     context = params.dilation * (taps - 1)

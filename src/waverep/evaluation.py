@@ -231,32 +231,33 @@ def evaluate(
     tracks: Sequence[tuple[str, np.ndarray, np.ndarray]],
     enc: EncoderParameters | None = None,
     dec: DecoderParameters | None = None,
-    baseline: bool = False,
 ) -> EvalReport:
     """Segment-level evaluation over (name, voice, accompaniment) tracks.
 
     The segments scored are those of :func:`active_segments`.  The front end
-    is the STFT with ``baseline=True`` (masked mixtures keep the mixture
-    phase), otherwise the trained encoder/decoder pair.  Either way only each
-    segment's voice and accompaniment are analysed, the model's by
-    :func:`model_representations`, and the mixture's representation is
-    composed from theirs (:func:`mixture_and_sources`; the STFT is linear).
-    Both voice estimates are resynthesized in one :func:`decoder.synthesize`.
+    is the trained encoder/decoder pair when both are given, and the STFT
+    when neither is (masked mixtures keep the mixture phase); one without the
+    other raises ``ValueError``.  Either way only each segment's voice and
+    accompaniment are analysed, the model's by :func:`model_representations`,
+    and the mixture's representation is composed from theirs
+    (:func:`mixture_and_sources`; the STFT is linear).  Both voice estimates
+    are resynthesized in one :func:`decoder.synthesize`.
 
     The model path runs in its parameters' dtype: float32 parameters (as the
     ``evaluate`` command loads them) encode and synthesize in float32, and the
     scores are summed in float64 either way.  Representations or voice
     estimates that are not finite raise :class:`NumericalError`.
     """
-    if baseline:
+    if (enc is None) != (dec is None):
+        raise ValueError("evaluate needs both the encoder and the decoder, or neither for the "
+                         "STFT baseline")
+    if enc is None:
         def analyze(x_v, x_ac):
             z_v, z_ac = stft(x_v), stft(x_ac)
             return z_v + z_ac, z_v, z_ac
 
         def resynthesize(zs, n):
             return [istft(z, n) for z in zs]
-    elif enc is None or dec is None:
-        raise ValueError("evaluate needs encoder+decoder parameters or baseline=True")
     else:
         check_pair(enc, dec)
         kernels = as_node(kernel_matrix(dec))

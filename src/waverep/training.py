@@ -21,7 +21,7 @@ from .autodiff import Node, Tape, split_columns
 from .checkpoint import save_model
 from .dataset import TrainingPair, make_training_pairs
 from .decoder import (DecoderParameters, build_kernels, cast_pair, check_pair, kernel_matrix,
-                      synthesize)
+                      model_arrays, replace_arrays, synthesize)
 from .encoder import EncoderParameters, encode
 from .errors import NumericalError, finite
 from .losses import LOSS_VARIANTS, LossBreakdown, LossConfig, neg_snr, total_loss
@@ -130,18 +130,6 @@ class TrainResult:
         return len(self.epoch_mean_neg_snr) - 1
 
 
-def _param_dict(enc: EncoderParameters, dec: DecoderParameters) -> dict[str, np.ndarray]:
-    # the decoder kernels themselves are deliberately absent: they are
-    # rebuilt from freq/phase/modulator once per optimizer step
-    return {
-        "kernels": enc.kernels,
-        "dilated_kernels": enc.dilated_kernels,
-        "freq": dec.freq,
-        "phase": dec.phase,
-        "modulator": dec.modulator,
-    }
-
-
 def _epoch_seed(seed: int, epoch: int) -> int:
     return (seed * 1_000_003 + epoch) % 2**63
 
@@ -175,8 +163,8 @@ def batch_gradients(items: Sequence[TrainingPair], enc: EncoderParameters, dec: 
     activations are alive at a time, and adds its dL/dW to the shared kernels.
     The batch is not stacked into one encode: all of its activations would
     then be alive at once."""
-    nodes = {name: Node(arr) for name, arr in _param_dict(enc, dec).items()}
-    enc_nodes = EncoderParameters(nodes["kernels"], nodes["dilated_kernels"], enc.stride, enc.dilation)
+    nodes = {name: Node(arr) for name, arr in model_arrays(enc, dec).items()}
+    enc_nodes, _ = replace_arrays(enc, dec, nodes)
     kernel_tape = Tape()
     w = build_kernels(nodes["freq"], nodes["phase"], nodes["modulator"], dec.square_freq, kernel_tape)
     breakdowns = []
@@ -232,7 +220,7 @@ def train(
     if not len(voice_segments) or not len(accomp_segments):
         raise ValueError("training needs non-empty voice and accompaniment segment pools")
     check_pair(enc, dec)
-    params = _param_dict(enc, dec)
+    params = model_arrays(enc, dec)
     adam = init_adam(params, lr=cfg.lr)
     history: list[dict] = []
 

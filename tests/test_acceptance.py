@@ -123,7 +123,7 @@ def test_criterion_6_stft_baseline():
     t = np.arange(2 * SAMPLE_RATE) / SAMPLE_RATE
     voice = 0.4 * np.sin(2 * np.pi * 500 * t) + 0.25 * np.sin(2 * np.pi * 900 * t)
     accomp = 0.4 * np.sin(2 * np.pi * 6000 * t) + 0.3 * np.sin(2 * np.pi * 9000 * t)
-    report = evaluate([("disjoint", voice, accomp)], baseline=True)
+    report = evaluate([("disjoint", voice, accomp)])
     bm = min(row.si_sdr_bm for row in report.rows)
     assert bm > 20.0
     print(f"\nPASS criterion 6: STFT round trip {roundtrip:.1f} dB (>40), "

@@ -79,6 +79,11 @@ class TestSegment:
         with pytest.raises(ValueError):
             segment(np.array([]), 4, 2)
 
+    def test_hop_longer_than_length_rejected(self):
+        # segments at 0 and 6 of length 4 would drop samples 4 and 5
+        with pytest.raises(ValueError, match="hop 6 is longer than the segment length 4"):
+            segment(np.arange(10.0), 4, 6)
+
     def test_nonoverlapping_concat_roundtrip(self, rng):
         x = rng.normal(size=1000)
         segs = segment(x, 64, 64)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -404,5 +405,11 @@ class TestSignalStack:
                           signals=2)
 
     def test_streaming_path_takes_one_signal(self, rng):
-        with pytest.raises(ValueError):
-            encode_values(rng.uniform(-1, 1, (2, 40)), init_encoder(**self.PARAMS))
+        # a stack, even of one signal, is refused by name, not by a failed tuple unpack
+        params = init_encoder(**self.PARAMS)
+        for shape in [(2, 40), (1, 40), (2, 1, 40)]:
+            x = rng.uniform(-1, 1, shape)
+            message = re.escape(f"takes one 1-D signal, not an array of shape {shape}")
+            for stream in (lambda: encode_values(x, params), lambda: next(encode_chunks(x, params))):
+                with pytest.raises(ValueError, match=message):
+                    stream()

@@ -317,18 +317,18 @@ class TestEvaluate:
         voice = np.zeros(2 * SAMPLE_RATE)
         voice[:SAMPLE_RATE] = 0.3 * np.sin(2 * np.pi * 440 * np.arange(SAMPLE_RATE) / SAMPLE_RATE)
         accomp = 0.1 * np.sin(2 * np.pi * 3000 * np.arange(2 * SAMPLE_RATE) / SAMPLE_RATE)
-        report = evaluate([("one", voice, accomp)], baseline=True)
+        report = evaluate([("one", voice, accomp)])
         assert len(report.rows) == 1
         assert report.rows[0].segment == 0
 
     def test_stft_baseline_on_disjoint_bands(self):
-        report = evaluate([self._disjoint_band_track()], baseline=True)
+        report = evaluate([self._disjoint_band_track()])
         for row in report.rows:
             assert row.si_sdr_bm > 20.0
             assert row.si_sdr > 40.0  # analysis/synthesis round trip
 
     def test_aggregate_median_recomputes(self):
-        report = evaluate([self._disjoint_band_track()], baseline=True)
+        report = evaluate([self._disjoint_band_track()])
         med = report.aggregates()["si_sdr_bm"]["median"]
         assert med == float(np.median([r.si_sdr_bm for r in report.rows]))
 
@@ -404,6 +404,17 @@ class TestEvaluate:
         assert synthesized == [2, 2]
         assert len(built) == 1
 
+    @pytest.mark.parametrize("half", ["enc", "dec"])
+    def test_one_half_of_the_model_rejected(self, monkeypatch, half):
+        # no silent fallback to the STFT baseline, and nothing is analysed
+        import waverep.evaluation
+        from waverep.decoder import init_decoder
+        model = {"enc": init_encoder(8, 64, 2, 64, 2, seed=0), "dec": init_decoder(8, 64, 64)}
+        monkeypatch.setattr(waverep.evaluation, "active_segments",
+                            lambda tracks: pytest.fail("a segment was read"))
+        with pytest.raises(ValueError, match="both the encoder and the decoder, or neither"):
+            evaluate([self._disjoint_band_track()], **{half: model[half]})
+
     @pytest.mark.parametrize("stride, kernel_len, match", [(32, 64, "stride"), (64, 32, "shapes")])
     def test_mismatched_pair_rejected(self, rng, stride, kernel_len, match):
         from waverep.decoder import init_decoder
@@ -472,10 +483,10 @@ class TestEvaluate:
 
     def test_all_silent_rejected(self):
         with pytest.raises(DataError, match="active"):
-            evaluate([("t", np.zeros(SAMPLE_RATE), np.zeros(SAMPLE_RATE))], baseline=True)
+            evaluate([("t", np.zeros(SAMPLE_RATE), np.zeros(SAMPLE_RATE))])
 
     def test_csv_export(self, tmp_path):
-        report = evaluate([self._disjoint_band_track()], baseline=True)
+        report = evaluate([self._disjoint_band_track()])
         path = tmp_path / "report.csv"
         report.to_csv(path)
         lines = path.read_text().splitlines()

@@ -15,13 +15,13 @@ from waverep.autodiff import Node, Tape
 from waverep.checkpoint import load_model
 from waverep.cli import run
 from waverep.dataset import SAMPLE_RATE, make_training_pairs, segment
-from waverep.decoder import build_kernels, init_decoder, kernel_matrix, synthesize
+from waverep.decoder import build_kernels, init_decoder, kernel_matrix, model_arrays, synthesize
 from waverep.encoder import (conv1, conv2_dilated, encode, encode_values, init_encoder,
                              relu_residual)
 from waverep.errors import NumericalError
 from waverep.losses import LossConfig, neg_snr, sinkhorn_loss
 from waverep.synth import accomp_stem, voice_stem
-from waverep.training import TrainConfig, _epoch_seed, _param_dict, batch_gradients, train
+from waverep.training import TrainConfig, _epoch_seed, batch_gradients, train
 
 # paper scale: C=800, L=2048, stride 256, L2=5, dilation 10; a training item
 # encodes a stack of two 1 s signals, T=173 frames each
@@ -152,7 +152,7 @@ def _float64_adam_step(params, grads, m, v, step, lr):
 def _float64_train(voices, accomps, enc, dec, cfg) -> list[float]:
     """``train`` all in float64: ``batch_gradients`` on the float64 parameters
     themselves, and :func:`_float64_adam_step`.  Returns the epoch means."""
-    params = _param_dict(enc, dec)
+    params = model_arrays(enc, dec)
     m = {name: np.zeros_like(p) for name, p in params.items()}
     v = {name: np.zeros_like(p) for name, p in params.items()}
     step = 0
@@ -194,18 +194,18 @@ def _check_desk_run_against_float64(tmp_path, variant):
     cfg = TrainConfig(batch_size=4, epochs=3, variant=variant, loss=LossConfig(omega=0.5, p=1),
                       seed=0, early_stop=False, lr=1e-3)
     enc, dec = _desk_model()
-    init = {name: p.copy() for name, p in _param_dict(enc, dec).items()}
+    init = {name: p.copy() for name, p in model_arrays(enc, dec).items()}
     means = train(voices, accomps, enc, dec, cfg,
                   checkpoint_path=tmp_path / "checkpoint.bin").epoch_mean_neg_snr
     # the master weights stay float64, in the arrays the caller passed
-    assert all(p.dtype == np.float64 for p in _param_dict(enc, dec).values())
-    trained = _param_dict(*load_model(tmp_path / "checkpoint.bin"))
+    assert all(p.dtype == np.float64 for p in model_arrays(enc, dec).values())
+    trained = model_arrays(*load_model(tmp_path / "checkpoint.bin"))
 
     enc64, dec64 = _desk_model()
     means64 = _float64_train(voices, accomps, enc64, dec64, cfg)
     assert means64[-1] < means64[0] - 3.0  # the run does train
     np.testing.assert_allclose(means, means64, rtol=0, atol=means_bound)
-    for name, p64 in _param_dict(enc64, dec64).items():
+    for name, p64 in model_arrays(enc64, dec64).items():
         update64 = p64 - init[name]
         gap = np.linalg.norm(trained[name] - p64) / np.linalg.norm(update64)
         assert gap <= update_bound, (name, gap)

@@ -11,7 +11,7 @@ import waverep.training
 from waverep import synth
 from waverep.autodiff import Node, Tape, as_node, split_columns
 from waverep.dataset import SAMPLE_RATE, TrainingPair
-from waverep.decoder import build_kernels, decode_values, init_decoder, synthesize
+from waverep.decoder import build_kernels, decode_values, init_decoder, model_arrays, synthesize
 from waverep.diagnostics import (
     GRAD_TOLERANCE,
     central_difference,
@@ -268,7 +268,7 @@ def test_batch_gradients_match_a_directional_derivative(rng, variant, scale, tol
     enc, dec = init_encoder(c, l, 5, stride, 10, seed=0), init_decoder(c, l, stride)
     cfg = TrainConfig(variant=variant)
     grads, (bd,) = waverep.training.batch_gradients([pair], enc, dec, cfg)
-    params = waverep.training._param_dict(enc, dec)
+    params = model_arrays(enc, dec)
     origin = {name: arr.copy() for name, arr in params.items()}
     direction = {name: rng.standard_normal(arr.shape) for name, arr in params.items()}
 

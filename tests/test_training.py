@@ -16,9 +16,9 @@ from waverep import synth
 from waverep.autodiff import Node, Tape
 from waverep.checkpoint import load_arrays, load_model, save_arrays, save_model
 from waverep.dataset import SAMPLE_RATE, TrainingPair, make_training_pairs
-from waverep.decoder import (DecoderParameters, build_kernels, cast_pair, init_decoder,
-                             kernel_matrix, synthesize)
-from waverep.encoder import EncoderParameters, encode, init_encoder
+from waverep.decoder import (MODEL_ARRAYS, DecoderParameters, build_kernels, cast_pair,
+                             init_decoder, kernel_matrix, model_arrays, replace_arrays, synthesize)
+from waverep.encoder import encode, init_encoder
 from waverep.errors import CheckpointError, NumericalError
 from waverep.losses import LossConfig, total_loss
 from waverep.training import TrainConfig, adam_step, batch_gradients, init_adam, train
@@ -67,7 +67,7 @@ class TestAdam:
     def test_bad_last_gradient_changes_nothing(self, rng, bad):
         # every gradient is checked before any array or the step count moves
         enc, dec = _toy_model()
-        params = waverep.training._param_dict(enc, dec)
+        params = model_arrays(enc, dec)
         state = init_adam(params, lr=1e-3)
         adam_step(params, {name: rng.normal(size=p.shape) for name, p in params.items()}, state)
         grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
@@ -118,7 +118,7 @@ class TestAdam:
 
     def test_moments_take_four_bytes_per_parameter(self):
         enc, dec = _toy_model()
-        params = waverep.training._param_dict(enc, dec)
+        params = model_arrays(enc, dec)
         state = init_adam(params, lr=1e-3)
         n = sum(p.size for p in params.values())
         for moments in (state.m, state.v):
@@ -262,9 +262,8 @@ class TestTrainLoop:
         # the synthesis kernels are never stored or updated directly: the
         # trainable set is exactly the two encoder tensors plus (freq, phase,
         # modulator), and kernels are rebuilt from them once per optimizer step
-        from waverep.training import _param_dict
         enc, dec = _toy_model()
-        assert set(_param_dict(enc, dec)) == {
+        assert set(model_arrays(enc, dec)) == {
             "kernels", "dilated_kernels", "freq", "phase", "modulator"}
         assert {f.name for f in dataclasses.fields(DecoderParameters)} == {
             "freq", "phase", "modulator", "stride", "square_freq"}
@@ -274,7 +273,7 @@ class TestTrainLoop:
         # items and two steps of one item peak alike
         enc, dec = init_encoder(32, 1024, 5, 256, 2, seed=0), init_decoder(32, 1024, 256)
         voices, accomps = _toy_problem(rng, n_segments=2, seg_len=1024)
-        grad_bytes = sum(p.nbytes for p in waverep.training._param_dict(enc, dec).values())
+        grad_bytes = sum(p.nbytes for p in model_arrays(enc, dec).values())
         peaks = []
         for batch_size in (2, 1):
             cfg = TrainConfig(batch_size=batch_size, epochs=1, early_stop=False, lr=0.0)
@@ -292,10 +291,51 @@ class TestTrainLoop:
             train([], [], enc, dec, TrainConfig())
 
 
+class TestModelArrays:
+    """The one declaration of the trained arrays feeds the checkpoint, the
+    pair check and the float32 cast."""
+
+    def test_save_model_writes_the_declared_arrays_in_order_then_the_metadata(self, tmp_path):
+        enc, dec = _toy_model()
+        save_model(tmp_path / "m.bin", enc, dec)
+        saved = load_arrays(tmp_path / "m.bin")
+        # the checkpoint's array order is its byte layout
+        assert list(saved) == [f"{a.owner}/{a.name}" for a in MODEL_ARRAYS] + [
+            "meta/stride", "meta/dilation", "meta/square_freq"]
+        assert list(saved)[:5] == ["encoder/kernels", "encoder/dilated_kernels",
+                                   "decoder/freq", "decoder/phase", "decoder/modulator"]
+        for a, arr in zip(MODEL_ARRAYS, model_arrays(enc, dec).values()):
+            np.testing.assert_array_equal(saved[f"{a.owner}/{a.name}"], arr, strict=True)
+
+    def test_cast_pair_casts_the_gemm_arrays_and_shares_the_others(self):
+        enc, dec = _toy_model()
+        enc32, dec32 = cast_pair(enc, dec, np.float32, "test")
+        before, after = model_arrays(enc, dec), model_arrays(enc32, dec32)
+        assert {a.name for a in MODEL_ARRAYS if a.gemm} == {"kernels", "dilated_kernels", "modulator"}
+        for a in MODEL_ARRAYS:
+            if a.gemm:
+                assert before[a.name].dtype == np.float64
+                np.testing.assert_array_equal(after[a.name], before[a.name].astype(np.float32),
+                                              strict=True)
+            else:
+                assert after[a.name] is before[a.name], a.name
+        assert (enc32.stride, enc32.dilation, dec32.stride, dec32.square_freq) == (
+            enc.stride, enc.dilation, dec.stride, dec.square_freq)
+
+    def test_check_pair_names_each_array_and_its_declared_shape(self):
+        enc, dec = _mismatched_pair("kernel-length")
+        with pytest.raises(ValueError) as info:
+            waverep.decoder.check_pair(enc, dec)
+        message = str(info.value)
+        assert "decoder/modulator (6, 17) for (C, L)" in message
+        assert "encoder/dilated_kernels (6, 2, 6) for (C, L2, C)" in message
+        assert "decoder/freq (6,) for (C,)" in message
+
+
 def _per_item_gradients(pair, enc, dec, cfg):
     """One item's gradients on its own tape, with its own kernels."""
-    nodes = {name: Node(arr) for name, arr in waverep.training._param_dict(enc, dec).items()}
-    enc_nodes = EncoderParameters(nodes["kernels"], nodes["dilated_kernels"], enc.stride, enc.dilation)
+    nodes = {name: Node(arr) for name, arr in model_arrays(enc, dec).items()}
+    enc_nodes, _ = replace_arrays(enc, dec, nodes)
     tape = Tape()
     a_v = encode(pair.noisy_voice, enc_nodes, tape)
     w = build_kernels(nodes["freq"], nodes["phase"], nodes["modulator"], dec.square_freq, tape)
