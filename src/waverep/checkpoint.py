@@ -4,9 +4,10 @@ Layout (all little-endian): magic ``WREP``, format version (u32), array count
 (u32), then per array: name length (u16) + UTF-8 name, rank (u32), dims (u64
 each), float64 payload in C order; the file ends with a CRC32 (u32) of all
 preceding bytes.  Files are written atomically (temp file + rename) and
-round-trip every value bit-for-bit.  Both directions stream: a save or a load
-holds the arrays and at most ``CRC_CHUNK`` more bytes, never a copy of the
-file.
+round-trip every value bit-for-bit.  Both directions stream in one pass: a
+save or a load reads or writes each byte once, folding it into the running
+CRC, and holds the arrays and at most ``CRC_CHUNK`` more bytes, never a copy
+of the file.
 """
 
 from __future__ import annotations
@@ -19,96 +20,131 @@ from pathlib import Path
 
 import numpy as np
 
-from .decoder import MODEL_ARRAYS, DecoderParameters, cast_pair, check_pair, model_arrays
+from .decoder import MODEL_ARRAYS, DecoderParameters, check_pair, model_arrays
 from .encoder import EncoderParameters
-from .errors import CheckpointError
+from .errors import CheckpointError, NumericalError
 
 MAGIC = b"WREP"
 FORMAT_VERSION = 1
-#: bytes per read of the checksum pass of :func:`load_arrays`
+#: bytes per payload read of :func:`load_arrays`, in whole float64 values
 CRC_CHUNK = 1 << 20
 #: each of :data:`decoder.MODEL_ARRAYS` by its name in a model checkpoint
 _MODEL_KEYS = {a.name: f"{a.owner}/{a.name}" for a in MODEL_ARRAYS}
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    """Write named float64 arrays; insertion order is preserved.  The headers
-    and each array's own buffer are written one after another and folded into
-    the running CRC, so no copy of the file is built in memory."""
+    """Write named arrays of real numbers as float64; insertion order is
+    preserved.  The headers and each array's own buffer are written one after
+    another and folded into the running CRC, so no copy of the file is built
+    in memory.  An array that is complex or not numeric, or a name longer than
+    65535 UTF-8 bytes, is a ``ValueError`` before anything is written, and a
+    write that fails removes its temporary file."""
+    for name, arr in arrays.items():
+        dtype = np.asarray(arr).dtype
+        if dtype.kind not in "biuf":  # a complex value would lose its imaginary part
+            raise ValueError(f"array {name!r} holds {dtype} values, not real numbers")
+        if len(name.encode("utf-8")) > 0xFFFF:
+            raise ValueError(f"array name {name[:32]!r}... is longer than 65535 UTF-8 bytes")
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     crc = 0
-    with open(tmp, "wb") as f:
-        def put(piece) -> None:
-            nonlocal crc
-            f.write(piece)
-            crc = zlib.crc32(piece, crc)
+    try:
+        with open(tmp, "wb") as f:
+            def put(piece) -> None:
+                nonlocal crc
+                f.write(piece)
+                crc = zlib.crc32(piece, crc)
 
-        put(MAGIC + struct.pack("<II", FORMAT_VERSION, len(arrays)))
-        for name, arr in arrays.items():
-            # ascontiguousarray would promote 0-d scalars to 1-d; keep ranks as-is
-            arr = np.asarray(arr, dtype="<f8", order="C")
-            encoded = name.encode("utf-8")
-            put(struct.pack(f"<H{len(encoded)}sI{arr.ndim}Q",
-                            len(encoded), encoded, arr.ndim, *arr.shape))
-            put(arr)
-        f.write(struct.pack("<I", crc))
-    os.replace(tmp, path)
+            put(MAGIC + struct.pack("<II", FORMAT_VERSION, len(arrays)))
+            for name, arr in arrays.items():
+                # ascontiguousarray would promote 0-d scalars to 1-d; keep ranks as-is
+                arr = np.asarray(arr, dtype="<f8", order="C")
+                encoded = name.encode("utf-8")
+                put(struct.pack(f"<H{len(encoded)}sI{arr.ndim}Q",
+                                len(encoded), encoded, arr.ndim, *arr.shape))
+                put(arr)
+            f.write(struct.pack("<I", crc))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def load_arrays(path) -> dict[str, np.ndarray]:
-    """Read the arrays written by :func:`save_arrays`.
+def load_arrays(path, dtypes: dict | None = None) -> dict[str, np.ndarray]:
+    """Read the arrays written by :func:`save_arrays`, each as float64 or as
+    the dtype that ``dtypes`` maps its name to.
 
-    A first pass checks the CRC through one ``CRC_CHUNK``-byte buffer, so no
-    header is trusted before the checksum is; a second pass parses the headers
-    and reads each payload straight into its array.  Nothing is allocated for
-    a header or a payload that claims more bytes than the file has left."""
+    One pass reads every header and payload once, in file order, and folds it
+    into the running CRC.  A payload is read in ``CRC_CHUNK``-byte pieces,
+    straight into its float64 array or, for another dtype, into one reused
+    float64 buffer that each piece is cast from (the bits of ``astype``).
+    Nothing is allocated for a header or a payload that claims more bytes
+    than the file has left.  The CRC is compared before anything is returned:
+    when a header check fails, the rest of the file is folded in first, so a
+    stale checksum is reported before any header error."""
     path = Path(path)
+    dtypes = dtypes or {}
     with open(path, "rb") as f:
         end = os.fstat(f.fileno()).st_size - 4  # the CRC's offset
         if end < 12:
             raise CheckpointError(f"{path}: truncated checkpoint")
-        if f.read(4) != MAGIC:
-            raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint)")
-        f.seek(0)
-        crc, buf = 0, memoryview(bytearray(CRC_CHUNK))
-        while f.tell() < end:
-            n = f.readinto(buf[: min(CRC_CHUNK, end - f.tell())])
-            if not n:  # the file shrank under us
-                raise CheckpointError(f"{path}: truncated checkpoint")
-            crc = zlib.crc32(buf[:n], crc)
-        if struct.unpack("<I", f.read(4)) != (crc,):
-            raise CheckpointError(f"{path}: checksum mismatch, file is corrupted")
+        crc = 0
+        buf = np.empty(max(1, CRC_CHUNK // 8), dtype="<f8")
 
-        def take(n: int) -> bytes:  # the next n header bytes, which must lie before the CRC
+        def fill(view) -> None:  # read len(view) bytes into view and fold them in
+            nonlocal crc
+            if f.readinto(view) != len(view):  # the file shrank under us
+                raise CheckpointError(f"{path}: truncated checkpoint")
+            crc = zlib.crc32(view, crc)
+
+        def take(n: int) -> bytearray:  # the next n header bytes, which must lie before the CRC
             if n > end - f.tell():
                 raise CheckpointError(f"{path}: truncated checkpoint")
-            return f.read(n)
+            piece = bytearray(n)
+            fill(piece)
+            return piece
 
-        f.seek(4)
-        version, count = struct.unpack("<II", take(8))
-        if version != FORMAT_VERSION:
-            raise CheckpointError(
-                f"{path}: format version {version} is not supported (expected {FORMAT_VERSION})"
-            )
+        if take(4) != MAGIC:
+            raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint)")
         arrays: dict[str, np.ndarray] = {}
+        error = None  # the first failed header check, raised once the CRC has passed
         try:
+            version, count = struct.unpack("<II", take(8))
+            if version != FORMAT_VERSION:
+                raise CheckpointError(
+                    f"{path}: format version {version} is not supported (expected {FORMAT_VERSION})"
+                )
             for _ in range(count):
                 (name_len,) = struct.unpack("<H", take(2))
                 name = str(take(name_len), "utf-8")
                 (rank,) = struct.unpack("<I", take(4))
                 dims = struct.unpack(f"<{rank}Q", take(8 * rank))
-                nbytes = 8 * math.prod(dims)  # Python integers: a huge product cannot wrap
-                if nbytes > end - f.tell():
+                if 8 * math.prod(dims) > end - f.tell():  # Python integers: cannot wrap
                     raise CheckpointError(f"{path}: truncated array payload for {name!r}")
-                arr = np.empty(dims, dtype="<f8")
-                if f.readinto(arr) != nbytes:
-                    raise CheckpointError(f"{path}: truncated array payload for {name!r}")
+                arr = np.empty(dims, dtype=dtypes.get(name, buf.dtype))
+                flat = arr.reshape(-1)
+                for i in range(0, flat.size, buf.size):
+                    piece = flat[i : i + buf.size]
+                    if piece.dtype == buf.dtype:
+                        fill(piece.view(np.uint8))
+                    else:
+                        fill(buf[: piece.size].view(np.uint8))
+                        with np.errstate(all="ignore"):  # a value beyond the dtype's range
+                            piece[...] = buf[: piece.size]
                 arrays[name] = arr
-        except ValueError as exc:  # a name that is not UTF-8, or dims numpy cannot take
-            raise CheckpointError(f"{path}: malformed array header: {exc}") from exc
-        if f.tell() != end:
-            raise CheckpointError(f"{path}: trailing bytes after the last array")
+            if f.tell() != end:
+                raise CheckpointError(f"{path}: trailing bytes after the last array")
+        except (CheckpointError, ValueError) as exc:
+            error = exc
+        rest = buf.view(np.uint8)
+        while f.tell() < end:  # left unread by a failed header check
+            fill(rest[: end - f.tell()])
+        if f.read(4) != struct.pack("<I", crc):
+            raise CheckpointError(f"{path}: checksum mismatch, file is corrupted")
+        if isinstance(error, ValueError):  # a name that is not UTF-8, or dims numpy cannot take
+            raise CheckpointError(f"{path}: malformed array header: {error}") from error
+        if error is not None:
+            raise error
     return arrays
 
 
@@ -126,17 +162,25 @@ def save_model(path, enc: EncoderParameters, dec: DecoderParameters) -> None:
 def load_model(path, dtype=np.float64) -> tuple[EncoderParameters, DecoderParameters]:
     """Read a model written by :func:`save_model`, rejecting non-finite
     parameters, and metadata and array shapes that do not describe one
-    consistent encoder/decoder pair.  With another ``dtype`` the pair goes
-    through :func:`decoder.cast_pair`, which raises :class:`NumericalError`
-    for a parameter that is not finite in ``dtype``."""
-    arrs = load_arrays(path)
+    consistent encoder/decoder pair.  With another ``dtype`` the GEMM-read
+    arrays (:data:`decoder.MODEL_ARRAYS`) are cast to it as they are read, so
+    no float64 copy of them is made; one that is finite as stored but not in
+    ``dtype`` raises :class:`NumericalError` after the other checks."""
+    cast = {} if np.dtype(dtype) == np.float64 else {
+        _MODEL_KEYS[a.name]: dtype for a in MODEL_ARRAYS if a.gemm}
+    arrs = load_arrays(path, cast)
     meta = ("meta/stride", "meta/dilation", "meta/square_freq")
     for name in (*_MODEL_KEYS.values(), *meta):
         if name not in arrs:
             raise CheckpointError(f"{path}: missing array {name!r}")
+    overflow = False
     for name in _MODEL_KEYS.values():
-        if not np.all(np.isfinite(arrs[name])):
-            raise CheckpointError(f"{path}: {name} holds non-finite values")
+        if not _all_finite(arrs[name]):
+            # only the stored values tell an overflow in dtype from a NaN or an inf
+            if name in cast and _all_finite(load_arrays(path)[name]):
+                overflow = True
+            else:
+                raise CheckpointError(f"{path}: {name} holds non-finite values")
     stride, dilation, square_freq = (arrs[n] for n in meta)
     for name, value in (("meta/stride", stride), ("meta/dilation", dilation)):
         if value.shape != () or not (np.isfinite(value) and value >= 1 and value == np.floor(value)):
@@ -151,4 +195,12 @@ def load_model(path, dtype=np.float64) -> tuple[EncoderParameters, DecoderParame
         check_pair(enc, dec)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    return (enc, dec) if np.dtype(dtype) == np.float64 else cast_pair(enc, dec, dtype, str(path))
+    if overflow:
+        raise NumericalError(f"{path}: the model's parameters are not finite in {np.dtype(dtype)}")
+    return enc, dec
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every value of ``arr`` is finite, read from its least and
+    greatest values (NaN propagates through both) rather than a mask of its size."""
+    return bool(np.isfinite(np.min(arr, initial=0.0)) and np.isfinite(np.max(arr, initial=0.0)))

@@ -127,6 +127,23 @@ class TestExitCodes:
         assert f"{ckpt}: stride 34359738368 is longer than the kernel length 16" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value, code, message", [
+        (1e39, 3, "the model's parameters are not finite in float32"),  # finite as stored
+        (np.nan, 2, "encoder/kernels holds non-finite values"),
+    ])
+    def test_reconstruct_tells_a_float32_overflow_from_a_stored_nan(self, tmp_path, capsys,
+                                                                    value, code, message):
+        enc = init_encoder(4, 16, 2, 8, 2, seed=0)
+        enc.kernels[1, 2] = value
+        ckpt = tmp_path / "m.bin"
+        save_model(ckpt, enc, init_decoder(4, 16, 8))
+        wav = tmp_path / "x.wav"
+        write_wav(wav, np.ones(100))
+        out = tmp_path / "o"
+        assert run(["reconstruct", "--checkpoint", str(ckpt), "--out", str(out), str(wav)]) == code
+        assert f"{ckpt}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stride_longer_than_the_kernels_is_usage_error(self, stems_dir, tmp_path, capsys):
         out = tmp_path / "o"
         assert run(["train", "--stems", str(stems_dir), "--out", str(out),

@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import inspect
+import io
 import json
 import re
 import struct
@@ -9,6 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
+import waverep.checkpoint
 import waverep.decoder
 import waverep.losses
 import waverep.training
@@ -636,6 +639,105 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_arrays(path)
 
+    def test_load_reads_each_byte_once(self, tmp_path, monkeypatch):
+        # the headers, the payloads in pieces of 8 floats, and the CRC: the
+        # bytes that read and readinto return add up to the file's size
+        path = tmp_path / "m.bin"
+        save_model(path, *_toy_model())
+        returned = []
+
+        class Counting(io.BufferedReader):
+            def read(self, *args):
+                data = super().read(*args)
+                returned.append(len(data))
+                return data
+
+            def readinto(self, buffer):
+                n = super().readinto(buffer)
+                returned.append(n)
+                return n
+
+        monkeypatch.setattr(waverep.checkpoint, "open",
+                            lambda file, mode: Counting(io.FileIO(file, mode)), raising=False)
+        monkeypatch.setattr(waverep.checkpoint, "CRC_CHUNK", 64)
+        for load in (lambda: load_arrays(path), lambda: load_model(path),
+                     lambda: load_model(path, np.float32)):
+            returned.clear()
+            load()
+            assert sum(returned) == path.stat().st_size
+
+    def test_float32_load_holds_no_float64_model(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_model(path, init_encoder(200, 1024, 5, 256, 4, seed=0), init_decoder(200, 1024, 256))
+        tracemalloc.start()
+        try:
+            enc, dec = load_model(path, np.float32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(arr.nbytes for arr in model_arrays(enc, dec).values())
+        assert enc.kernels.dtype == np.float32 and dec.freq.dtype == np.float64
+        assert peak <= held + (2 << 20)
+
+    @pytest.mark.parametrize("chunk", [8, 20, 24, 1 << 20])
+    def test_float32_load_has_the_bits_of_astype(self, tmp_path, monkeypatch, chunk):
+        # pieces of 1, 2 and 3 floats end inside every array (C=5, L=16) and
+        # the special values below; a 1 MiB one holds each array whole
+        path = tmp_path / "m.bin"
+        save_model(path, init_encoder(5, 16, 2, 8, 2, seed=1), init_decoder(5, 16, 8))
+        special = np.array([1e39, -1e39, np.nan, -0.0, 1e-46, 1e-40, 1 + 2.0**-24, 3.4028235e38])
+        save_arrays(tmp_path / "s.bin", {"x": np.linspace(-3, 3, 11), "special": special})
+        monkeypatch.setattr(waverep.checkpoint, "CRC_CHUNK", chunk)
+        got = load_arrays(tmp_path / "s.bin", {"special": np.float32})
+        with np.errstate(over="ignore"):
+            want = special.astype(np.float32)
+        assert got["special"].dtype == np.float32 and got["x"].dtype == np.float64
+        np.testing.assert_array_equal(got["special"].view(np.uint32), want.view(np.uint32))
+        np.testing.assert_array_equal(got["x"], np.linspace(-3, 3, 11))
+        ref = model_arrays(*cast_pair(*load_model(path), np.float32, "test"))
+        for name, arr in model_arrays(*load_model(path, np.float32)).items():
+            assert arr.dtype == ref[name].dtype and arr.flags.c_contiguous
+            np.testing.assert_array_equal(arr.view(np.uint8), ref[name].view(np.uint8))
+
+    def test_complex_array_is_refused_before_writing(self, tmp_path):
+        path = tmp_path / "a.bin"
+        with pytest.raises(ValueError, match="array 'z' holds complex128 values"):
+            save_arrays(path, {"ok": np.ones(2), "z": np.array([1 + 2j])})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [np.array(["1.5"]), np.array([None]), np.array([b"x"])])
+    def test_non_numeric_array_is_refused_before_writing(self, tmp_path, bad):
+        path = tmp_path / "a.bin"
+        with pytest.raises(ValueError, match="array 's' holds"):
+            save_arrays(path, {"ok": np.ones(2), "s": bad})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overlong_name_is_refused_before_writing(self, tmp_path):
+        path = tmp_path / "a.bin"
+        with pytest.raises(ValueError, match="longer than 65535 UTF-8 bytes"):
+            save_arrays(path, {"x" * 65534 + "é": np.ones(2)})  # 65536 bytes in UTF-8
+        assert list(tmp_path.iterdir()) == []
+        save_arrays(path, {"x" * 65535: np.ones(2)})
+        assert list(load_arrays(path)) == ["x" * 65535]
+
+    def test_failed_write_removes_the_temporary_file(self, tmp_path, monkeypatch):
+        # a disk that fills up during the second write: the old file stays
+        path = tmp_path / "a.bin"
+        save_arrays(path, {"a": np.ones(3)})
+        old = path.read_bytes()
+
+        class Full(io.FileIO):
+            def write(self, data):
+                if self.tell():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        monkeypatch.setattr(waverep.checkpoint, "open", Full, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_arrays(path, {"a": np.zeros(3)})
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == old
+
 
 def _mismatched_pair(kind):
     if kind == "long-stride":  # the samples between frames would be read by no kernel
@@ -720,6 +822,45 @@ class TestLoadModelValidation:
         arr.flat[-1] = bad
         with pytest.raises(CheckpointError, match=f"{name} holds non-finite values"):
             load_model(self._write(tmp_path, **{name: arr}))
+
+    @pytest.mark.parametrize("name", ["encoder/kernels", "encoder/dilated_kernels",
+                                      "decoder/freq", "decoder/phase", "decoder/modulator"])
+    def test_parameter_beyond_float32_loads_only_as_float64(self, tmp_path, name):
+        # finite as stored: a float64 model, but no float32 one for the GEMM-read arrays
+        arr = load_arrays(self._write(tmp_path))[name]
+        arr.flat[-1] = 1e39
+        path = self._write(tmp_path, **{name: arr})
+        assert model_arrays(*load_model(path))[name.split("/")[1]].flat[-1] == 1e39
+        if name in ("decoder/freq", "decoder/phase"):  # kept in float64
+            assert model_arrays(*load_model(path, np.float32))[name.split("/")[1]].flat[-1] == 1e39
+            return
+        with pytest.raises(NumericalError, match=re.escape(
+                f"{path}: the model's parameters are not finite in float32")):
+            load_model(path, np.float32)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stored_nan_is_reported_before_bad_metadata(self, tmp_path, dtype):
+        arr = load_arrays(self._write(tmp_path))["decoder/modulator"]
+        arr.flat[3] = np.nan
+        path = self._write(tmp_path, **{"decoder/modulator": arr})
+        with pytest.raises(CheckpointError, match="decoder/modulator holds non-finite values"):
+            load_model(path, dtype)
+        save_arrays(path, {**load_arrays(path), "meta/stride": np.float64(0.0)})
+        with pytest.raises(CheckpointError, match="decoder/modulator holds non-finite values"):
+            load_model(path, dtype)
+
+    def test_float32_overflow_is_reported_after_the_other_checks(self, tmp_path):
+        # an overflow in float32 comes after a later array's stored NaN and after bad metadata
+        kernels = load_arrays(self._write(tmp_path))["encoder/kernels"]
+        kernels.flat[0] = -1e39
+        path = self._write(tmp_path, **{"encoder/kernels": kernels, "meta/stride": np.float64(2.5)})
+        with pytest.raises(CheckpointError, match="meta/stride"):
+            load_model(path, np.float32)
+        modulator = load_arrays(path)["decoder/modulator"]
+        modulator.flat[0] = np.inf
+        path = self._write(tmp_path, **{"encoder/kernels": kernels, "decoder/modulator": modulator})
+        with pytest.raises(CheckpointError, match="decoder/modulator holds non-finite values"):
+            load_model(path, np.float32)
 
     def test_missing_array(self, tmp_path):
         path = self._write(tmp_path)
