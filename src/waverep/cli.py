@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: synth-data, train, encode, reconstruct, separate, evaluate,
-export, grad-check, ot-check.  Exit codes: 0 success, 1 usage error, 2 data
+Subcommands: synth-data, train, reconstruct, separate, evaluate, export,
+grad-check, ot-check.  Exit codes: 0 success, 1 usage error, 2 data
 error, 3 numerical failure.  Every command that writes outputs echoes its
 resolved configuration into the output directory for reproducibility.
 
@@ -23,7 +23,7 @@ from .decoder import DecoderParameters, check_pair, decode_chunks, init_decoder
 from .encoder import encode_chunks, encode_values, init_encoder
 from .errors import DataError, NumericalError, finite
 from .evaluation import evaluate, mixture_and_sources, oracle_separate, si_sdr
-from .export import export_representation, write_csv
+from .export import export_representation
 from .losses import DISTANCE_EXPONENTS, LOSS_VARIANTS, LossConfig, neg_snr
 from .training import TrainConfig, train
 from .wavio import write_wav
@@ -121,7 +121,6 @@ def build_parser() -> _Parser:
 
     # the model commands: name, handler, positional inputs, help
     for name, func, inputs, help in (
-        ("encode", cmd_encode, ["input"], "encode a WAV file, write the representation CSV"),
         ("reconstruct", cmd_reconstruct, ["input"], "encode+decode a WAV file"),
         ("separate", cmd_separate, ["voice", "accomp"],
          "oracle binary-mask separation of voice from a mixture"),
@@ -226,17 +225,6 @@ def _write_estimate(args, label: str, ref: np.ndarray, est: np.ndarray, name: st
     return 0
 
 
-def _encode_input(args) -> tuple[np.ndarray, DecoderParameters]:
-    """The float64 representation of ``args.input`` under ``args.checkpoint``,
-    and the model's decoder, for ``encode`` and ``export``: read and computed
-    before the output directory is made, so a failure leaves no output."""
-    enc, dec = checkpoint.load_model(args.checkpoint)
-    x = load_and_downmix(args.input)
-    a = finite(f"{args.checkpoint} on {args.input}: the representation is not finite",
-               lambda: encode_values(x, enc))
-    return a, dec
-
-
 def cmd_synth_data(args) -> int:
     # synth_data checks its settings before it makes the directory
     pairs = synth.synth_data(args.out, seed=args.seed, n_tracks=args.tracks, duration=args.duration)
@@ -285,14 +273,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_encode(args) -> int:
-    a, _ = _encode_input(args)
-    csv_path = _out_dir(args) / (Path(args.input).stem + "_rep.csv")
-    write_csv(csv_path, a)
-    print(f"representation {a.shape[0]}x{a.shape[1]} ({a.shape[1]} frames) -> {csv_path}")
-    return 0
-
-
 def cmd_reconstruct(args) -> int:
     enc, dec = checkpoint.load_model(args.checkpoint, np.float32)
     x = load_and_downmix(args.input)
@@ -335,7 +315,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_export(args) -> int:
-    a, dec = _encode_input(args)
+    # the float64 representation is computed before the output directory is
+    # made, so a failure leaves no output
+    enc, dec = checkpoint.load_model(args.checkpoint)
+    x = load_and_downmix(args.input)
+    a = finite(f"{args.checkpoint} on {args.input}: the representation is not finite",
+               lambda: encode_values(x, enc))
     csv_path, pgm_path = export_representation(a, _out_dir(args) / Path(args.input).stem, dec.freq)
     print(f"wrote {csv_path} and {pgm_path}")
     return 0

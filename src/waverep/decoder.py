@@ -1,23 +1,18 @@
 """Amplitude-modulated cosine synthesis back end.
 
-Each of the C components owns a carrier frequency, a phase and a length-L
-modulation envelope; its synthesis kernel is
+Component c's synthesis kernel is
 
     w[c, l] = cos(2*pi * g(f_c) * l + rho_c) * b[c, l],
 
-where g squares the normalized carrier frequency by default (the squaring is
-a learnable-frequency warping that favors low frequencies; it can be switched
-off).  A representation is rendered by weighting kernels with the frame
-activations and overlap-adding frames every ``stride`` samples.  w is rebuilt
-from f, rho and b once per optimizer step, in row blocks whose phase the
-backward forms again rather than keeping it.
-:func:`synthesize` also renders n equal-length representations laid side by
-side on the frame axis, as :func:`encoder.encode` stacks them: one GEMM for
-all their frames, then one :func:`dataset.overlap_add` of the stack.
-
-The forward-only path (:func:`decode_chunks`, and :func:`decode_values` on
-top of it) builds w once and synthesizes one block of frames at a time,
-overlap-adding each block into the output at its first frame's sample offset.
+where g squares the normalized carrier frequency by default (a learnable
+warping that favors low frequencies).  Frames are weighted kernels
+overlap-added every ``stride`` samples.  w is rebuilt from f, rho and b once
+per optimizer step, in row blocks whose phase the backward forms again rather
+than keeping it, so the tape holds no (C, L) array but w.  :func:`synthesize`
+renders a stack laid out as :func:`encoder.encode` makes it with one GEMM and
+one :func:`dataset.overlap_add`; the forward-only path (:func:`decode_chunks`,
+:func:`decode_values`) builds w once and overlap-adds one block of frames at
+a time.
 """
 
 from __future__ import annotations

@@ -1,29 +1,22 @@
 """Strided/dilated convolutional analysis front end.
 
-A signal of N samples is mapped to a non-negative representation of shape
-(C, T) with T = ceil(N / stride): a strided cross-correlation against C
-kernels, a dilated channel-mixing convolution on top of it, a residual
-connection, and a ReLU.  Both layers zero-pad on the right, so frame t is
-aligned with sample ``t * stride``.  The encoder is linear up to its final
-ReLU, which ``linear=True`` skips: the pre-activation of a sum of signals is
-the sum of theirs, so a mixture's representation needs no encode of its own.
+A signal of N samples maps to a non-negative (C, T) representation, T =
+ceil(N / stride): a strided cross-correlation against C kernels, a dilated
+channel-mixing convolution, a residual connection and a ReLU.  Both layers
+zero-pad on the right, so frame t is aligned with sample ``t * stride``.  The
+encoder is linear up to its final ReLU, which ``linear=True`` skips, so a
+mixture's pre-activation is the sum of its sources' and needs no encode.
 
-The layers and :func:`encode` also take an (n, N) stack of n
-equal-length signals and return their representations side by side on the
-frame axis, (C, n*T) with signal k in columns ``k*T .. (k+1)*T - 1``, so
-that signals alive together run as one GEMM per layer instead of n narrow
-ones.  Each layer frames the stack's last axis in one :func:`dataset.frame`
-call, so each signal keeps its own right zero padding and its columns equal
-its single-signal result to rounding; a 1-D signal is the n = 1 stack.
+An (n, N) stack of equal-length signals runs as one GEMM per layer and comes
+back as (C, n*T), signal k in columns ``k*T .. (k+1)*T - 1``.  Each signal
+keeps its own right zero padding, so its columns equal its single-signal
+result to rounding.
 
-Frame t of the output reads first-layer frames t .. t + dilation*(L2-1) only,
-and so samples ``t*stride .. (t + dilation*(L2-1))*stride + L - 1`` only.
-The forward-only path (:func:`encode_chunks`, and :func:`encode_values` on top
-of it) therefore streams one signal in blocks of ``CHUNK_FRAMES`` frames, each
-the plain :func:`encode` of its own overlapping sample window, and holds one
-block's latents at a time.  Blocks agree with the one-shot :func:`encode` to
-rounding; an input of at most ``CHUNK_FRAMES`` frames is one block, computed
-by the same call, bit for bit.
+Frame t of the output reads samples ``t*stride .. (t + dilation*(L2-1))*stride
++ L - 1`` only, so the forward-only path (:func:`encode_chunks`,
+:func:`encode_values`) streams one signal in blocks of ``CHUNK_FRAMES``
+frames, each the plain :func:`encode` of its own sample window.  An input of
+at most ``CHUNK_FRAMES`` frames is one block, bit for bit.
 """
 
 from __future__ import annotations

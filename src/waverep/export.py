@@ -1,8 +1,8 @@
 """Export a representation as CSV plus a portable graymap (PGM) image.
 
-The CSV holds the raw matrix at full precision.  The image is meant for eyes:
-rows are sorted by carrier frequency, values are compressed with log1p
-(magnitudes span orders of magnitude) and min-max mapped to 0..255.
+The CSV holds the raw matrix, each value to 10 significant digits.  The image
+is meant for eyes: rows are sorted by carrier frequency, values are compressed
+with log1p (magnitudes span orders of magnitude) and min-max mapped to 0..255.
 """
 
 from __future__ import annotations
@@ -10,11 +10,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-
-
-def write_csv(path, a: np.ndarray) -> None:
-    """Write the matrix ``a`` to ``path`` as CSV, each value to 10 significant digits."""
-    np.savetxt(path, a, delimiter=",", fmt="%.10g")
 
 
 def export_representation(a: np.ndarray, out_base, carrier_freq) -> tuple[Path, Path]:
@@ -30,7 +25,7 @@ def export_representation(a: np.ndarray, out_base, carrier_freq) -> tuple[Path, 
         raise ValueError("carrier_freq length must match the number of rows")
     csv_path, pgm_path = Path(f"{out_base}.csv"), Path(f"{out_base}.pgm")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(csv_path, a)
+    np.savetxt(csv_path, a, delimiter=",", fmt="%.10g")
 
     img = np.log1p(np.maximum(a[order], 0.0))
     lo, hi = img.min(), img.max()

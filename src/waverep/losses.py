@@ -1,31 +1,24 @@
 """Training objectives: reconstruction (neg-SNR) plus one of two
 representation losses (anisotropic total variation, or an entropic-regularized
 optimal-transport distance between the representation's time frames solved by
-Sinkhorn-Knopp scaling).
+Sinkhorn-Knopp scaling).  The reconstruction term is capped at
+``SNR_FLOOR_DB``.
 
-The transport plan is treated as a constant during backpropagation (the usual
-envelope treatment for Sinkhorn losses); gradients flow only through the cost
-matrix and the simplex normalization that feeds it.  The reconstruction term
-is capped at ``SNR_FLOOR_DB``.
+The transport plan is held constant during backpropagation; gradients flow
+only through the cost matrix and the simplex normalization that feeds it.  At
+a converged plan that is the exact gradient of the entropic objective
+F = <P,M> - H(P)/lambda, with H(P) = -sum P log P (the envelope theorem;
+Peyre & Cuturi 2019, section 9.1), not the gradient of the <P,M> that the loss
+reports.
 
 The Sinkhorn term transports the frames onto themselves over a cost M with a
-zero diagonal, so its plan P has closed forms at both ends of lambda.  As
-lambda -> 0, P tends to the independent coupling 11^T/T (unit marginals), and
-to first order
+zero diagonal, so the diagonal of exp(-lambda*M) stays 1: no row underflows
+and this cost never raises :class:`SaturationError`, whatever lambda.
 
-    <P, M> ~= sum(M)/T - (lambda/T) * <M_c, M>,
-
-where M_c is M double-centred (minus its row and column means, plus its grand
-mean); the error of this expansion falls as lambda^2.  As lambda grows, P
-tends to the identity and <P, M> to 0: the diagonal of exp(-lambda*M) stays 1,
-so no row underflows and this cost never raises :class:`SaturationError`.
-The tests use both limits as oracles; the solver does not use the formula.
-
-The representation terms compute in the dtype of the representation: float32
-in training, float64 on the library path (``grad-check``, ``ot-check``).
-Only the Sinkhorn scaling stays float64 whatever M's dtype: its termination
+The representation terms compute in the dtype of the representation.  Only
+the Sinkhorn scaling stays float64 whatever M's dtype: its termination
 threshold on the summed marginal error (``tau = 1e-6``) is below float32
-resolution.  The loss values are summed in float64.
+resolution.
 """
 
 from __future__ import annotations

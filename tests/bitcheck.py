@@ -14,11 +14,11 @@ with relative paths, so that the two sessions see the same arguments:
   term at p=1, one epoch, early stopping off, and once more at desk scale
   with the Sinkhorn term at ``--lambda 5000``, where the Gibbs kernel
   underflows and the log's ``saturation`` is not 0 (train only);
-- with each trained checkpoint: ``reconstruct``, ``separate``, ``encode``,
-  ``export`` and ``evaluate --checkpoint``, and ``reconstruct`` and
-  ``separate`` of the 18 s pair, which streams at least 4 blocks of 1024
-  frames at either scale where a 3 s stem is one block (only WAVs: the
-  CSVs of ``encode`` and ``export`` would be about 40 MB each at that length);
+- with each trained checkpoint: ``reconstruct``, ``separate``, ``export``
+  and ``evaluate --checkpoint``, and ``reconstruct`` and ``separate`` of the
+  18 s pair, which streams at least 4 blocks of 1024 frames at either scale
+  where a 3 s stem is one block (only WAVs: ``export``'s CSV would be about
+  40 MB at that length);
 - ``evaluate --baseline stft``, ``grad-check`` and ``ot-check``.
 
 Each command's standard output, standard error and exit code are saved as
@@ -72,7 +72,6 @@ def commands() -> list[tuple[str, list[str]]]:
                                   "1", "--early-stop", "off", *loss_args, *scale_args]),
                 (f"{run}-reconstruct", ["reconstruct", *ckpt, "--out", f"{run}/rec", VOICE]),
                 (f"{run}-separate", ["separate", *ckpt, "--out", f"{run}/sep", VOICE, ACCOMP]),
-                (f"{run}-encode", ["encode", *ckpt, "--out", f"{run}/enc", VOICE]),
                 (f"{run}-export", ["export", *ckpt, "--out", f"{run}/img", VOICE]),
                 (f"{run}-evaluate", ["evaluate", *ckpt, "--stems", "stems", "--out", f"{run}/eval"]),
                 (f"{run}-reconstruct-long", ["reconstruct", *ckpt, "--out", f"{run}/rec-long",

@@ -83,13 +83,13 @@ class TestExitCodes:
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         wav = tmp_path / "x.wav"
         write_wav(wav, np.zeros(100))
-        assert run(["encode", "--checkpoint", str(tmp_path / "no.bin"),
+        assert run(["export", "--checkpoint", str(tmp_path / "no.bin"),
                     "--out", str(tmp_path / "o"), str(wav)]) == 2
 
     def test_wrong_rate_is_data_error(self, tmp_path, trained):
         wav = tmp_path / "wrong.wav"
         write_pcm16(wav, np.zeros((100, 1), dtype=np.int16), rate=48000)
-        assert run(["encode", "--checkpoint", str(trained / "checkpoint.bin"),
+        assert run(["export", "--checkpoint", str(trained / "checkpoint.bin"),
                     "--out", str(tmp_path / "o"), str(wav)]) == 2
 
     def test_zero_block_align_stem_is_data_error(self, tmp_path):
@@ -228,7 +228,7 @@ class TestExitCodes:
         if flags:
             assert reads == []
 
-    @pytest.mark.parametrize("command", ["encode", "reconstruct", "separate", "export", "evaluate"])
+    @pytest.mark.parametrize("command", ["reconstruct", "separate", "export", "evaluate"])
     def test_missing_checkpoint_writes_nothing(self, stems_dir, tmp_path, command):
         # the checkpoint and the inputs are read before the output directory is made
         voice, accomp = (str(stems_dir / f"track00_{stem}.wav") for stem in ("voice", "accomp"))
@@ -238,8 +238,8 @@ class TestExitCodes:
                    + inputs.get(command, [voice])) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["encode", "reconstruct", "export", "separate",
-                                         "evaluate", "train"])
+    @pytest.mark.parametrize("command", ["reconstruct", "export", "separate", "evaluate",
+                                         "train"])
     def test_empty_audio_writes_nothing(self, small_checkpoint, tmp_path, capsys, command):
         # a WAV file with no frames is refused when it is read, before any output
         stems = tmp_path / "stems"
@@ -329,11 +329,11 @@ class TestExitCodes:
             assert f"{ckpt}: the model's parameters are not finite in float32" in err
 
     @pytest.mark.parametrize("model", ["kernel-1e200", "kernels-1e308", "modulator-1e40"])
-    @pytest.mark.parametrize("command", ["encode", "export"])
+    @pytest.mark.parametrize("command", ["export"])
     def test_float64_representation_overflow_is_typed_and_silent(self, stems_dir, tmp_path,
                                                                  capsys, model, command):
-        # encode and export run the model in float64: only kernels-1e308
-        # overflows their representation, which is refused before any output
+        # export runs the model in float64: only kernels-1e308 overflows its
+        # representation, which is refused before any output
         ckpt, code, out = self._run_huge_model(model, command, stems_dir, tmp_path)
         if model != "kernels-1e308":
             assert code == 0
@@ -389,7 +389,7 @@ class TestExitCodes:
 
 
 class TestCommands:
-    def test_encode_frame_arithmetic(self, tmp_path):
+    def test_export_frame_arithmetic(self, tmp_path):
         # 1 second at stride 256 -> ceil(44100/256) = 173 frames, C=800 rows
         enc = init_encoder(800, 2048, 5, 256, 10, seed=0)
         dec = init_decoder(800, 2048, 256)
@@ -397,9 +397,9 @@ class TestCommands:
         save_model(ckpt, enc, dec)
         wav = tmp_path / "one_second.wav"
         write_wav(wav, 0.2 * np.sin(2 * np.pi * 440 * np.arange(SAMPLE_RATE) / SAMPLE_RATE))
-        out = tmp_path / "enc"
-        assert run(["encode", "--checkpoint", str(ckpt), "--out", str(out), str(wav)]) == 0
-        a = np.loadtxt(out / "one_second_rep.csv", delimiter=",", ndmin=2)
+        out = tmp_path / "exp"
+        assert run(["export", "--checkpoint", str(ckpt), "--out", str(out), str(wav)]) == 0
+        a = np.loadtxt(out / "one_second.csv", delimiter=",", ndmin=2)
         assert a.shape == (800, 173)
 
     def test_train_outputs(self, trained):
@@ -500,11 +500,25 @@ class TestCommands:
         assert sorted(p.name for p in out.iterdir()) == [
             "run_config.txt", "song.a_voice.csv", "song.a_voice.pgm", "song.b_voice.csv",
             "song.b_voice.pgm"]
-        # and the CSV is the one that encode writes
-        assert run(["encode", "--checkpoint", ckpt, "--out", str(tmp_path / "enc"),
-                    str(tmp_path / "song.b_voice.wav")]) == 0
-        assert ((out / "song.b_voice.csv").read_bytes()
-                == (tmp_path / "enc" / "song.b_voice_rep.csv").read_bytes())
+
+    def test_export_csv_is_the_float64_representation(self, trained, stems_dir, tmp_path):
+        # each value of the CSV is the model's float64 representation of the
+        # input, rounded to 10 significant digits
+        ckpt, wav = trained / "checkpoint.bin", stems_dir / "track01_voice.wav"
+        out = tmp_path / "exp"
+        assert run(["export", "--checkpoint", str(ckpt), "--out", str(out), str(wav)]) == 0
+        a = encode_values(load_and_downmix(wav), load_model(ckpt)[0])
+        csv = np.loadtxt(out / "track01_voice.csv", delimiter=",", ndmin=2)
+        assert csv.shape == a.shape
+        np.testing.assert_allclose(csv, a, rtol=5e-10, atol=0)
+
+    def test_encode_is_a_usage_error(self, trained, stems_dir, tmp_path, capsys):
+        # export writes the representation CSV; there is no encode command
+        out = tmp_path / "enc"
+        assert run(["encode", "--checkpoint", str(trained / "checkpoint.bin"), "--out", str(out),
+                    str(stems_dir / "track00_voice.wav")]) == 1
+        assert "invalid choice: 'encode'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("frontend", ["stft", "model"])
     def test_evaluate_silent_accompaniment_reports_inf_sir_without_warning(

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from waverep.autodiff import Node, Tape, as_node
 from waverep.dataset import ENERGY_BLOCK
-from waverep.diagnostics import assignment_cost, random_cost_matrix
+from waverep.diagnostics import (
+    GRAD_TOLERANCE,
+    assignment_cost,
+    central_difference,
+    max_relative_error,
+    random_cost_matrix,
+)
 from waverep.encoder import encode_values, init_encoder
 from waverep.errors import NumericalError, SaturationError
 from waverep.evaluation import SEGMENT_LEN
@@ -454,6 +460,37 @@ class TestSinkhornClosedForm:
         assert all(a > b for a, b in zip(gaps[:-1], gaps[1:-1])), gaps
         assert costs[-1] == gaps[-1] == 0.0
         assert plan.saturation == (t - 1) / t
+
+
+class TestSinkhornEnvelopeGradient:
+    """The backward holds the plan constant.  At a converged plan that is the
+    exact gradient of the entropic objective F = <P,M> - H(P)/lambda, with
+    H(P) = -sum P log P (the envelope theorem), and not the gradient of the
+    <P,M> that the loss reports."""
+
+    @staticmethod
+    def _cost_and_entropy(a, cfg):
+        m = pairwise_cost(normalize_simplex(as_node(a)).value, cfg.p)
+        plan = sinkhorn_plan(m, cfg.lam, cfg.max_iters, cfg.tau)
+        assert plan.converged
+        return float((plan.plan * m).sum()), -float((plan.plan * np.log(plan.plan)).sum())
+
+    @pytest.mark.parametrize("lam", [0.5, 5.0])
+    @pytest.mark.parametrize("p", DISTANCE_EXPONENTS)
+    def test_backward_is_the_gradient_of_the_entropic_objective(self, p, lam):
+        cfg = LossConfig(lam=lam, p=p, max_iters=200_000, tau=1e-13)
+        a = np.random.default_rng(0).uniform(0.0, 1.0, (16, 12))
+        node, tape = as_node(a), Tape()
+        tape.backward(sinkhorn_loss(node, cfg, tape)[0])
+
+        def entropic():
+            cost, entropy = self._cost_and_entropy(a, cfg)
+            return cost - entropy / lam
+
+        assert max_relative_error(node.grad, central_difference(entropic, a)) < GRAD_TOLERANCE
+        if lam == 5.0:
+            sharp = central_difference(lambda: self._cost_and_entropy(a, cfg)[0], a)
+            assert max_relative_error(node.grad, sharp) > 0.1
 
 
 class TestTotalLoss:
