@@ -11,9 +11,11 @@ with relative paths, so that the two sessions see the same arguments:
 - ``synth-data``: two 3 s stem pairs, and one 18 s pair;
 - ``train`` at desk scale (C=128, L=512, stride 128) and at paper scale
   (C=800, L=2048, stride 256), each with the TV term and with the Sinkhorn
-  term at p=1, one epoch, early stopping off, and once more at desk scale
-  with the Sinkhorn term at ``--lambda 5000``, where the Gibbs kernel
-  underflows and the log's ``saturation`` is not 0 (train only);
+  term at p=1, one epoch, early stopping off, and three more at desk scale
+  with the Sinkhorn term (train only): at ``--lambda 5000``, where the Gibbs
+  kernel underflows and the log's ``saturation`` is not 0; at ``--lambda 5``,
+  where a plan takes tens of iterations; and at ``--p 2 --lambda 50``, where
+  every plan stops unconverged at the iteration cap;
 - with each trained checkpoint: ``reconstruct``, ``separate``, ``export``
   and ``evaluate --checkpoint``, and ``reconstruct`` and ``separate`` of the
   18 s pair, which streams at least 4 blocks of 1024 frames at either scale
@@ -79,10 +81,13 @@ def commands() -> list[tuple[str, list[str]]]:
                 (f"{run}-separate-long", ["separate", *ckpt, "--out", f"{run}/sep-long",
                                           LONG_VOICE, LONG_ACCOMP]),
             ]
+    for run, loss_args in (("lambda5000", [*LOSSES["sinkhorn"], "--lambda", "5000"]),
+                           ("lambda5", [*LOSSES["sinkhorn"], "--lambda", "5"]),
+                           ("p2-lambda50", ["--loss", "sinkhorn", "--p", "2", "--lambda", "50"])):
+        cmds.append((f"desk-sinkhorn-{run}-train",
+                     ["train", "--stems", "stems", "--out", f"desk-sinkhorn-{run}/train", "--epochs",
+                      "1", "--early-stop", "off", *loss_args, *SCALES["desk"]]))
     return cmds + [
-        ("desk-sinkhorn-lambda5000-train",
-         ["train", "--stems", "stems", "--out", "desk-sinkhorn-lambda5000/train", "--epochs", "1",
-          "--early-stop", "off", *LOSSES["sinkhorn"], "--lambda", "5000", *SCALES["desk"]]),
         ("evaluate-stft", ["evaluate", "--baseline", "stft", "--stems", "stems", "--out", "eval-stft"]),
         ("grad-check", ["grad-check"]),
         ("ot-check", ["ot-check"]),

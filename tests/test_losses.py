@@ -187,6 +187,53 @@ def _plan_cost_grad_per_frame(av, m, q, p):
     return grad
 
 
+def _plan_cost_grad_recomputed(av, q):
+    """The p=1 backward that recomputes every frame difference and takes
+    np.sign of it: the cached signs must give its gradient bit for bit."""
+    at = np.ascontiguousarray(av.T)
+    gt = np.zeros_like(at)
+    for i in range(at.shape[0] - 1):
+        s = np.sign(at[i] - at[i + 1:])
+        gt[i] += q[i, i + 1:] @ s
+        s *= q[i, i + 1:, None]
+        gt[i + 1:] -= s
+    return gt.T
+
+
+def _sinkhorn_every_iteration(m, lam, max_iters, tau):
+    """The Sinkhorn loop that forms P and its exact marginal error on every
+    iteration: (plan, iterations, converged, saturation)."""
+    m = np.asarray(m, dtype=np.float64)
+    gibbs = np.exp(-lam * m)
+    saturation = float(np.mean(gibbs == 0.0))
+
+    def inverse(k):
+        with np.errstate(all="ignore"):
+            r = 1.0 / k
+        if not np.all((r > 0.0) & np.isfinite(r)):
+            raise SaturationError(lam, saturation)
+        return r
+
+    t = m.shape[0]
+    u = np.full(t, 1.0 / t)
+    for iterations in range(1, max_iters + 1):
+        v = inverse(gibbs.T @ u)
+        u = inverse(gibbs @ v)
+        plan = (u[:, None] * gibbs) * v[None, :]
+        err = np.abs(plan.sum(axis=1) - 1.0).sum() + np.abs(plan.sum(axis=0) - 1.0).sum()
+        if err < tau:
+            return plan, iterations, True, saturation
+    return plan, max_iters, False, saturation
+
+
+def _signs_of(ao, p):
+    """The int8 frame-pair signs that pairwise_cost writes for ``ao``."""
+    c, t = ao.shape
+    signs = np.empty((t * (t - 1) // 2, c), dtype=np.int8)
+    pairwise_cost(ao, p, signs)
+    return signs
+
+
 class TestPairwiseCost:
     def test_identical_columns_zero(self):
         a = np.tile(np.array([[0.3], [0.2]]), (1, 4))
@@ -229,6 +276,14 @@ class TestPairwiseCost:
         assert np.all(np.diag(m) == 0.0)
         assert m[3, 7] == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signs_are_the_frame_pair_signs_in_row_order(self, rng, dtype):
+        ao = _tied_frames(rng).astype(dtype)
+        signs = _signs_of(ao, 1)
+        i, j = np.triu_indices(ao.shape[1], k=1)
+        np.testing.assert_array_equal(signs, np.sign(ao[:, i] - ao[:, j]).T)
+        assert not signs[np.flatnonzero((i == 3) & (j == 7))].any()  # duplicate frames tie
+
     @pytest.mark.parametrize("p", [1, 2])
     def test_float32_matches_brute_force(self, rng, p):
         # each entry sums C rounded non-negative terms in float32: within
@@ -243,9 +298,19 @@ class TestPlanCostGradient:
     def _gradient(self, ao, m, plan, p, seed):
         node = as_node(ao)
         tape = Tape()
-        out = _plan_cost_inner(node, m, plan, p, tape)
+        out = _plan_cost_inner(node, m, _signs_of(ao, p), plan, p, tape)
         tape.backward(out, seed)
         return node.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cached_signs_give_the_recomputed_p1_gradient_bit_for_bit(self, rng, dtype):
+        ao = _tied_frames(rng).astype(dtype)
+        m = pairwise_cost(ao, 1)
+        plan = sinkhorn_plan(m, 0.5).plan
+        grad = self._gradient(ao, m, plan, 1, 1.7)
+        ref = _plan_cost_grad_recomputed(ao, (1.7 * (plan + plan.T)).astype(dtype, copy=False))
+        assert grad.dtype == dtype
+        assert np.ascontiguousarray(grad).tobytes() == np.ascontiguousarray(ref).tobytes()
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_matches_per_frame_reference(self, rng, p):
@@ -354,6 +419,42 @@ class TestSinkhornPlan:
             warnings.simplefilter("error")
             with pytest.raises(SaturationError, match="lambda"):
                 sinkhorn_plan(np.ones((2, 2)), 720.0)
+
+    @pytest.mark.parametrize("t", [12, 345])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 5.0, 50.0])
+    def test_same_bits_as_forming_the_plan_every_iteration(self, rng, t, p, lam):
+        # ReLU-sparse frames with ties; tau 1e-13 is below the cheap test's
+        # rounding slack, so P is formed on iterations that do not converge
+        m = pairwise_cost(_tied_frames(rng, c=64, t=t), p)
+        for tau in (1e-6, 1e-13):
+            for max_iters in (1, 3, 100):
+                got = sinkhorn_plan(m, lam, max_iters, tau)
+                plan, iterations, converged, saturation = _sinkhorn_every_iteration(
+                    m, lam, max_iters, tau)
+                assert got.plan.tobytes() == plan.tobytes()
+                assert (got.iterations, got.converged, got.saturation) == (
+                    iterations, converged, saturation)
+
+    @pytest.mark.parametrize("m", [[[800.0, 900.0], [0.0, 0.1]], [[0.0, 800.0], [0.0, 800.0]]])
+    def test_full_row_underflow_raises_what_the_every_iteration_loop_raises(self, m):
+        with pytest.raises(SaturationError) as want:
+            _sinkhorn_every_iteration(np.array(m), 1.0, 1, 1e-6)
+        with pytest.raises(SaturationError) as got:
+            sinkhorn_plan(np.array(m), lam=1.0, max_iters=1)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("lam, tau, name", [
+        (math.nan, 1e-6, "lam"), (math.inf, 1e-6, "lam"), (0.0, 1e-6, "lam"), (-1.0, 1e-6, "lam"),
+        (0.5, math.nan, "tau"), (0.5, math.inf, "tau"), (0.5, 0.0, "tau"), (0.5, -1.0, "tau"),
+    ])
+    def test_lambda_and_tau_must_be_finite_and_positive(self, lam, tau, name):
+        # as in LossConfig; a nan lambda would raise a SaturationError, an
+        # infinite one warn, and a nan or negative tau run unconverged to max_iters
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                sinkhorn_plan(np.array([[0.0, 1.0], [1.0, 0.0]]), lam, tau=tau)
 
     def test_saturation_fraction_reported(self):
         m = np.array([[0.0, 800.0], [800.0, 0.0]])
