@@ -3,11 +3,10 @@
 Layout (all little-endian): magic ``WREP``, format version (u32), array count
 (u32), then per array: name length (u16) + UTF-8 name, rank (u32), dims (u64
 each), float64 payload in C order; the file ends with a CRC32 (u32) of all
-preceding bytes.  Files are written atomically (temp file + rename) and
-round-trip every value bit-for-bit.  Both directions stream in one pass: a
-save or a load reads or writes each byte once, folding it into the running
-CRC, and holds the arrays and at most ``CRC_CHUNK`` more bytes, never a copy
-of the file.
+preceding bytes.  Files round-trip every value bit-for-bit.  Neither
+direction holds a copy of the file: a save hands the headers and the arrays'
+own buffers to :func:`wavio.write_file`, and a load reads each byte once
+through at most ``CRC_CHUNK`` more bytes than the arrays it returns.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import numpy as np
 from .decoder import MODEL_ARRAYS, DecoderParameters, check_pair, model_arrays
 from .encoder import EncoderParameters
 from .errors import CheckpointError, NumericalError
+from .wavio import write_file
 
 MAGIC = b"WREP"
 FORMAT_VERSION = 1
@@ -33,41 +33,27 @@ _MODEL_KEYS = {a.name: f"{a.owner}/{a.name}" for a in MODEL_ARRAYS}
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    """Write named arrays of real numbers as float64; insertion order is
-    preserved.  The headers and each array's own buffer are written one after
-    another and folded into the running CRC, so no copy of the file is built
-    in memory.  An array that is complex or not numeric, or a name longer than
-    65535 UTF-8 bytes, is a ``ValueError`` before anything is written, and a
-    write that fails removes its temporary file."""
+    """Write named arrays of real numbers as float64, in insertion order, with
+    :func:`wavio.write_file`: the headers and each array's own buffer, not a
+    copy of the file.  An array that is complex or not numeric, or a name
+    longer than 65535 UTF-8 bytes, is a ``ValueError`` before anything is
+    written."""
+    pieces = [MAGIC + struct.pack("<II", FORMAT_VERSION, len(arrays))]
     for name, arr in arrays.items():
         dtype = np.asarray(arr).dtype
         if dtype.kind not in "biuf":  # a complex value would lose its imaginary part
             raise ValueError(f"array {name!r} holds {dtype} values, not real numbers")
-        if len(name.encode("utf-8")) > 0xFFFF:
+        encoded = name.encode("utf-8")
+        if len(encoded) > 0xFFFF:
             raise ValueError(f"array name {name[:32]!r}... is longer than 65535 UTF-8 bytes")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+        # ascontiguousarray would promote 0-d scalars to 1-d; keep ranks as-is
+        arr = np.asarray(arr, dtype="<f8", order="C")
+        pieces += [struct.pack(f"<H{len(encoded)}sI{arr.ndim}Q",
+                               len(encoded), encoded, arr.ndim, *arr.shape), arr]
     crc = 0
-    try:
-        with open(tmp, "wb") as f:
-            def put(piece) -> None:
-                nonlocal crc
-                f.write(piece)
-                crc = zlib.crc32(piece, crc)
-
-            put(MAGIC + struct.pack("<II", FORMAT_VERSION, len(arrays)))
-            for name, arr in arrays.items():
-                # ascontiguousarray would promote 0-d scalars to 1-d; keep ranks as-is
-                arr = np.asarray(arr, dtype="<f8", order="C")
-                encoded = name.encode("utf-8")
-                put(struct.pack(f"<H{len(encoded)}sI{arr.ndim}Q",
-                                len(encoded), encoded, arr.ndim, *arr.shape))
-                put(arr)
-            f.write(struct.pack("<I", crc))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    for piece in pieces:
+        crc = zlib.crc32(piece, crc)
+    write_file(path, [*pieces, struct.pack("<I", crc)])
 
 
 def load_arrays(path, dtypes: dict | None = None) -> dict[str, np.ndarray]:

@@ -26,7 +26,7 @@ from .evaluation import evaluate, mixture_and_sources, oracle_separate, si_sdr
 from .export import export_representation
 from .losses import DISTANCE_EXPONENTS, LOSS_VARIANTS, LossConfig, neg_snr
 from .training import TrainConfig, train
-from .wavio import write_wav
+from .wavio import write_file, write_wav
 
 TRAIN_SEGMENT_LEN = SAMPLE_RATE
 TRAIN_HOP = SAMPLE_RATE // 2
@@ -188,7 +188,7 @@ def _out_dir(args) -> Path:
     lines = [f"command={args.command}"] + [
         f"{key}={value}" for key, value in sorted(vars(args).items())
         if key not in ("func", "command", "config")]
-    (out / "run_config.txt").write_text("\n".join(lines) + "\n")
+    write_file(out / "run_config.txt", ["\n".join(lines) + "\n"])
     return out
 
 
@@ -309,7 +309,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate(tracks, enc, dec)
     out = _out_dir(args)
     report.to_csv(out / "report.csv")
-    (out / "summary.txt").write_text(report.summary() + "\n")
+    write_file(out / "summary.txt", [report.summary() + "\n"])
     print(report.summary())
     return 0
 

@@ -114,7 +114,7 @@ def init_decoder(
 def check_pair(enc: encoder.EncoderParameters, dec: DecoderParameters) -> None:
     """Raise ``ValueError`` unless ``enc`` and ``dec`` describe one model:
     one stride, no longer than the kernel length L, and arrays of the shapes
-    that :data:`MODEL_ARRAYS` declares, for one C, L and L2.
+    that :data:`MODEL_ARRAYS` declares, for one C, L and L2, each at least 1.
 
     A stride longer than L would leave the samples between frames unread by
     any kernel, and would size the overlap-add buffers by the stride alone."""
@@ -124,21 +124,24 @@ def check_pair(enc: encoder.EncoderParameters, dec: DecoderParameters) -> None:
                and all(dims.setdefault(d, n) == n for d, n in zip(a.shape, s)) for a, s in found):
         raise ValueError("inconsistent array shapes: " + ", ".join(
             f"{a.owner}/{a.name} {s} for " + str(a.shape).replace("'", "") for a, s in found))
+    if min(dims.values()) < 1:
+        raise ValueError("a model needs C, L and L2 of at least 1, got "
+                         + ", ".join(f"{d} = {n}" for d, n in dims.items()))
     if enc.stride != dec.stride:
         raise ValueError(f"encoder stride {enc.stride} != decoder stride {dec.stride}")
     if enc.stride > dims["L"]:
         raise ValueError(f"stride {enc.stride} is longer than the kernel length {dims['L']}")
 
 
-def cast_pair(enc: encoder.EncoderParameters, dec: DecoderParameters, dtype,
-              where: str) -> tuple[encoder.EncoderParameters, DecoderParameters]:
+def cast_pair(enc: encoder.EncoderParameters, dec: DecoderParameters,
+              dtype) -> tuple[encoder.EncoderParameters, DecoderParameters]:
     """Copies of ``enc`` and ``dec`` whose GEMM-read arrays (:data:`MODEL_ARRAYS`)
     are cast to ``dtype``; the others are shared, since the carrier phase is
     formed in float64 whatever the modulators' dtype.  :class:`NumericalError`
-    naming ``where`` if a cast array is not finite in ``dtype``."""
+    if a cast array is not finite in ``dtype``."""
     arrays = model_arrays(enc, dec)
     names = [a.name for a in MODEL_ARRAYS if a.gemm]
-    cast = finite(f"{where}: the model's parameters are not finite in {np.dtype(dtype)}",
+    cast = finite(f"the model's parameters are not finite in {np.dtype(dtype)}",
                   lambda: [arrays[name].astype(dtype) for name in names])
     return replace_arrays(enc, dec, dict(zip(names, cast)))
 

@@ -21,6 +21,7 @@ from .dataset import (ACTIVITY_EPS, SAMPLE_RATE, float64_blocks, frame, is_activ
 from .decoder import DecoderParameters, check_pair, kernel_matrix, synthesize
 from .encoder import EncoderParameters, encode, relu
 from .errors import DataError, finite
+from .wavio import write_file
 
 STFT_WINDOW = 2048
 STFT_HOP = 256
@@ -191,8 +192,7 @@ class EvalReport:
         for r in self.rows:
             vals = ",".join(f"{getattr(r, name):.9g}" for name in _METRICS)
             lines.append(f"{r.track},{r.segment},{vals}")
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        write_file(path, ["\n".join(lines) + "\n"])
 
     def summary(self) -> str:
         lines = [f"segments evaluated: {len(self.rows)}"]

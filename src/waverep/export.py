@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .wavio import write_file
+
 
 def export_representation(a: np.ndarray, out_base, carrier_freq) -> tuple[Path, Path]:
     """Write ``<out_base>.csv`` and ``<out_base>.pgm``, keeping every dot of
@@ -23,10 +25,6 @@ def export_representation(a: np.ndarray, out_base, carrier_freq) -> tuple[Path, 
     order = np.argsort(np.asarray(carrier_freq), kind="stable")
     if order.size != a.shape[0]:
         raise ValueError("carrier_freq length must match the number of rows")
-    csv_path, pgm_path = Path(f"{out_base}.csv"), Path(f"{out_base}.pgm")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(csv_path, a, delimiter=",", fmt="%.10g")
-
     img = np.log1p(np.maximum(a[order], 0.0))
     lo, hi = img.min(), img.max()
     if hi > lo:
@@ -34,6 +32,10 @@ def export_representation(a: np.ndarray, out_base, carrier_freq) -> tuple[Path, 
     else:
         pixels = np.zeros(img.shape, dtype=np.uint8)
 
-    header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
-    pgm_path.write_bytes(header + pixels.tobytes())
+    csv_path, pgm_path = Path(f"{out_base}.csv"), Path(f"{out_base}.pgm")
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    # np.savetxt's rows, one at a time: no text copy of the whole matrix
+    row_fmt = ",".join(["%.10g"] * a.shape[1]) + "\n"
+    write_file(csv_path, (row_fmt % tuple(row) for row in a))
+    write_file(pgm_path, [f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n", pixels])
     return csv_path, pgm_path

@@ -231,8 +231,8 @@ def train(
     with open(os.devnull if log_path is None else log_path, "w") as log_file:
         # pre-training baseline over the first epoch's stream, no updates: it
         # reports the reconstruction term only, so only that term is computed
-        enc32, dec32 = cast_pair(enc, dec, np.float32, "before training")
         with _checked("before training"):
+            enc32, dec32 = cast_pair(enc, dec, np.float32)
             w = Node(kernel_matrix(dec32))
             baseline = []
             for pair in pairs_for(1):
@@ -246,9 +246,8 @@ def train(
             epoch_neg_snrs: list[float] = []
             pairs = pairs_for(epoch)
             while batch := list(islice(pairs, cfg.batch_size)):
-                where = f"step {len(history) + 1}"
-                model = cast_pair(enc, dec, np.float32, where)
-                with _checked(where):
+                with _checked(f"step {len(history) + 1}"):
+                    model = cast_pair(enc, dec, np.float32)
                     grads, breakdowns = batch_gradients(batch, *model, cfg)
                 adam_step(params, grads, adam)
                 # one model's worth of arrays: free them before the next step allocates its own

@@ -1,4 +1,5 @@
-"""Reader/writer for RIFF/WAVE files using numpy arrays.
+"""Reader/writer for RIFF/WAVE files using numpy arrays, and the one writer
+of every output file.
 
 Supported on read: little-endian PCM16, PCM24 and IEEE float32, any channel
 count (including the WAVE_FORMAT_EXTENSIBLE wrappers around those codecs).
@@ -9,6 +10,7 @@ clips.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -22,6 +24,22 @@ SAMPLE_RATE = 44100
 _FMT_PCM = 0x0001
 _FMT_FLOAT = 0x0003
 _FMT_EXTENSIBLE = 0xFFFE
+
+
+def write_file(path, pieces) -> None:
+    """Write ``pieces`` (str, bytes or C-contiguous arrays) one at a time to
+    ``<path>.tmp``, then rename it onto ``path``: the file is written whole or
+    not at all.  A write that raises removes ``<path>.tmp``."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for piece in pieces:
+                f.write(piece.encode("utf-8") if isinstance(piece, str) else piece)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_wav(path) -> tuple[np.ndarray, int]:
@@ -93,9 +111,9 @@ def read_wav(path) -> tuple[np.ndarray, int]:
 
 
 def write_wav(path, samples: np.ndarray) -> None:
-    """Write a mono float32 WAV file at ``SAMPLE_RATE``: the header, then the
-    samples.  A sample that is not finite in float32 raises ``ValueError``
-    before the file is opened."""
+    """Write a mono float32 WAV file at ``SAMPLE_RATE`` with :func:`write_file`:
+    the header, then the samples.  A sample that is not finite in float32
+    raises ``ValueError`` before anything is written."""
     samples = np.asarray(samples)
     if samples.ndim != 1:
         raise ValueError("write_wav expects a mono 1-D signal")
@@ -112,6 +130,4 @@ def write_wav(path, samples: np.ndarray) -> None:
         + b"fact" + struct.pack("<I", len(fact)) + fact
         + b"data" + struct.pack("<I", payload.nbytes)
     )
-    with open(path, "wb") as f:
-        f.write(b"RIFF" + struct.pack("<I", len(header) + payload.nbytes) + header)
-        f.write(payload)
+    write_file(path, [b"RIFF" + struct.pack("<I", len(header) + payload.nbytes) + header, payload])

@@ -26,7 +26,8 @@ with relative paths, so that the two sessions see the same arguments:
 Each command's standard output, standard error and exit code are saved as
 files beside its outputs.  Every file of the two sessions is then compared
 byte for byte: each one that differs, or exists in one session only, is
-printed.  For a differing checkpoint (``.bin``) or WAV file in both sessions,
+printed, and so is any ``<name>.tmp`` (an output that was not written whole)
+in either session.  For a differing checkpoint (``.bin``) or WAV file in both sessions,
 each array that differs is printed below it with its largest absolute
 difference and that difference relative to the parent's largest magnitude in
 the array; the files are read with CHANGE_TREE's ``waverep``.  The exit code
@@ -108,11 +109,12 @@ def session(tree: Path, work: Path) -> None:
 
 
 def differing(a: Path, b: Path) -> list[str]:
-    """Relative paths of the files that differ between the trees ``a`` and ``b``."""
+    """Relative paths of the files that differ between the trees ``a`` and
+    ``b``, and of every ``*.tmp`` file in either."""
     files = {p.relative_to(root) for root in (a, b) for p in root.rglob("*") if p.is_file()}
     return sorted(str(f) for f in files
-                  if not ((a / f).is_file() and (b / f).is_file()
-                          and (a / f).read_bytes() == (b / f).read_bytes()))
+                  if f.suffix == ".tmp" or not ((a / f).is_file() and (b / f).is_file()
+                                                and (a / f).read_bytes() == (b / f).read_bytes()))
 
 
 def array_gaps(a: Path, b: Path) -> list[str]:

@@ -1,3 +1,5 @@
+import errno
+import io
 import runpy
 import tracemalloc
 import warnings
@@ -7,6 +9,7 @@ import pytest
 
 import waverep.cli
 import waverep.encoder
+import waverep.wavio
 from waverep.autodiff import as_node
 from waverep.checkpoint import load_arrays, load_model, save_arrays, save_model
 from waverep.cli import build_parser, run
@@ -344,6 +347,35 @@ class TestExitCodes:
         assert (f"numerical failure: {ckpt} on {voice}: the representation is not finite"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["reconstruct", "export"])
+    def test_zero_component_checkpoint_writes_nothing(self, small_checkpoint, stems_dir,
+                                                      tmp_path, capsys, command):
+        # a CRC-valid checkpoint whose arrays agree on C = 0: no model to decode or export with
+        arrays = {name: arr[:0] if name.startswith(("encoder/", "decoder/")) else arr
+                  for name, arr in load_arrays(small_checkpoint).items()}
+        arrays["encoder/dilated_kernels"] = arrays["encoder/dilated_kernels"][:, :, :0]
+        save_arrays(small_checkpoint, arrays)
+        out = tmp_path / "o"
+        assert run([command, "--checkpoint", str(small_checkpoint), "--out", str(out),
+                    str(stems_dir / "track00_voice.wav")]) == 2
+        assert "at least 1, got C = 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_wav_write_leaves_no_estimate(self, trained, stems_dir, tmp_path,
+                                                 monkeypatch, capsys):
+        class Full(io.FileIO):
+            def write(self, data):
+                if str(self.name).endswith(".wav.tmp") and self.tell():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        monkeypatch.setattr(waverep.wavio, "open", Full, raising=False)
+        out = tmp_path / "o"
+        assert run(["reconstruct", "--checkpoint", str(trained / "checkpoint.bin"),
+                    "--out", str(out), str(stems_dir / "track00_voice.wav")]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.txt"]
+
     def test_evaluate_missing_stems_writes_nothing(self, trained, tmp_path):
         out = tmp_path / "o"
         for source in (["--baseline", "stft"], ["--checkpoint", str(trained / "checkpoint.bin")]):
@@ -416,6 +448,20 @@ class TestCommands:
         assert run(["reconstruct", "--checkpoint", str(trained / "checkpoint.bin"),
                     "--out", str(out), str(wav)]) == 0
         assert (out / f"{wav.stem}_recon.wav").is_file()
+
+    def test_stale_temporary_file_is_replaced(self, trained, stems_dir, tmp_path):
+        # a run killed mid-write left <name>.tmp: the next run writes it afresh
+        wav = stems_dir / "track00_voice.wav"
+        outs = [tmp_path / "clean", tmp_path / "stale"]
+        outs[1].mkdir()
+        (outs[1] / "track00_voice_recon.wav.tmp").write_bytes(b"\xff" * 10**6)
+        for out in outs:
+            assert run(["reconstruct", "--checkpoint", str(trained / "checkpoint.bin"),
+                        "--out", str(out), str(wav)]) == 0
+        assert sorted(p.name for p in outs[1].iterdir()) == ["run_config.txt",
+                                                             "track00_voice_recon.wav"]
+        assert ((outs[1] / "track00_voice_recon.wav").read_bytes()
+                == (outs[0] / "track00_voice_recon.wav").read_bytes())
 
     def test_streaming_commands_print_their_scores_then_the_path(self, trained, stems_dir,
                                                                  tmp_path, capsys):

@@ -15,7 +15,8 @@ import waverep.checkpoint
 import waverep.decoder
 import waverep.losses
 import waverep.training
-from waverep import synth
+import waverep.wavio
+from waverep import cli, synth
 from waverep.autodiff import Node, Tape
 from waverep.checkpoint import load_arrays, load_model, save_arrays, save_model
 from waverep.dataset import SAMPLE_RATE, TrainingPair, make_training_pairs
@@ -23,8 +24,11 @@ from waverep.decoder import (MODEL_ARRAYS, DecoderParameters, build_kernels, cas
                              init_decoder, kernel_matrix, model_arrays, replace_arrays, synthesize)
 from waverep.encoder import encode, init_encoder
 from waverep.errors import CheckpointError, NumericalError
+from waverep.evaluation import EvalReport, SegmentMetrics
+from waverep.export import export_representation
 from waverep.losses import LossConfig, total_loss
 from waverep.training import TrainConfig, adam_step, batch_gradients, init_adam, train
+from waverep.wavio import write_wav
 
 
 class TestAdam:
@@ -312,7 +316,7 @@ class TestModelArrays:
 
     def test_cast_pair_casts_the_gemm_arrays_and_shares_the_others(self):
         enc, dec = _toy_model()
-        enc32, dec32 = cast_pair(enc, dec, np.float32, "test")
+        enc32, dec32 = cast_pair(enc, dec, np.float32)
         before, after = model_arrays(enc, dec), model_arrays(enc32, dec32)
         assert {a.name for a in MODEL_ARRAYS if a.gemm} == {"kernels", "dilated_kernels", "modulator"}
         for a in MODEL_ARRAYS:
@@ -371,7 +375,7 @@ class TestBatchGradients:
         # gradients keep their bits whatever the term's weight
         voices, accomps = _toy_problem(rng, n_segments=1)
         items = list(make_training_pairs(voices, accomps, 1, 1e-4))
-        model = cast_pair(*_toy_model(), np.float32, "test")
+        model = cast_pair(*_toy_model(), np.float32)
         results = []
         for omega in (1.0, 0.0):
             cfg = TrainConfig(variant="sinkhorn", loss=LossConfig(omega=omega, lam=5e4))
@@ -391,7 +395,7 @@ class TestBatchGradients:
         # without them, at 62.9 MiB; and with the kernel tape keeping neither
         # the (C, L) phase nor its cosine, at 52.2 MiB
         enc, dec = cast_pair(init_encoder(800, 2048, 5, 256, 10, seed=0),
-                             init_decoder(800, 2048, 256), np.float32, "test")
+                             init_decoder(800, 2048, 256), np.float32)
         items = []
         for _ in range(2):
             voice = synth.voice_stem(rng, SAMPLE_RATE)
@@ -454,7 +458,7 @@ class TestBatchGradients:
         # items, on the float32 model that the first step computes with
         pairs = make_training_pairs(voices, accomps, waverep.training._epoch_seed(cfg.seed, 1),
                                     cfg.gaussian_std)
-        enc32, dec32 = cast_pair(enc, dec, np.float32, "test")
+        enc32, dec32 = cast_pair(enc, dec, np.float32)
         expected = float(np.mean([
             waverep.training._item_loss(p, enc32, Node(kernel_matrix(dec32)), dec.stride,
                                         cfg).neg_snr_db
@@ -471,6 +475,33 @@ def _with_crc(blob: bytearray) -> bytes:
     under test can fire."""
     blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
     return bytes(blob)
+
+
+def _evaluate_stft(out, k):
+    stems = out / "stems"
+    if not stems.exists():
+        synth.synth_data(stems, seed=0, n_tracks=1, duration=1.0)
+    cli.cmd_evaluate(cli.build_parser().parse_args(
+        ["evaluate", "--baseline", "stft", "--stems", str(stems), "--out", str(out)]))
+
+
+def _export(out, k):
+    export_representation(np.full((2, 3), k + 0.5), out / "x", [0.2, 0.1])
+
+
+#: every output a command writes, by its writer: (file name, write(directory, k)),
+#: where the bytes written change with k unless the writer's output cannot
+_WRITERS = {
+    "save_arrays": ("a.bin", lambda out, k: save_arrays(out / "a.bin", {"a": np.full(3, k)})),
+    "write_wav": ("x.wav", lambda out, k: write_wav(out / "x.wav", np.full(64, k / 2))),
+    "to_csv": ("report.csv", lambda out, k: EvalReport(
+        [SegmentMetrics("t", k, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]).to_csv(out / "report.csv")),
+    "export-csv": ("x.csv", _export),
+    "export-pgm": ("x.pgm", _export),
+    "run_config": ("run_config.txt", lambda out, k: cli._out_dir(cli.build_parser().parse_args(
+        ["synth-data", "--out", str(out), "--seed", str(k)]))),
+    "summary": ("summary.txt", _evaluate_stft),
+}
 
 
 class TestCheckpoint:
@@ -694,7 +725,7 @@ class TestCheckpoint:
         assert got["special"].dtype == np.float32 and got["x"].dtype == np.float64
         np.testing.assert_array_equal(got["special"].view(np.uint32), want.view(np.uint32))
         np.testing.assert_array_equal(got["x"], np.linspace(-3, 3, 11))
-        ref = model_arrays(*cast_pair(*load_model(path), np.float32, "test"))
+        ref = model_arrays(*cast_pair(*load_model(path), np.float32))
         for name, arr in model_arrays(*load_model(path, np.float32)).items():
             assert arr.dtype == ref[name].dtype and arr.flags.c_contiguous
             np.testing.assert_array_equal(arr.view(np.uint8), ref[name].view(np.uint8))
@@ -720,22 +751,33 @@ class TestCheckpoint:
         save_arrays(path, {"x" * 65535: np.ones(2)})
         assert list(load_arrays(path)) == ["x" * 65535]
 
-    def test_failed_write_removes_the_temporary_file(self, tmp_path, monkeypatch):
-        # a disk that fills up during the second write: the old file stays
-        path = tmp_path / "a.bin"
-        save_arrays(path, {"a": np.ones(3)})
-        old = path.read_bytes()
+    @pytest.mark.parametrize("writer", list(_WRITERS))
+    def test_failed_write_removes_the_temporary_file(self, tmp_path, monkeypatch, writer):
+        # a disk that fills up part-way through the file: the final name keeps
+        # what it held before, a previous file or nothing, and no <name>.tmp is left
+        name, write = _WRITERS[writer]
+        path = tmp_path / name
 
         class Full(io.FileIO):
             def write(self, data):
-                if self.tell():
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                return super().write(data)
+                if not str(self.name).endswith(f"{name}.tmp"):
+                    return super().write(data)
+                data = memoryview(data).cast("B")
+                super().write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(waverep.checkpoint, "open", Full, raising=False)
-        with pytest.raises(OSError, match="No space left"):
-            save_arrays(path, {"a": np.zeros(3)})
-        assert list(tmp_path.iterdir()) == [path]
+        def fail() -> None:
+            with monkeypatch.context() as m:
+                m.setattr(waverep.wavio, "open", Full, raising=False)
+                with pytest.raises(OSError, match="No space left"):
+                    write(tmp_path, 1)
+            assert list(tmp_path.rglob("*.tmp")) == []
+
+        fail()
+        assert not path.exists()
+        write(tmp_path, 0)
+        old = path.read_bytes()
+        fail()
         assert path.read_bytes() == old
 
 
@@ -861,6 +903,21 @@ class TestLoadModelValidation:
         path = self._write(tmp_path, **{"encoder/kernels": kernels, "decoder/modulator": modulator})
         with pytest.raises(CheckpointError, match="decoder/modulator holds non-finite values"):
             load_model(path, np.float32)
+
+    @pytest.mark.parametrize("dim", ["C", "L", "L2"])
+    def test_zero_dimension_is_refused(self, tmp_path, dim):
+        # every array with its `dim` axes cut to length 0: shapes that agree, for no model
+        arrays = load_arrays(self._write(tmp_path))
+        cut = {a.name: arrays[f"{a.owner}/{a.name}"][tuple(slice(0) if d == dim else slice(None)
+                                                           for d in a.shape)]
+               for a in MODEL_ARRAYS}
+        path = self._write(tmp_path, **{f"{a.owner}/{a.name}": cut[a.name] for a in MODEL_ARRAYS})
+        for dtype in (np.float64, np.float32):
+            with pytest.raises(CheckpointError, match=f"at least 1, got .*{dim} = 0"):
+                load_model(path, dtype)
+        with pytest.raises(ValueError, match=f"{dim} = 0"):
+            save_model(tmp_path / "cut.bin", *replace_arrays(*_toy_model(), cut))
+        assert not (tmp_path / "cut.bin").exists()
 
     def test_missing_array(self, tmp_path):
         path = self._write(tmp_path)
