@@ -53,7 +53,7 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
     crc = 0
     for piece in pieces:
         crc = zlib.crc32(piece, crc)
-    write_file(path, [*pieces, struct.pack("<I", crc)])
+    write_file({path: [*pieces, struct.pack("<I", crc)]})
 
 
 def load_arrays(path, dtypes: dict | None = None) -> dict[str, np.ndarray]:

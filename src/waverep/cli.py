@@ -3,7 +3,8 @@
 Subcommands: synth-data, train, reconstruct, separate, evaluate, export,
 grad-check, ot-check.  Exit codes: 0 success, 1 usage error, 2 data
 error, 3 numerical failure.  Every command that writes outputs echoes its
-resolved configuration into the output directory for reproducibility.
+resolved configuration into the output directory, as run_config.txt, once it
+has succeeded: the file marks a finished command.
 
 Flags take precedence over an optional key=value config file (--config):
 keys use the flag spelling without the leading dashes.
@@ -33,10 +34,10 @@ TRAIN_HOP = SAMPLE_RATE // 2
 
 
 class UsageError(Exception):
-    """A command line that a parser, or a command's settings check, refuses;
-    ``parser`` is the parser that refused it, whose usage is printed."""
+    """A command line that a parser refuses; ``parser`` is the parser that
+    refused it, whose usage is printed."""
 
-    def __init__(self, message: str, parser: argparse.ArgumentParser | None = None):
+    def __init__(self, message: str, parser: argparse.ArgumentParser):
         super().__init__(message)
         self.parser = parser
 
@@ -70,7 +71,6 @@ def build_parser() -> _Parser:
     # TrainConfig/LossConfig/DecoderParameters
     parser = _Parser(prog="waverep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # each command's name -> its parser
 
     def add_model_flags(p):
         p.add_argument("--components", type=int, default=800, help="number of components C")
@@ -181,17 +181,6 @@ def _parse_with_config(parser: _Parser, argv: list[str]):
     return parser.parse_args(argv[:1] + flags + argv[1:])
 
 
-def _out_dir(args) -> Path:
-    """Make the output directory and echo the resolved configuration into it."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = [f"command={args.command}"] + [
-        f"{key}={value}" for key, value in sorted(vars(args).items())
-        if key not in ("func", "command", "config")]
-    write_file(out / "run_config.txt", ["\n".join(lines) + "\n"])
-    return out
-
-
 def _discover_stems(stems_dir) -> list[tuple[str, Path, Path]]:
     stems_dir = Path(stems_dir)
     if not stems_dir.is_dir():
@@ -216,20 +205,18 @@ def _score_db(metric, ref: np.ndarray, est: np.ndarray) -> str:
 
 def _write_estimate(args, label: str, ref: np.ndarray, est: np.ndarray, name: str) -> int:
     """Print ``label: <SI-SDR of est against ref>``, then write ``est`` as
-    ``<out>/<name>`` and print its path: the estimate is scored before the
-    output directory is made, so a failure leaves no output."""
+    ``<out>/<name>`` and print its path."""
     print(f"{label}: {_score_db(si_sdr, ref, est)}")
-    wav_path = _out_dir(args) / name
+    wav_path = Path(args.out) / name
     write_wav(wav_path, est)
     print(f"wrote {wav_path}")
     return 0
 
 
 def cmd_synth_data(args) -> int:
-    # synth_data checks its settings before it makes the directory
+    # synth_data checks its settings before it writes a stem
     pairs = synth.synth_data(args.out, seed=args.seed, n_tracks=args.tracks, duration=args.duration)
-    out = _out_dir(args)
-    print(f"wrote {2 * len(pairs)} stems to {out}")
+    print(f"wrote {2 * len(pairs)} stems to {Path(args.out)}")
     return 0
 
 
@@ -249,10 +236,7 @@ def cmd_train(args) -> int:
     enc = init_encoder(args.components, args.kernel_len, args.kernel2_len,
                        args.stride, args.dilation, seed=args.seed)
     dec = init_decoder(args.components, args.kernel_len, args.stride, args.square_freq)
-    try:
-        check_pair(enc, dec)
-    except ValueError as exc:  # flags that do not describe one model
-        raise UsageError(str(exc)) from exc
+    check_pair(enc, dec)
     voice_segs, accomp_segs = [], []
     for _, vp, ap in _discover_stems(args.stems):
         voice_segs.extend(segment(load_and_downmix(vp), TRAIN_SEGMENT_LEN, TRAIN_HOP))
@@ -261,7 +245,8 @@ def cmd_train(args) -> int:
     if not voice_segs:
         raise DataError("all voice segments are silent")
 
-    out = _out_dir(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # train() streams its log there
     result = train(voice_segs, accomp_segs, enc, dec, cfg,
                    log_path=out / "train_log.jsonl",
                    checkpoint_path=out / "checkpoint.bin")
@@ -307,21 +292,20 @@ def cmd_evaluate(args) -> int:
     ]
     # a stem set with no active voice segment fails before any output
     report = evaluate(tracks, enc, dec)
-    out = _out_dir(args)
+    out = Path(args.out)
     report.to_csv(out / "report.csv")
-    write_file(out / "summary.txt", [report.summary() + "\n"])
+    write_file({out / "summary.txt": [report.summary() + "\n"]})
     print(report.summary())
     return 0
 
 
 def cmd_export(args) -> int:
-    # the float64 representation is computed before the output directory is
-    # made, so a failure leaves no output
+    # the float64 representation is computed before anything is written
     enc, dec = checkpoint.load_model(args.checkpoint)
     x = load_and_downmix(args.input)
     a = finite(f"{args.checkpoint} on {args.input}: the representation is not finite",
                lambda: encode_values(x, enc))
-    csv_path, pgm_path = export_representation(a, _out_dir(args) / Path(args.input).stem, dec.freq)
+    csv_path, pgm_path = export_representation(a, Path(args.out) / Path(args.input).stem, dec.freq)
     print(f"wrote {csv_path} and {pgm_path}")
     return 0
 
@@ -350,16 +334,20 @@ def cmd_ot_check(args) -> int:
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = None
     try:
         args = _parse_with_config(parser, argv)
-        return args.func(args)
+        code = args.func(args)
+        if code == 0 and hasattr(args, "out"):  # the configuration marks a finished command
+            lines = [f"command={args.command}"] + [
+                f"{key}={value}" for key, value in sorted(vars(args).items())
+                if key not in ("func", "command", "config")]
+            write_file({Path(args.out) / "run_config.txt": ["\n".join(lines) + "\n"]})
+        return code
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        # the parser that refused the command line, else the command that refused its settings
-        (exc.parser or parser.commands[args.command]).print_usage(sys.stderr)
+        exc.parser.print_usage(sys.stderr)  # the command's own usage, or the root's
         return 1
     except (DataError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -192,7 +192,7 @@ class EvalReport:
         for r in self.rows:
             vals = ",".join(f"{getattr(r, name):.9g}" for name in _METRICS)
             lines.append(f"{r.track},{r.segment},{vals}")
-        write_file(path, ["\n".join(lines) + "\n"])
+        write_file({path: ["\n".join(lines) + "\n"]})
 
     def summary(self) -> str:
         lines = [f"segments evaluated: {len(self.rows)}"]

@@ -15,8 +15,8 @@ from .wavio import write_file
 
 
 def export_representation(a: np.ndarray, out_base, carrier_freq) -> tuple[Path, Path]:
-    """Write ``<out_base>.csv`` and ``<out_base>.pgm``, keeping every dot of
-    ``out_base``'s name; returns both paths."""
+    """Write ``<out_base>.csv`` and ``<out_base>.pgm`` together, keeping every
+    dot of ``out_base``'s name; returns both paths."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("expected a (C, T) matrix")
@@ -33,9 +33,8 @@ def export_representation(a: np.ndarray, out_base, carrier_freq) -> tuple[Path, 
         pixels = np.zeros(img.shape, dtype=np.uint8)
 
     csv_path, pgm_path = Path(f"{out_base}.csv"), Path(f"{out_base}.pgm")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
     # np.savetxt's rows, one at a time: no text copy of the whole matrix
     row_fmt = ",".join(["%.10g"] * a.shape[1]) + "\n"
-    write_file(csv_path, (row_fmt % tuple(row) for row in a))
-    write_file(pgm_path, [f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n", pixels])
+    write_file({csv_path: (row_fmt % tuple(row) for row in a),
+                pgm_path: [f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n", pixels]})
     return csv_path, pgm_path

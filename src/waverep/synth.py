@@ -36,8 +36,6 @@ def voice_stem(rng: np.random.Generator, n_samples: int) -> np.ndarray:
     phase = 2 * np.pi * np.cumsum(freq) / SAMPLE_RATE
     x = np.zeros(n_samples)
     for k in range(1, 6):
-        if k * f0 * 1.3 > 8000.0:
-            break
         amp = rng.uniform(0.6, 1.0) / k**1.2
         x += amp * np.sin(k * phase + rng.uniform(0, 2 * np.pi))
 
@@ -62,7 +60,8 @@ def accomp_stem(rng: np.random.Generator, n_samples: int) -> np.ndarray:
     x *= 0.8 + 0.2 * np.sin(2 * np.pi * rng.uniform(0.2, 0.5) * t)
 
     beat = rng.uniform(1.8, 2.4)  # hits per second
-    hit_times = np.arange(0.05, t[-1], 1.0 / beat) + rng.normal(0, 0.01, size=len(np.arange(0.05, t[-1], 1.0 / beat)))
+    hit_times = np.arange(0.05, t[-1], 1.0 / beat)
+    hit_times += rng.normal(0, 0.01, size=hit_times.size)
     for i, onset in enumerate(hit_times):
         start = int(max(onset, 0) * SAMPLE_RATE)
         dur = int(0.1 * SAMPLE_RATE)
@@ -90,7 +89,6 @@ def synth_data(out_dir, seed: int, n_tracks: int, duration: float) -> list[tuple
     if n < 1:
         raise ValueError(f"duration {duration} s is shorter than one sample")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     pairs = []
     for i in range(n_tracks):

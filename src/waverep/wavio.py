@@ -26,19 +26,23 @@ _FMT_FLOAT = 0x0003
 _FMT_EXTENSIBLE = 0xFFFE
 
 
-def write_file(path, pieces) -> None:
-    """Write ``pieces`` (str, bytes or C-contiguous arrays) one at a time to
-    ``<path>.tmp``, then rename it onto ``path``: the file is written whole or
-    not at all.  A write that raises removes ``<path>.tmp``."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+def write_file(files) -> None:
+    """Write each ``{path: pieces}`` entry's pieces (str, bytes or C-contiguous
+    arrays) one at a time to ``<path>.tmp``, making its directory, then rename
+    every ``.tmp`` onto its path: the files are written whole and together, or
+    not at all.  A write that raises removes every ``.tmp``."""
+    tmps = {path: Path(f"{path}.tmp") for path in files}
     try:
-        with open(tmp, "wb") as f:
-            for piece in pieces:
-                f.write(piece.encode("utf-8") if isinstance(piece, str) else piece)
-        os.replace(tmp, path)
+        for path, pieces in files.items():
+            tmps[path].parent.mkdir(parents=True, exist_ok=True)
+            with open(tmps[path], "wb") as f:
+                for piece in pieces:
+                    f.write(piece.encode("utf-8") if isinstance(piece, str) else piece)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -130,4 +134,4 @@ def write_wav(path, samples: np.ndarray) -> None:
         + b"fact" + struct.pack("<I", len(fact)) + fact
         + b"data" + struct.pack("<I", payload.nbytes)
     )
-    write_file(path, [b"RIFF" + struct.pack("<I", len(header) + payload.nbytes) + header, payload])
+    write_file({path: [b"RIFF" + struct.pack("<I", len(header) + payload.nbytes) + header, payload]})

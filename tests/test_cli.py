@@ -1,6 +1,7 @@
 import errno
 import io
 import runpy
+import struct
 import tracemalloc
 import warnings
 
@@ -67,6 +68,19 @@ def _pair_with_silent_second_second(tmp_path):
     write_wav(stems / "song_voice.wav", 0.3 * np.sin(2 * np.pi * 220 * t))
     write_wav(stems / "song_accomp.wav", np.where(t < 1.0, 0.2 * np.sin(2 * np.pi * 330 * t), 0.0))
     return stems
+
+
+def _riff(*chunks) -> bytes:
+    """A RIFF/WAVE file of the given (chunk id, payload) pairs, in order."""
+    body = b"WAVE" + b"".join(cid + struct.pack("<I", len(payload)) + payload
+                              for cid, payload in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+#: fmt chunks: mono PCM16, stereo PCM16, and an extensible one cut off before its SubFormat
+_FMT_MONO = struct.pack("<HHIIHH", 1, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16)
+_FMT_STEREO = struct.pack("<HHIIHH", 1, 2, SAMPLE_RATE, 4 * SAMPLE_RATE, 4, 16)
+_FMT_SHORT_EXTENSIBLE = struct.pack("<HHIIHHH", 0xFFFE, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16, 0)
 
 
 @pytest.fixture
@@ -147,12 +161,23 @@ class TestExitCodes:
         assert f"{ckpt}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_stride_longer_than_the_kernels_is_usage_error(self, stems_dir, tmp_path, capsys):
+    def test_stride_longer_than_the_kernels_is_data_error(self, stems_dir, tmp_path, capsys):
+        # a model shape is refused as any other setting is, before any directory is made
         out = tmp_path / "o"
         assert run(["train", "--stems", str(stems_dir), "--out", str(out),
-                    "--stride", "512", "--kernel-len", "256"]) == 1
-        assert "stride 512 is longer than the kernel length 256" in capsys.readouterr().err
+                    "--stride", "512", "--kernel-len", "256"]) == 2
+        assert ("data error: stride 512 is longer than the kernel length 256"
+                in capsys.readouterr().err)
         assert not out.exists()
+
+    def test_failed_training_leaves_its_log_and_no_config(self, stems_dir, tmp_path, capsys):
+        # run_config.txt marks a finished command: a step that overflows leaves the
+        # log of the steps before it, and no configuration or checkpoint
+        out = tmp_path / "o"
+        assert run(["train", "--stems", str(stems_dir), "--out", str(out), "--components", "8",
+                    "--kernel-len", "32", "--stride", "16", "--lr", "1e30"]) == 3
+        assert "step 2: the mixture's representation is not finite" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["train_log.jsonl"]
 
     def test_sinkhorn_without_iterations_is_data_error(self, stems_dir, tmp_path):
         assert run(["train", "--stems", str(stems_dir), "--out", str(tmp_path / "o"),
@@ -374,7 +399,51 @@ class TestExitCodes:
         assert run(["reconstruct", "--checkpoint", str(trained / "checkpoint.bin"),
                     "--out", str(out), str(stems_dir / "track00_voice.wav")]) == 2
         assert "No space left on device" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["run_config.txt"]
+        assert list(out.iterdir()) == []  # no run_config.txt: the command did not finish
+
+    @pytest.mark.parametrize("blob, message", [
+        pytest.param(_riff((b"data", b"\0\0")), "missing fmt/data chunk", id="no-fmt"),
+        pytest.param(_riff((b"fmt ", _FMT_MONO)), "missing fmt/data chunk", id="no-data"),
+        pytest.param(_riff((b"fmt ", _FMT_MONO[:14]), (b"data", b"\0\0")), "fmt chunk too short",
+                     id="short-fmt"),
+        pytest.param(_riff((b"fmt ", _FMT_SHORT_EXTENSIBLE), (b"data", b"\0\0")),
+                     "malformed extensible fmt chunk", id="short-extensible-fmt"),
+        pytest.param(_riff((b"fmt ", _FMT_STEREO), (b"data", b"\0" * 6)),
+                     "data chunk is not a whole number of frames", id="partial-frame"),
+    ])
+    def test_malformed_wav_writes_nothing(self, small_checkpoint, tmp_path, capsys, blob,
+                                          message):
+        wav = tmp_path / "bad.wav"
+        wav.write_bytes(blob)
+        out = tmp_path / "o"
+        assert run(["reconstruct", "--checkpoint", str(small_checkpoint), "--out", str(out),
+                    str(wav)]) == 2
+        assert f"data error: {wav}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("stems, message", [
+        pytest.param(["song_voice.wav"], "missing accompaniment stem for song_voice.wav",
+                     id="voice-without-accomp"),
+        pytest.param(["song_accomp.wav"], "no *_voice.wav stems found in {stems}", id="no-voice"),
+    ])
+    def test_unpaired_stems_write_nothing(self, tmp_path, capsys, command, stems, message):
+        path = tmp_path / "stems"
+        path.mkdir()
+        for name in stems:
+            write_wav(path / name, np.full(SAMPLE_RATE, 0.1))
+        out = tmp_path / "o"
+        frontend = ["--baseline", "stft"] if command == "evaluate" else []
+        assert run([command, "--stems", str(path), "--out", str(out)] + frontend) == 2
+        assert f"data error: {message.format(stems=path)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_file_writes_nothing(self, stems_dir, tmp_path, capsys):
+        out, config = tmp_path / "o", tmp_path / "nope.cfg"
+        assert run(["train", "--stems", str(stems_dir), "--out", str(out),
+                    "--config", str(config)]) == 2
+        assert f"data error: config file not found: {config}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_evaluate_missing_stems_writes_nothing(self, trained, tmp_path):
         out = tmp_path / "o"
@@ -401,14 +470,14 @@ class TestExitCodes:
          "usage: waverep evaluate [-h] --stems STEMS --out OUT"),
         (["evaluate", "--baseline", "stft", "--bogus"],
          "usage: waverep evaluate [-h] --stems STEMS --out OUT"),
-        (["train", "--stride", "512", "--kernel-len", "256"], "usage: waverep train [-h]"),
+        (["train", "--early-stop", "maybe"], "usage: waverep train [-h]"),
         (["frobnicate"], "usage: waverep [-h]"),
     ], ids=["evaluate-neither-frontend", "evaluate-both-frontends", "evaluate-unknown-flag",
-            "train-settings", "unknown-command"])
+            "train-switch", "unknown-command"])
     def test_usage_error_prints_the_refusing_commands_usage(self, stems_dir, tmp_path, capsys,
                                                            argv, usage):
-        # the parser that refused the command line, or the command that refused
-        # its settings, prints its usage line: not the root parser's for a command
+        # the parser that refused the command line prints its usage line: not
+        # the root parser's for a command
         out = tmp_path / "o"
         assert run(argv + ["--stems", str(stems_dir), "--out", str(out)]) == 1
         err = capsys.readouterr().err

@@ -79,6 +79,11 @@ class TestSegment:
         with pytest.raises(ValueError):
             segment(np.array([]), 4, 2)
 
+    @pytest.mark.parametrize("length, hop", [(0, 1), (4, 0)])
+    def test_nonpositive_length_or_hop_rejected(self, length, hop):
+        with pytest.raises(ValueError, match="segment length and hop must be positive"):
+            segment(np.arange(10.0), length, hop)
+
     def test_hop_longer_than_length_rejected(self):
         # segments at 0 and 6 of length 4 would drop samples 4 and 5
         with pytest.raises(ValueError, match="hop 6 is longer than the segment length 4"):

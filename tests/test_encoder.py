@@ -404,6 +404,10 @@ class TestSignalStack:
             conv2_dilated(as_node(rng.normal(size=(3, 7))), as_node(rng.normal(size=(3, 2, 3))), 2,
                           signals=2)
 
+    def test_channel_mismatch_rejected(self, rng):
+        with pytest.raises(ValueError, match="latent has 3 rows, kernels expect 4"):
+            conv2_dilated(as_node(rng.normal(size=(3, 7))), as_node(rng.normal(size=(4, 2, 4))), 2)
+
     def test_streaming_path_takes_one_signal(self, rng):
         # a stack, even of one signal, is refused by name, not by a failed tuple unpack
         params = init_encoder(**self.PARAMS)

@@ -26,6 +26,10 @@ from waverep.evaluation import (
 
 
 class TestSiSdr:
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            si_sdr(np.ones(5), np.ones(4))
+
     def test_scaled_estimate_hits_cap(self, rng):
         x = rng.uniform(-1, 1, 100)
         assert si_sdr(x, 2.0 * x) == 120.0
@@ -113,6 +117,10 @@ class TestBinaryMask:
 
     def test_both_zero_keeps_cell(self):
         assert binary_mask(np.zeros((1, 1)), np.zeros((1, 1)))[0, 0] == 1.0
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="same shape"):
+            binary_mask(np.ones((2, 3)), np.ones((3, 2)))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -263,6 +271,10 @@ class TestWdo:
     def test_zero_target_rejected(self):
         with pytest.raises(ValueError):
             w_do(np.zeros((2, 2)), np.ones((2, 2)))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="same shape"):
+            w_do(np.ones((2, 3)), np.ones((2, 4)))
 
     @pytest.mark.parametrize("target, interf", [(1e200, 1.0), (1e200, 1e200), (np.inf, 1.0),
                                                 (1e307, 1e307)])

@@ -62,6 +62,12 @@ def test_nonfinite_rejected(tmp_path):
         export_representation(a, tmp_path / "rep", _rising(a))
 
 
+def test_one_dimensional_rejected(tmp_path):
+    with pytest.raises(ValueError, match=r"\(C, T\) matrix"):
+        export_representation(np.ones(4), tmp_path / "out" / "rep", np.zeros(1))
+    assert not (tmp_path / "out").exists()
+
+
 def test_carrier_count_must_match_rows(tmp_path):
     with pytest.raises(ValueError, match="carrier_freq"):
         export_representation(np.ones((3, 4)), tmp_path / "out" / "rep", np.zeros(2))

@@ -107,6 +107,10 @@ class TestNegSnr:
 
 
 class TestTvLoss:
+    def test_one_dimensional_rejected(self):
+        with pytest.raises(ValueError, match=r"\(C, T\) matrix"):
+            tv_loss(np.ones(4))
+
     def test_constant_matrix_is_zero(self):
         assert float(tv_loss(np.full((4, 7), 3.3)).value) == 0.0
 
@@ -235,6 +239,10 @@ def _signs_of(ao, p):
 
 
 class TestPairwiseCost:
+    def test_unknown_exponent_rejected(self):
+        with pytest.raises(ValueError, match="p must be one of"):
+            pairwise_cost(np.ones((2, 3)), 3)
+
     def test_identical_columns_zero(self):
         a = np.tile(np.array([[0.3], [0.2]]), (1, 4))
         assert np.all(pairwise_cost(a, 1) == 0.0)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import errno
 import inspect
@@ -489,6 +490,17 @@ def _export(out, k):
     export_representation(np.full((2, 3), k + 0.5), out / "x", [0.2, 0.1])
 
 
+def _synth_command(out, k):
+    """``waverep synth-data``, whose run_config.txt cli.run writes once the
+    stems are written; the error it prints on a failed write is raised."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.run(["synth-data", "--out", str(out), "--seed", str(k), "--tracks", "1",
+                        "--duration", "0.01"])
+    if code:
+        raise OSError(err.getvalue())
+
+
 #: every output a command writes, by its writer: (file name, write(directory, k)),
 #: where the bytes written change with k unless the writer's output cannot
 _WRITERS = {
@@ -498,10 +510,11 @@ _WRITERS = {
         [SegmentMetrics("t", k, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]).to_csv(out / "report.csv")),
     "export-csv": ("x.csv", _export),
     "export-pgm": ("x.pgm", _export),
-    "run_config": ("run_config.txt", lambda out, k: cli._out_dir(cli.build_parser().parse_args(
-        ["synth-data", "--out", str(out), "--seed", str(k)]))),
+    "run_config": ("run_config.txt", _synth_command),
     "summary": ("summary.txt", _evaluate_stft),
 }
+#: the other file of a pair that one call writes together
+_PARTNERS = {"export-csv": "x.pgm", "export-pgm": "x.csv"}
 
 
 class TestCheckpoint:
@@ -753,10 +766,12 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("writer", list(_WRITERS))
     def test_failed_write_removes_the_temporary_file(self, tmp_path, monkeypatch, writer):
-        # a disk that fills up part-way through the file: the final name keeps
-        # what it held before, a previous file or nothing, and no <name>.tmp is left
+        # a disk that fills up part-way through the file: the final name, and the
+        # other file of its pair, keep what they held before, a previous file or
+        # nothing, and no <name>.tmp is left
         name, write = _WRITERS[writer]
         path = tmp_path / name
+        partner = tmp_path / _PARTNERS.get(writer, name)
 
         class Full(io.FileIO):
             def write(self, data):
@@ -774,11 +789,12 @@ class TestCheckpoint:
             assert list(tmp_path.rglob("*.tmp")) == []
 
         fail()
-        assert not path.exists()
+        assert not path.exists() and not partner.exists()
         write(tmp_path, 0)
-        old = path.read_bytes()
+        old, old_partner = path.read_bytes(), partner.read_bytes()
         fail()
         assert path.read_bytes() == old
+        assert partner.read_bytes() == old_partner
 
 
 def _mismatched_pair(kind):

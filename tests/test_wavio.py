@@ -108,6 +108,13 @@ def test_writer_refuses_samples_not_finite_in_float32(tmp_path, bad):
     assert not path.exists()
 
 
+def test_writer_refuses_more_than_one_channel(tmp_path):
+    path = tmp_path / "stereo.wav"
+    with pytest.raises(ValueError, match="mono 1-D"):
+        write_wav(path, np.zeros((4, 2)))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("blob", [
     b"",
     b"RIFF\x00\x00\x00\x00JUNK",
