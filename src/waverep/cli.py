@@ -292,10 +292,9 @@ def cmd_evaluate(args) -> int:
     ]
     # a stem set with no active voice segment fails before any output
     report = evaluate(tracks, enc, dec)
-    out = Path(args.out)
-    report.to_csv(out / "report.csv")
-    write_file({out / "summary.txt": [report.summary() + "\n"]})
-    print(report.summary())
+    out, summary = Path(args.out), report.summary()
+    write_file({out / "report.csv": [report.to_csv()], out / "summary.txt": [summary + "\n"]})
+    print(summary)
     return 0
 
 

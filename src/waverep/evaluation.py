@@ -21,7 +21,6 @@ from .dataset import (ACTIVITY_EPS, SAMPLE_RATE, float64_blocks, frame, is_activ
 from .decoder import DecoderParameters, check_pair, kernel_matrix, synthesize
 from .encoder import EncoderParameters, encode, relu
 from .errors import DataError, finite
-from .wavio import write_file
 
 STFT_WINDOW = 2048
 STFT_HOP = 256
@@ -187,12 +186,12 @@ class EvalReport:
             }
         return out
 
-    def to_csv(self, path) -> None:
+    def to_csv(self) -> str:
         lines = ["track,segment," + ",".join(_METRICS)]
         for r in self.rows:
             vals = ",".join(f"{getattr(r, name):.9g}" for name in _METRICS)
             lines.append(f"{r.track},{r.segment},{vals}")
-        write_file({path: ["\n".join(lines) + "\n"]})
+        return "\n".join(lines) + "\n"
 
     def summary(self) -> str:
         lines = [f"segments evaluated: {len(self.rows)}"]

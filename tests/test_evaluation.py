@@ -497,11 +497,9 @@ class TestEvaluate:
         with pytest.raises(DataError, match="active"):
             evaluate([("t", np.zeros(SAMPLE_RATE), np.zeros(SAMPLE_RATE))])
 
-    def test_csv_export(self, tmp_path):
+    def test_csv_export(self):
         report = evaluate([self._disjoint_band_track()])
-        path = tmp_path / "report.csv"
-        report.to_csv(path)
-        lines = path.read_text().splitlines()
+        lines = report.to_csv().splitlines()
         assert lines[0] == "track,segment,si_sdr,si_sdr_bm,additivity,w_do,psr,sir"
         assert len(lines) == len(report.rows) + 1
         assert "segments evaluated" in report.summary()

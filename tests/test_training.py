@@ -29,7 +29,7 @@ from waverep.evaluation import EvalReport, SegmentMetrics
 from waverep.export import export_representation
 from waverep.losses import LossConfig, total_loss
 from waverep.training import TrainConfig, adam_step, batch_gradients, init_adam, train
-from waverep.wavio import write_wav
+from waverep.wavio import write_file, write_wav
 
 
 class TestAdam:
@@ -479,9 +479,11 @@ def _with_crc(blob: bytearray) -> bytes:
 
 
 def _evaluate_stft(out, k):
-    stems = out / "stems"
+    """``waverep evaluate --baseline stft`` on stems drawn from seed ``k``, so
+    that both of its files change with ``k``."""
+    stems = out / f"stems{k}"
     if not stems.exists():
-        synth.synth_data(stems, seed=0, n_tracks=1, duration=1.0)
+        synth.synth_data(stems, seed=k, n_tracks=1, duration=1.0)
     cli.cmd_evaluate(cli.build_parser().parse_args(
         ["evaluate", "--baseline", "stft", "--stems", str(stems), "--out", str(out)]))
 
@@ -506,15 +508,15 @@ def _synth_command(out, k):
 _WRITERS = {
     "save_arrays": ("a.bin", lambda out, k: save_arrays(out / "a.bin", {"a": np.full(3, k)})),
     "write_wav": ("x.wav", lambda out, k: write_wav(out / "x.wav", np.full(64, k / 2))),
-    "to_csv": ("report.csv", lambda out, k: EvalReport(
-        [SegmentMetrics("t", k, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]).to_csv(out / "report.csv")),
+    "to_csv": ("report.csv", lambda out, k: write_file({out / "report.csv": [EvalReport(
+        [SegmentMetrics("t", k, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]).to_csv()]})),
     "export-csv": ("x.csv", _export),
     "export-pgm": ("x.pgm", _export),
     "run_config": ("run_config.txt", _synth_command),
     "summary": ("summary.txt", _evaluate_stft),
 }
 #: the other file of a pair that one call writes together
-_PARTNERS = {"export-csv": "x.pgm", "export-pgm": "x.csv"}
+_PARTNERS = {"export-csv": "x.pgm", "export-pgm": "x.csv", "summary": "report.csv"}
 
 
 class TestCheckpoint:
